@@ -4,7 +4,7 @@ Builds momentum-helicity amplitude families with exact rotation and
 translation actions, radiation-gauge polarization machinery, and an
 equal-time overlap engine that exposes both the quantum-mechanical scalar
 product and the label-summed alternative pairing, together with their
-semi-analytic kernels and a brute-force quadrature oracle.
+closed-form kernels and a brute-force quadrature oracle.
 """
 
 from .rotations import (
@@ -62,6 +62,5 @@ from .overlap import (
     qm_overlap,
     transverse_kernel,
 )
-from .bessel import spherical_jn_sequence
 
 __version__ = "0.1.0"

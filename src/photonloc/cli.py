@@ -21,7 +21,6 @@ from .overlap import (
     QuadratureSpec,
     alt_overlap,
     brute_force_kernel_matrix,
-    gaussian_delta,
     general_j_defect,
     overlap_kernel_matrix,
 )
@@ -63,6 +62,9 @@ EXIT_USAGE = 2
 
 CHECK_SUITES = ("covariance", "gauge", "translation", "alt-product")
 
+#: largest kernel-scan entry deviation from the oracle, relative to the oracle's largest entry
+SCAN_REL_TOL = 1e-6
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -95,12 +97,6 @@ def _parse_int_list(text):
 
 def _parse_float_list(text):
     return tuple(float(item) for item in text.split(",") if item.strip() != "")
-
-
-def _quadrature(args) -> QuadratureSpec:
-    return QuadratureSpec(
-        n_theta=args.ntheta, n_phi=args.nphi, n_radial=args.nradial
-    )
 
 
 def _random_rotation(rng):
@@ -155,7 +151,7 @@ def _cmd_mmatrix(args) -> int:
 
 def _cmd_kernel_scan(args) -> int:
     family = StateFamily.of(args.family)
-    q = _quadrature(args)
+    q = QuadratureSpec(n_theta=args.ntheta, n_phi=args.nphi, n_radial=args.nradial)
     direction = np.asarray(_parse_float_list(args.direction), dtype=float)
     if direction.shape != (3,) or np.linalg.norm(direction) == 0.0:
         raise ValueError("--direction needs three comma-separated components, not all zero")
@@ -173,7 +169,7 @@ def _cmd_kernel_scan(args) -> int:
         if args.oracle:
             value = oracle
         else:
-            value = overlap_kernel_matrix(family, rvec, args.a, q).entries
+            value = overlap_kernel_matrix(family, rvec, args.a).entries
         scale = max(np.abs(oracle).max(), 1e-300)
         for p, l1 in enumerate(family.labels):
             for r, l2 in enumerate(family.labels):
@@ -193,11 +189,10 @@ def _cmd_kernel_scan(args) -> int:
                 )
     fields = ["r_over_a", *label_cols, "re", "im", "oracle_re", "oracle_im", "rel_err"]
     _write_table(rows, fields, args.out, args.format)
-    return EXIT_RESIDUAL if worst > q.rel_tol else EXIT_OK
+    return EXIT_RESIDUAL if worst > SCAN_REL_TOL else EXIT_OK
 
 
 def _cmd_defect(args) -> int:
-    q = _quadrature(args)
     helicities = _parse_int_list(args.helicities)
     direction = np.asarray(_parse_float_list(args.direction), dtype=float)
     if direction.shape != (3,) or np.linalg.norm(direction) == 0.0:
@@ -205,7 +200,7 @@ def _cmd_defect(args) -> int:
     direction = direction / np.linalg.norm(direction)
     rows = []
     for r_over_a in _parse_float_list(args.r_list):
-        kernel = general_j_defect(args.j, helicities, r_over_a * args.a * direction, args.a, q)
+        kernel = general_j_defect(args.j, helicities, r_over_a * args.a * direction, args.a)
         frob = float(np.linalg.norm(kernel.entries))
         for p, s1 in enumerate(kernel.labels):
             for r, s2 in enumerate(kernel.labels):
@@ -227,7 +222,7 @@ def _cmd_defect(args) -> int:
 # --- check suites -----------------------------------------------------------
 
 
-def _suite_covariance(seed, q):
+def _suite_covariance(seed):
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -309,7 +304,7 @@ def _suite_covariance(seed, q):
     return rows
 
 
-def _suite_gauge(seed, q):
+def _suite_gauge(seed):
     rng = np.random.default_rng(seed)
     directions = [Direction(0.0, 0.0), Direction(np.pi, 0.0), Direction(np.pi / 2, 0.0)]
     directions += [_random_direction(rng) for _ in range(50)]
@@ -348,7 +343,7 @@ def _translation_grid():
     return grid.reshape(-1, 3)
 
 
-def _suite_translation(seed, q):
+def _suite_translation(seed):
     rng = np.random.default_rng(seed)
     grid = _translation_grid()
     shift = np.array([0.6, -0.4, 0.25, 0.8])
@@ -411,18 +406,20 @@ def _suite_translation(seed, q):
     return rows
 
 
-def _suite_alt_product(seed, q):
+def _suite_alt_product(seed):
     rng = np.random.default_rng(seed)
     a = 1.0
     family = StateFamily.of(RADIATION_GAUGE)
     origin = make_localized_state(family, (0.0, 0.0, 0.0, 0.0), "x", a)
-    ratio = alt_overlap(origin, origin, q).real / gaussian_delta(0.0, a)
+    # the regulated delta is written out: alt_overlap itself returns gaussian_delta
+    delta = 1.0 / (8.0 * np.pi**1.5 * a**3)
+    ratio = alt_overlap(origin, origin).real / delta
     rows = [
         {
             "check": "coincidence-ratio",
             "value": ratio,
             "residual": abs(ratio - 2.0),
-            "tolerance": 1e-6,
+            "tolerance": 1e-12,
         }
     ]
 
@@ -432,15 +429,15 @@ def _suite_alt_product(seed, q):
         shifted = make_localized_state(
             family, np.concatenate(([0.0], r_over_a * a * rhat)), "y", a
         )
-        value = alt_overlap(shifted, origin, q).real
-        expected = 2.0 * gaussian_delta(r_over_a * a, a)
+        value = alt_overlap(shifted, origin).real
+        expected = 2.0 * delta * np.exp(-(r_over_a**2) / 4.0)
         resid = max(resid, abs(value - expected) / expected)
     rows.append(
         {
             "check": "separation-matches-twice-gaussian",
             "value": resid,
             "residual": resid,
-            "tolerance": 1e-6,
+            "tolerance": 1e-12,
         }
     )
 
@@ -473,8 +470,7 @@ _SUITES = {
 
 
 def _cmd_check(args) -> int:
-    q = _quadrature(args)
-    rows = _SUITES[args.suite](args.seed, q)
+    rows = _SUITES[args.suite](args.seed)
     failed = False
     for row in rows:
         row["status"] = _status(row["residual"], row["tolerance"])
@@ -491,12 +487,6 @@ def _add_common(parser):
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ntheta", type=int, default=32)
-    parser.add_argument("--nphi", type=int, default=32)
-    parser.add_argument("--nradial", type=int, default=64)
-    parser.add_argument(
-        "--oracle", action="store_true", help="take values from the brute-force path"
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -535,6 +525,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default="0,0,1", help="separation direction components")
     p.add_argument("--r-list", default="0,1,2,5,10", help="separations in units of a")
     p.add_argument("--a", type=float, default=1.0, help="Gaussian regulator width")
+    p.add_argument("--ntheta", type=int, default=32, help="oracle uses 4*NTHETA polar nodes")
+    p.add_argument("--nphi", type=int, default=32, help="oracle uses 4*NPHI azimuthal nodes")
+    p.add_argument("--nradial", type=int, default=64, help="oracle uses 4*NRADIAL radial nodes")
+    p.add_argument(
+        "--oracle", action="store_true", help="take values from the brute-force path"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_kernel_scan)
 

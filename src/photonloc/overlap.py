@@ -9,20 +9,27 @@ For every family the equal-time overlap of two label states reduces to
 with r = x1_vec - x2_vec, radial weight w(k) = k^s exp(-a^2 k^2) carrying the
 measure left over by the covariant normalization, and G the helicity sum over
 the family's spectrum. In the frame aligned with r the angular matrix is
-diagonal with entries that are polynomials in cos(theta); projecting them on
-Legendre polynomials turns the angular integral into 4*pi i^l j_l(kr) per
-order, leaving one-dimensional radial integrals evaluated by Gauss-Legendre
-quadrature against the Gaussian regulator. The aligned result is conjugated
-back by the representation matrix of the aligning rotation.
+diagonal with entries that are polynomials of degree 2j in cos(theta). A
+(2j+1)-node Gauss-Legendre rule projects them exactly on Legendre
+polynomials, which turns the angular integral into 4*pi i^l j_l(kr) per
+order. Each radial integral then has a closed form (Gradshteyn-Ryzhik
+6.631.1 with j_l(y) = sqrt(pi/2y) J_(l+1/2)(y)):
+
+    I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r)
+        = sqrt(pi)/2^(l+2) * Gamma(b)/Gamma(c) * x^l * a^-(3+s) * 1F1(b; c; -x^2/4),
+
+with x = r/a, b = (l+3+s)/2 and c = l+3/2. The aligned result is conjugated
+back by the representation matrix of the aligning rotation. No production
+step has a node count or a tolerance.
 
 Oracle path
 -----------
 ``brute_force_overlap`` and ``brute_force_kernel_matrix`` sum the full
 3-D product grid (Gauss-Legendre in cos(theta) x uniform azimuth x
-Gauss-Legendre radial) at four times the configured node counts, building
-the integrand from momentum amplitudes and D-matrices directly. They share
-no reduction step with the production path and back every kernel result in
-the tests and the ``--oracle`` CLI path.
+Gauss-Legendre radial) at four times the node counts of a
+:class:`QuadratureSpec`, building the integrand from momentum amplitudes and
+D-matrices directly. They share no reduction step with the production path
+and back every kernel result in the tests and the ``--oracle`` CLI path.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -34,10 +41,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, gammaln, hyp1f1
 
-from .bessel import spherical_jn_sequence
 from .polarization import validate_helicities
 from .rotations import (
     Direction,
@@ -52,38 +57,30 @@ from .states import (
     LocalizedState,
     StateFamily,
     momentum_amplitude,
+    require_regulator_width,
 )
 
-#: Momentum integrals are truncated at k = cutoff / a; exp(-8.5^2) ~ 5e-32.
+#: The oracle truncates momentum integrals at k = cutoff / a; exp(-8.5^2) ~ 5e-32.
 RADIAL_CUTOFF = 8.5
-
-RADIAL_RULES = ("gauss-with-gaussian-weight", "adaptive")
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and tolerances for the overlap quadratures.
+    """Node counts of the brute-force oracle.
 
     ``n_theta`` Gauss-Legendre nodes in cos(theta), ``n_phi`` uniform
-    azimuthal nodes (used by the product-grid oracle), and ``n_radial`` nodes
-    for the radial rule. The oracle multiplies every count by four.
+    azimuthal nodes and ``n_radial`` Gauss-Legendre nodes on
+    [0, RADIAL_CUTOFF / a]; the oracle multiplies every count by four.
     """
 
     n_theta: int = 32
     n_phi: int = 32
-    radial_rule: str = "gauss-with-gaussian-weight"
     n_radial: int = 64
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-6
 
     def __post_init__(self):
         for name in ("n_theta", "n_phi", "n_radial"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be at least 4")
-        if self.radial_rule not in RADIAL_RULES:
-            raise ValueError(f"radial rule must be one of {RADIAL_RULES}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,61 +104,59 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _radial_integrals(lmax: int, r: float, a: float, s: float,
-                      q: QuadratureSpec) -> np.ndarray:
-    """I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r) for l = 0..lmax."""
-    if q.radial_rule == "adaptive":
-        upper = RADIAL_CUTOFF / a
-        out = np.empty(lmax + 1)
-        for l in range(lmax + 1):
-            out[l], _ = quad(
-                lambda k: k ** (2.0 + s)
-                * np.exp(-a * a * k * k)
-                * spherical_jn_sequence(l, k * r)[l],
-                0.0,
-                upper,
-                epsabs=q.abs_tol,
-                epsrel=q.rel_tol,
-                limit=200,
-            )
-        return out
-    t, w = _leggauss(q.n_radial)
-    t = (t + 1.0) * (RADIAL_CUTOFF / 2.0)
-    w = w * (RADIAL_CUTOFF / 2.0)
-    jl = spherical_jn_sequence(lmax, t * (r / a))
-    weight = w * t ** (2.0 + s) * np.exp(-t * t)
-    return a ** -(3.0 + s) * (jl @ weight)
+def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
+    """I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r) for l = 0..lmax.
+
+    Closed form of the module docstring, for s in {0, -1}. Raises ValueError
+    where 1F1 leaves the double range: r/a beyond ~2e14 at lmax = 20
+    (spin 10), ~3e46 at lmax = 2.
+    """
+    l = np.arange(lmax + 1)
+    x = r / a
+    b, c = (l + 3.0 + s) / 2.0, l + 1.5
+    z = x * x / 4.0
+    hyp = np.empty(lmax + 1)
+    # b == c only at l = s = 0, where 1F1 is exactly exp(-z) and scipy's series costs O(z)
+    same = b == c
+    hyp[same] = np.exp(-z)
+    hyp[~same] = hyp1f1(b[~same], c[~same], -z)
+    # 1F1(b; c; -z) > 0 for c > b > 0, so a value below the normal range has underflowed
+    if not np.all(hyp[~same] >= np.finfo(float).tiny):
+        raise ValueError(
+            f"separation r/a = {x:.3g} is beyond the double range of Legendre orders to {lmax}"
+        )
+    prefactor = np.sqrt(np.pi) * 2.0 ** -(l + 2.0) * np.exp(gammaln(b) - gammaln(c))
+    return prefactor * x**l * a ** -(3.0 + s) * hyp
 
 
 def _separation(rvec) -> np.ndarray:
     rvec = np.asarray(rvec, dtype=float)
     if rvec.shape != (3,):
         raise ValueError(f"separation must be a 3-vector, got shape {rvec.shape}")
+    if not np.all(np.isfinite(rvec)):
+        raise ValueError(f"separation must be finite, got {rvec}")
     return rvec
 
 
-def _aligned_diagonal(j: int, helicities: tuple, r: float, a: float, s: float,
-                      q: QuadratureSpec) -> np.ndarray:
+def _aligned_diagonal(j: int, helicities: tuple, r: float, a: float, s: float) -> np.ndarray:
     """Diagonal of the kernel in the frame whose z-axis is the separation."""
-    mu, w = _leggauss(max(q.n_theta, 2 * j + 1))
+    # f has degree 2j in mu, so P_l * f (l <= 2j) has degree <= 4j: 2j+1 nodes are exact
+    mu, w = _leggauss(2 * j + 1)
     d = small_d_matrix(j, np.arccos(mu))  # (n, 2j+1, 2j+1)
     cols = [j - lam for lam in helicities]
     f = (d[:, :, cols] ** 2).sum(axis=2)  # (n, 2j+1); phi-independent diagonals
-    lmax = 2 * j
-    radial = _radial_integrals(lmax, r, a, s, q)
-    diag = np.zeros(2 * j + 1, dtype=complex)
-    for l in range(lmax + 1):
-        coeff = (2 * l + 1) / 2.0 * (w * eval_legendre(l, mu)) @ f
-        diag += (1j) ** l * coeff * radial[l]
+    l = np.arange(2 * j + 1)
+    coeff = ((2 * l + 1) / 2.0)[:, None] * (eval_legendre(l[:, None], mu) * w) @ f
+    powers = np.array([1.0, 1j, -1.0, -1j])[l % 4]
+    diag = (powers * _radial_integrals(2 * j, r, a, s)) @ coeff
     return diag * (4.0 * np.pi / (2.0 * np.pi) ** 3)
 
 
-def _spherical_kernel(j: int, helicities: tuple, rvec, a: float, s: float,
-                      q: QuadratureSpec) -> np.ndarray:
+def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float,
+                      s: float) -> np.ndarray:
     """Kernel matrix in the spherical label basis at separation ``rvec``."""
-    rvec = np.asarray(rvec, dtype=float)
     rnorm = float(np.linalg.norm(rvec))
-    diag = _aligned_diagonal(j, helicities, rnorm, a, s, q)
+    diag = _aligned_diagonal(j, helicities, rnorm, a, s)
     if rnorm == 0.0:
         return np.diag(diag)
     D = wigner_D(j, standard_rotation(Direction.from_vector(rvec)))
@@ -178,36 +173,31 @@ def _family_kernel_parameters(family: StateFamily):
     return family.helicities, family.label_basis, s
 
 
-def overlap_kernel_matrix(family: StateFamily, rvec, a: float,
-                          q: QuadratureSpec | None = None) -> KernelMatrix:
+def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     """Full label-by-label equal-time overlap matrix at spatial separation rvec.
 
     Full-helicity families give the regulated delta times the identity;
     photon families lose the longitudinal projector term, which survives as a
     non-local transverse tail.
     """
-    if a <= 0:
-        raise ValueError(f"regulator width must be positive, got {a}")
-    q = q or QuadratureSpec()
+    a = require_regulator_width(a)
     helicities, basis, s = _family_kernel_parameters(family)
     rvec = _separation(rvec)
-    entries = _spherical_kernel(1, helicities, rvec, a, s, q)
+    entries = _spherical_kernel(1, helicities, rvec, a, s)
     if basis == "cartesian":
         u = spherical_to_cartesian()
         entries = u.conj().T @ entries @ u
-    return KernelMatrix(rvec.copy(), entries, family.kind, float(a), family.labels)
+    return KernelMatrix(rvec.copy(), entries, family.kind, a, family.labels)
 
 
-def transverse_kernel(rvec, a: float, q: QuadratureSpec | None = None) -> np.ndarray:
+def transverse_kernel(rvec, a: float) -> np.ndarray:
     """Fourier transform of khat_i khat_j against the regulated measure.
 
     Real symmetric 3x3 matrix; its trace equals the regulated scalar delta
     and its large-separation limit is -(3 rhat rhat^T - I) / (4 pi r^3).
     """
-    if a <= 0:
-        raise ValueError(f"regulator width must be positive, got {a}")
-    q = q or QuadratureSpec()
-    entries = _spherical_kernel(1, (0,), _separation(rvec), a, 0.0, q)
+    a = require_regulator_width(a)
+    entries = _spherical_kernel(1, (0,), _separation(rvec), a, 0.0)
     u = spherical_to_cartesian()
     entries = u.conj().T @ entries @ u
     scale = np.abs(entries).max()
@@ -216,8 +206,7 @@ def transverse_kernel(rvec, a: float, q: QuadratureSpec | None = None) -> np.nda
     return entries.real
 
 
-def general_j_defect(j: int, helicities, rvec, a: float,
-                     q: QuadratureSpec | None = None) -> KernelMatrix:
+def general_j_defect(j: int, helicities, rvec, a: float) -> KernelMatrix:
     """Kernel of the completeness defect for a spin-j label set.
 
     ``helicities`` lists the helicities the particle actually carries; the
@@ -228,9 +217,7 @@ def general_j_defect(j: int, helicities, rvec, a: float,
     if j != int(j) or j < 1:
         raise ValueError(f"spin must be a positive integer, got {j}")
     j = int(j)
-    if a <= 0:
-        raise ValueError(f"regulator width must be positive, got {a}")
-    q = q or QuadratureSpec()
+    a = require_regulator_width(a)
     present = validate_helicities(helicities, j)
     missing = tuple(lam for lam in range(-j, j + 1) if lam not in present)
     rvec = _separation(rvec)
@@ -238,12 +225,13 @@ def general_j_defect(j: int, helicities, rvec, a: float,
     if not missing:
         entries = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
     else:
-        entries = _spherical_kernel(j, missing, rvec, a, 0.0, q)
-    return KernelMatrix(rvec.copy(), entries, f"helicity-defect-j{j}", float(a), labels)
+        entries = _spherical_kernel(j, missing, rvec, a, 0.0)
+    return KernelMatrix(rvec.copy(), entries, f"helicity-defect-j{j}", a, labels)
 
 
 def _require_overlap_compatible(s1: LocalizedState, s2: LocalizedState):
     for s in (s1, s2):
+        require_regulator_width(s.regulator_width)
         if s.family.frequency_sign != "positive":
             raise ValueError(
                 "negative-frequency states are translation test fixtures and do "
@@ -260,8 +248,7 @@ def _require_overlap_compatible(s1: LocalizedState, s2: LocalizedState):
         raise ValueError("states must share the same regulator width")
 
 
-def qm_overlap(s1: LocalizedState, s2: LocalizedState,
-               q: QuadratureSpec | None = None) -> complex:
+def qm_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
     """Quantum-mechanical overlap <s1|s2> under the covariant measure.
 
     The momentum integral carries one power of omega from the covariant
@@ -269,19 +256,17 @@ def qm_overlap(s1: LocalizedState, s2: LocalizedState,
     amplitudes. Reduces to the label-coefficient contraction of the family's
     kernel matrix.
     """
-    q = q or QuadratureSpec()
     _require_overlap_compatible(s1, s2)
-    rvec = s1.x[1:] - s2.x[1:]
+    rvec = _separation(s1.x[1:] - s2.x[1:])
     a = s1.regulator_width
     if s1.family.kind == SCALAR:
-        entries = _spherical_kernel(0, (0,), rvec, a, 0.0, q)
+        entries = _spherical_kernel(0, (0,), rvec, a, 0.0)
     else:
-        entries = overlap_kernel_matrix(s1.family, rvec, a, q).entries
+        entries = overlap_kernel_matrix(s1.family, rvec, a).entries
     return complex(s1.coefficients.conj() @ entries @ s2.coefficients)
 
 
-def alt_overlap(s1: LocalizedState, s2: LocalizedState,
-                q: QuadratureSpec | None = None) -> complex:
+def alt_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
     """Label-summed alternative pairing of two radiation-gauge states.
 
     Traces over the vector label using the unit normalization of the
@@ -290,17 +275,14 @@ def alt_overlap(s1: LocalizedState, s2: LocalizedState,
     states' label coefficients never enter; that loss of label resolution is
     exactly what separates this pairing from :func:`qm_overlap`.
     """
-    q = q or QuadratureSpec()
     for s in (s1, s2):
         if s.family.kind != RADIATION_GAUGE:
             raise ValueError(
                 "the alternative pairing is defined for radiation-gauge states only"
             )
     _require_overlap_compatible(s1, s2)
-    rnorm = float(np.linalg.norm(s1.x[1:] - s2.x[1:]))
-    a = s1.regulator_width
-    i0 = _radial_integrals(0, rnorm, a, 0.0, q)[0]
-    return complex(2.0 * (4.0 * np.pi / (2.0 * np.pi) ** 3) * i0)
+    rnorm = float(np.linalg.norm(_separation(s1.x[1:] - s2.x[1:])))
+    return complex(2.0 * gaussian_delta(rnorm, s1.regulator_width))
 
 
 # --- brute-force product-grid oracle ---------------------------------------
@@ -358,8 +340,7 @@ def _oracle_label_coefficients(basis: str, q: QuadratureSpec):
 def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
                               q: QuadratureSpec | None = None) -> KernelMatrix:
     """Oracle kernel matrix by direct 3-D product-grid quadrature."""
-    if a <= 0:
-        raise ValueError(f"regulator width must be positive, got {a}")
+    a = require_regulator_width(a)
     q = q or QuadratureSpec()
     helicities, basis, s = _family_kernel_parameters(family)
     rvec = _separation(rvec)
@@ -370,7 +351,7 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     wrad = wk * k ** (2.0 + s) * np.exp(-a * a * k * k)
     phase = np.exp(1j * np.outer(k, khat @ rvec))
     entries = np.einsum("k,kn,abn->ab", wrad, phase, G * wang) / (2.0 * np.pi) ** 3
-    return KernelMatrix(rvec.copy(), entries, family.kind, float(a), family.labels)
+    return KernelMatrix(rvec.copy(), entries, family.kind, a, family.labels)
 
 
 def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,

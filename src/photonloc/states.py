@@ -126,15 +126,22 @@ class LocalizedState:
     """Candidate localized state: family, anchor x = (t, x, y, z), label mixture.
 
     ``coefficients`` is the complex vector over the family's labels; it is the
-    unit vector of ``label`` at construction and gets multiplied by the
+    unit vector of the construction label and gets multiplied by the
     appropriate representation matrix under rotations.
     """
 
     family: StateFamily
     x: np.ndarray
-    label: object
     coefficients: np.ndarray
     regulator_width: float
+
+
+def require_regulator_width(a) -> float:
+    """The Gaussian regulator width as a float; it must be finite and positive."""
+    a = float(a)
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"regulator width must be finite and positive, got {a}")
+    return a
 
 
 def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedState:
@@ -149,17 +156,16 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
         sigma in {+1, 0, -1} for spherical label families, 'x'|'y'|'z' for
         Cartesian ones, 0 for the scalar family.
     a : float
-        Gaussian regulator width, strictly positive.
+        Gaussian regulator width, finite and strictly positive.
     """
-    if a <= 0:
-        raise ValueError(f"regulator width must be positive, got {a}")
+    a = require_regulator_width(a)
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
         raise ValueError(f"spacetime point must have shape (4,), got {x.shape}")
     idx = label_index(family, label)
     coeff = np.zeros(len(family.labels), dtype=complex)
     coeff[idx] = 1.0
-    return LocalizedState(family, x, label, coeff, float(a))
+    return LocalizedState(family, x, coeff, a)
 
 
 def _standard_rotations(theta, phi):

@@ -105,11 +105,11 @@ def test_criterion_2_full_helicity_completeness():
     worst_off, worst_diag = 0.0, 0.0
     for kind in (SPHERICAL3, CARTESIAN3):
         family = StateFamily.of(kind)
-        coincidence = overlap_kernel_matrix(family, np.zeros(3), a, Q).entries
+        coincidence = overlap_kernel_matrix(family, np.zeros(3), a).entries
         diag = coincidence.diagonal().real.min()
         worst_diag = max(worst_diag, abs(diag - expected) / expected)
         for r_over_a in (2.0, 5.0, 10.0):
-            kernel = overlap_kernel_matrix(family, r_over_a * a * RHAT, a, Q).entries
+            kernel = overlap_kernel_matrix(family, r_over_a * a * RHAT, a).entries
             off = kernel - np.diag(kernel.diagonal())
             worst_off = max(worst_off, np.abs(off).max() / diag)
     passed = worst_off < 1e-8 and worst_diag < 1e-6
@@ -130,9 +130,9 @@ def test_criterion_3_photon_defect_kernel():
         rvec = r_over_a * a * RHAT
         oracle = brute_force_kernel_matrix(family, rvec, a, Q).entries
         scale = np.abs(oracle).max()
-        fast = overlap_kernel_matrix(family, rvec, a, Q).entries
+        fast = overlap_kernel_matrix(family, rvec, a).entries
         assembled = gaussian_delta(r_over_a * a, a) * np.eye(3) - transverse_kernel(
-            rvec, a, Q
+            rvec, a
         )
         worst = max(
             worst,
@@ -140,7 +140,7 @@ def test_criterion_3_photon_defect_kernel():
             np.abs(assembled - oracle).max() / scale,
         )
     r = 10.0 * a
-    kernel = overlap_kernel_matrix(family, r * RHAT, a, Q).entries.real
+    kernel = overlap_kernel_matrix(family, r * RHAT, a).entries.real
     traceless = kernel - np.trace(kernel) / 3.0 * np.eye(3)
     tail = (3.0 * np.outer(RHAT, RHAT) - np.eye(3)) / (4.0 * np.pi * r**3)
     tail_err = np.abs(traceless - tail).max() / np.abs(tail).max()
@@ -155,25 +155,27 @@ def test_criterion_3_photon_defect_kernel():
 
 
 def test_criterion_4_alternative_pairing_factor_two():
+    # the regulated delta exp(-r^2/4a^2) / (8 pi^1.5 a^3) is written out here:
+    # alt_overlap returns photonloc.gaussian_delta itself
     a = 1.0
     family = StateFamily.of(RADIATION_GAUGE)
     origin = make_localized_state(family, np.zeros(4), "x", a)
-    ratio = alt_overlap(origin, origin, Q).real / gaussian_delta(0.0, a)
+    ratio = alt_overlap(origin, origin).real * (8.0 * np.pi**1.5 * a**3)
     worst_sep = 0.0
     for r_over_a in (0.5, 1.0, 2.0, 5.0):
         shifted = make_localized_state(
             family, np.concatenate(([0.0], r_over_a * a * RHAT)), "y", a
         )
-        value = alt_overlap(shifted, origin, Q).real
-        expected = 2.0 * gaussian_delta(r_over_a * a, a)
+        value = alt_overlap(shifted, origin).real
+        expected = 2.0 * np.exp(-(r_over_a**2) / 4.0) / (8.0 * np.pi**1.5 * a**3)
         worst_sep = max(worst_sep, abs(value - expected) / expected)
-    passed = abs(ratio - 2.0) < 1e-6 and worst_sep < 1e-6
+    passed = abs(ratio - 2.0) < 1e-12 and worst_sep < 1e-12
     report(
         4,
         "alternative pairing gives twice the delta",
         passed,
-        f"coincidence ratio {ratio:.9f} (tol 1e-6 around 2), "
-        f"separation rel err {worst_sep:.3e} (tol 1e-6)",
+        f"coincidence ratio {ratio:.15f} (tol 1e-12 around 2), "
+        f"separation rel err {worst_sep:.3e} (tol 1e-12)",
     )
 
 
@@ -302,9 +304,9 @@ def test_criterion_8_translation_behavior():
 def test_criterion_9_spin2_completeness_defect():
     a = 1.0
     scale = gaussian_delta(0.0, a)
-    transverse_only = general_j_defect(2, (-1, 1), np.zeros(3), a, Q)
+    transverse_only = general_j_defect(2, (-1, 1), np.zeros(3), a)
     frobenius = np.linalg.norm(transverse_only.entries)
-    full = general_j_defect(2, range(-2, 3), np.zeros(3), a, Q)
+    full = general_j_defect(2, range(-2, 3), np.zeros(3), a)
     full_frobenius = np.linalg.norm(full.entries)
     passed = frobenius > 0.1 * scale and full_frobenius < 1e-10 * scale
     report(

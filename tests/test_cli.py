@@ -125,7 +125,7 @@ class TestDefectCommand:
     def test_spin2_defect_table(self, capsys):
         code, rows = run_csv(
             capsys,
-            ["defect-j", "--j", "2", "--helicities", "-1,1", "--r-list", "0", *FAST],
+            ["defect-j", "--j", "2", "--helicities", "-1,1", "--r-list", "0"],
         )
         assert code == 0
         assert len(rows) == 25
@@ -136,7 +136,7 @@ class TestDefectCommand:
         code, rows = run_csv(
             capsys,
             ["defect-j", "--j", "2", "--helicities", "-2,-1,0,1,2",
-             "--r-list", "0,1", *FAST],
+             "--r-list", "0,1"],
         )
         assert code == 0
         assert all(float(r["re"]) == 0.0 and float(r["im"]) == 0.0 for r in rows)
@@ -201,12 +201,11 @@ class TestOutputContracts:
         code, rows = run_csv(
             capsys, ["kernel-scan", "--family", "cartesian3", "--r-list", "1", *FAST]
         )
-        from photonloc.overlap import QuadratureSpec, overlap_kernel_matrix
+        from photonloc.overlap import overlap_kernel_matrix
         from photonloc.states import StateFamily
 
-        q = QuadratureSpec(n_theta=8, n_phi=8, n_radial=24)
         kernel = overlap_kernel_matrix(
-            StateFamily.of("cartesian3"), np.array([0.0, 0.0, 1.0]), 1.0, q
+            StateFamily.of("cartesian3"), np.array([0.0, 0.0, 1.0]), 1.0
         )
         diag = next(float(r["re"]) for r in rows if r["i1"] == "x" and r["i2"] == "x")
         assert diag == kernel.entries[0, 0].real

@@ -75,6 +75,11 @@ class TestMakeLocalizedState:
         with pytest.raises(ValueError, match="positive"):
             make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, -1.0)
 
+    def test_non_finite_width_rejected(self):
+        for a in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, a)
+
     def test_bad_anchor_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             make_localized_state(StateFamily.of(SCALAR), np.zeros(3), 0, 1.0)
