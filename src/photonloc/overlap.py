@@ -28,7 +28,12 @@ Oracle path
 3-D product grid (Gauss-Legendre in cos(theta) x uniform azimuth x
 Gauss-Legendre radial) at four times the node counts of a
 :class:`QuadratureSpec`, building the integrand from momentum amplitudes and
-D-matrices directly. They share no reduction step with the production path
+D-matrices directly. The spin-1 D-matrix table on the angular grid is one
+stacked generator exponential over the polar nodes times azimuthal phases
+(the Euler factorization of the standard rotation), cached per grid and
+basis; ``brute_force_kernel_matrix`` then sums the angular nodes at each
+radial node and the radial nodes last, both as matrix products. They share
+no reduction step, D-matrix builder or closed form with the production path
 and back every kernel result in the tests and the ``--oracle`` CLI path.
 
 All evaluations are pure functions with a fixed summation order, so results
@@ -41,11 +46,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import eval_legendre, gammaln, hyp1f1
 
 from .polarization import validate_helicities
 from .rotations import (
     Direction,
+    angular_momentum_generators,
     small_d_matrix,
     spherical_to_cartesian,
     standard_rotation,
@@ -288,19 +295,6 @@ def alt_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
 # --- brute-force product-grid oracle ---------------------------------------
 
 
-def _oracle_angular_grid(q: QuadratureSpec):
-    nmu, nphi = 4 * q.n_theta, 4 * q.n_phi
-    mu, wmu = _leggauss(nmu)
-    phi = np.arange(nphi) * (2.0 * np.pi / nphi)
-    st = np.sqrt(1.0 - mu**2)
-    khat = np.empty((nmu * nphi, 3))
-    khat[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    khat[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    khat[:, 2] = np.outer(mu, np.ones(nphi)).ravel()
-    weights = np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
-    return khat, weights
-
-
 def _oracle_radial_grid(q: QuadratureSpec, a: float):
     nk = 4 * q.n_radial
     t, w = _leggauss(nk)
@@ -309,31 +303,39 @@ def _oracle_radial_grid(q: QuadratureSpec, a: float):
     return k, wk
 
 
-_ANGULAR_COEFF_CACHE: dict = {}
-
-
-def _oracle_label_coefficients(basis: str, q: QuadratureSpec):
+@lru_cache(maxsize=4)
+def _oracle_label_coefficients(basis: str, n_theta: int, n_phi: int):
     """Label coefficients on the oracle angular grid, built from D-matrices.
 
-    Returns (khat, angular weights, A) with A[label, node, helicity] the
-    amplitude coefficient for each of the three labels; helicity axis ordered
-    (+1, 0, -1). Evaluated node by node through the rotation module,
-    independently of the closed forms used by the state amplitudes.
+    Returns read-only (khat, angular weights, A) with A[label, node, helicity]
+    the amplitude coefficient for each of the three labels; helicity axis
+    ordered (+1, 0, -1). On the product grid the standard rotation factorizes
+    as D(R_z(phi) R_y(theta) R_z(-phi)) = exp(-i phi Jz) exp(-i theta Jy)
+    exp(i phi Jz), so one stacked ``expm`` over the polar nodes and broadcast
+    azimuthal phases give every node, independently of ``small_d_matrix``,
+    ``wigner_D`` and the closed forms used by the state amplitudes.
     """
-    key = (basis, q.n_theta, q.n_phi)
-    if key in _ANGULAR_COEFF_CACHE:
-        return _ANGULAR_COEFF_CACHE[key]
-    khat, weights = _oracle_angular_grid(q)
-    u = spherical_to_cartesian()
-    A = np.empty((3, khat.shape[0], 3), dtype=complex)
-    for n, vec in enumerate(khat):
-        D = wigner_D(1, standard_rotation(Direction.from_vector(vec)))
-        inv = D.conj().T  # rows helicity, cols sigma, both descending
-        if basis == "spherical":
-            A[:, n, :] = inv.T
-        else:
-            A[:, n, :] = (inv @ u).T
-    _ANGULAR_COEFF_CACHE[key] = (khat, weights, A)
+    nmu, nphi = 4 * n_theta, 4 * n_phi
+    mu, wmu = _leggauss(nmu)
+    phi = np.arange(nphi) * (2.0 * np.pi / nphi)
+    st = np.sqrt(1.0 - mu**2)
+    khat = np.empty((nmu * nphi, 3))
+    khat[:, 0] = np.outer(st, np.cos(phi)).ravel()
+    khat[:, 1] = np.outer(st, np.sin(phi)).ravel()
+    khat[:, 2] = np.outer(mu, np.ones(nphi)).ravel()
+    weights = np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
+    _, jy, _ = angular_momentum_generators(1)
+    d = expm(np.arccos(mu)[:, None, None] * (-1j * jy).real)  # (nmu, 3, 3), real
+    m = np.array([1.0, 0.0, -1.0])
+    ph = np.exp(1j * np.outer(phi, m))  # (nphi, 3)
+    # conj(D)[node, sigma, helicity]: rows sigma, columns helicity, both descending
+    conj_d = ph[None, :, :, None] * d[:, None, :, :] * ph.conj()[None, :, None, :]
+    conj_d = conj_d.reshape(nmu * nphi, 3, 3)
+    if basis == "cartesian":
+        conj_d = spherical_to_cartesian().T @ conj_d
+    A = conj_d.transpose(1, 0, 2)
+    for arr in (khat, weights, A):
+        arr.setflags(write=False)
     return khat, weights, A
 
 
@@ -344,13 +346,15 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     q = q or QuadratureSpec()
     helicities, basis, s = _family_kernel_parameters(family)
     rvec = _separation(rvec)
-    khat, wang, A = _oracle_label_coefficients(basis, q)
+    khat, wang, A = _oracle_label_coefficients(basis, q.n_theta, q.n_phi)
     rows = [1 - lam for lam in helicities]
     G = np.einsum("anl,bnl->abn", A[:, :, rows].conj(), A[:, :, rows])
     k, wk = _oracle_radial_grid(q, a)
     wrad = wk * k ** (2.0 + s) * np.exp(-a * a * k * k)
     phase = np.exp(1j * np.outer(k, khat @ rvec))
-    entries = np.einsum("k,kn,abn->ab", wrad, phase, G * wang) / (2.0 * np.pi) ** 3
+    # angular sum at each radial node first, then the radial sum
+    angular = phase @ (G * wang).reshape(-1, khat.shape[0]).T  # (radial, label pairs)
+    entries = (wrad @ angular).reshape(3, 3) / (2.0 * np.pi) ** 3
     return KernelMatrix(rvec.copy(), entries, family.kind, a, family.labels)
 
 
@@ -360,7 +364,7 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     q = q or QuadratureSpec()
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
-    khat, wang, _ = _oracle_label_coefficients("spherical", q)
+    khat, wang, _ = _oracle_label_coefficients("spherical", q.n_theta, q.n_phi)
     k, wk = _oracle_radial_grid(q, a)
     wrad = wk * k**3  # k^2 from the volume element, one k from the measure
     total = 0.0 + 0.0j

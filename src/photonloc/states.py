@@ -151,7 +151,7 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
     ----------
     family : StateFamily
     x : array-like, shape (4,)
-        Anchor point (t, x, y, z) in natural units.
+        Finite anchor point (t, x, y, z) in natural units.
     label : int or str
         sigma in {+1, 0, -1} for spherical label families, 'x'|'y'|'z' for
         Cartesian ones, 0 for the scalar family.
@@ -162,6 +162,8 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
         raise ValueError(f"spacetime point must have shape (4,), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"anchor x must be finite, got {x}")
     idx = label_index(family, label)
     coeff = np.zeros(len(family.labels), dtype=complex)
     coeff[idx] = 1.0
@@ -315,5 +317,7 @@ def translate_state(state: LocalizedState, a) -> LocalizedState:
     a = np.asarray(a, dtype=float)
     if a.shape != (4,):
         raise ValueError(f"translation must be a four-vector, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"translation a must be finite, got {a}")
     sign = 1.0 if state.family.frequency_sign == "positive" else -1.0
     return replace(state, x=state.x + sign * a)

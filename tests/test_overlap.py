@@ -1,3 +1,4 @@
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from photonloc.overlap import (
     KernelMatrix,
     QuadratureSpec,
+    _oracle_label_coefficients,
     alt_overlap,
     brute_force_kernel_matrix,
     brute_force_overlap,
@@ -18,7 +20,13 @@ from photonloc.overlap import (
     qm_overlap,
     transverse_kernel,
 )
-from photonloc.rotations import rotation_from_axis_angle
+from photonloc.rotations import (
+    Direction,
+    rotation_from_axis_angle,
+    spherical_to_cartesian,
+    standard_rotation,
+    wigner_D,
+)
 from photonloc.states import (
     CARTESIAN3,
     CARTESIAN_PHOTON,
@@ -147,13 +155,17 @@ class TestInputBoundary:
             ):
                 with pytest.raises(ValueError, match="separation must be finite"):
                     call()
-            for kind, label in ((SCALAR, 0), (SPHERICAL_PHOTON, 1), (RADIATION_GAUGE, "x")):
-                s1 = state_at(kind, rvec, label)
-                s2 = state_at(kind, [0.0, 0.0, 0.0], label)
-                pairings = (qm_overlap, alt_overlap) if kind == RADIATION_GAUGE else (qm_overlap,)
-                for pairing in pairings:
-                    with pytest.raises(ValueError, match="separation must be finite"):
-                        pairing(s1, s2)
+        # anchors are finite by construction; their difference can still overflow
+        for kind, label in ((SCALAR, 0), (SPHERICAL_PHOTON, 1), (RADIATION_GAUGE, "x")):
+            s1 = state_at(kind, [0.0, 1e308, 1.0], label)
+            s2 = state_at(kind, [0.0, -1e308, 0.0], label)
+            pairings = (qm_overlap, alt_overlap) if kind == RADIATION_GAUGE else (qm_overlap,)
+            for pairing in pairings:
+                with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match="separation must be finite"
+                ):
+                    pairing(s1, s2)
+
 
 class TestFullHelicityFamilies:
     @pytest.mark.parametrize("kind", [SPHERICAL3, CARTESIAN3])
@@ -210,6 +222,31 @@ class TestBruteForceAgreement:
                 oracle = brute_force_kernel_matrix(family, rvec, a, Q).entries
                 scale = np.abs(oracle).max()
                 assert np.abs(fast - oracle).max() / scale < 1e-6
+
+
+class TestOracleTable:
+    @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
+    @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q])
+    def test_batched_table_matches_node_by_node_rotations(self, basis, spec):
+        khat, _, A = _oracle_label_coefficients(basis, spec.n_theta, spec.n_phi)
+        assert A.shape == (3, 16 * spec.n_theta * spec.n_phi, 3)
+        for n, vec in enumerate(khat):
+            inv = wigner_D(1, standard_rotation(Direction.from_vector(vec))).conj().T
+            expected = inv.T if basis == "spherical" else (inv @ spherical_to_cartesian()).T
+            assert np.abs(A[:, n, :] - expected).max() < 1e-14
+
+    def test_cached_table_is_read_only(self):
+        for arr in _oracle_label_coefficients("spherical", Q.n_theta, Q.n_phi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_cold_default_tables_build_under_one_second(self):
+        q = QuadratureSpec()
+        _oracle_label_coefficients.cache_clear()
+        start = time.perf_counter()
+        for basis in ("spherical", "cartesian"):
+            _oracle_label_coefficients(basis, q.n_theta, q.n_phi)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOverlapSymmetries:

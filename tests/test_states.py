@@ -84,6 +84,13 @@ class TestMakeLocalizedState:
         with pytest.raises(ValueError, match="shape"):
             make_localized_state(StateFamily.of(SCALAR), np.zeros(3), 0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        x = ORIGIN.copy()
+        x[2] = bad
+        with pytest.raises(ValueError, match="anchor x must be finite"):
+            make_localized_state(StateFamily.of(SPHERICAL_PHOTON), x, 1, 1.0)
+
 
 class TestMomentumAmplitude:
     def test_scalar_state_at_origin_is_real_positive(self):
@@ -289,3 +296,11 @@ class TestTranslateState:
         state = make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, 1.0)
         with pytest.raises(ValueError, match="four-vector"):
             translate_state(state, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_translation_rejected(self, bad):
+        state = make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, 1.0)
+        shift = np.zeros(4)
+        shift[0] = bad
+        with pytest.raises(ValueError, match="translation a must be finite"):
+            translate_state(state, shift)
