@@ -144,6 +144,16 @@ def require_regulator_width(a) -> float:
     return a
 
 
+def require_finite_anchor(x, name: str = "anchor x") -> np.ndarray:
+    """The anchor ``x`` as a float four-vector; every component must be finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (4,):
+        raise ValueError(f"spacetime point must have shape (4,), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedState:
     """Construct a single-label state anchored at spacetime point ``x``.
 
@@ -159,11 +169,7 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
         Gaussian regulator width, finite and strictly positive.
     """
     a = require_regulator_width(a)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise ValueError(f"spacetime point must have shape (4,), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"anchor x must be finite, got {x}")
+    x = require_finite_anchor(x)
     idx = label_index(family, label)
     coeff = np.zeros(len(family.labels), dtype=complex)
     coeff[idx] = 1.0
@@ -303,8 +309,9 @@ def rotate_state(state: LocalizedState, R) -> LocalizedState:
     else:
         mixed = R.astype(complex) @ state.coefficients
     x = state.x.copy()
-    x[1:] = R @ x[1:]
-    return replace(state, x=x, coefficients=mixed)
+    with np.errstate(over="ignore"):  # an overflowed anchor is rejected below
+        x[1:] = R @ x[1:]
+    return replace(state, x=require_finite_anchor(x, "rotated anchor R x"), coefficients=mixed)
 
 
 def translate_state(state: LocalizedState, a) -> LocalizedState:
@@ -317,7 +324,8 @@ def translate_state(state: LocalizedState, a) -> LocalizedState:
     a = np.asarray(a, dtype=float)
     if a.shape != (4,):
         raise ValueError(f"translation must be a four-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"translation a must be finite, got {a}")
     sign = 1.0 if state.family.frequency_sign == "positive" else -1.0
-    return replace(state, x=state.x + sign * a)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        x = state.x + sign * a
+    name = "translated anchor x + a" if sign > 0 else "translated anchor x - a"
+    return replace(state, x=require_finite_anchor(x, name))

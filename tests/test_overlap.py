@@ -155,16 +155,19 @@ class TestInputBoundary:
             ):
                 with pytest.raises(ValueError, match="separation must be finite"):
                     call()
-        # anchors are finite by construction; their difference can still overflow
+        # states built directly can carry a non-finite anchor; finite anchors can
+        # still overflow in their difference
+        anchors = [([0.0, bad, 1.0], [0.0, 0.0, 0.0]) for bad in (np.nan, np.inf, -np.inf)]
+        anchors.append(([0.0, 1e308, 1.0], [0.0, -1e308, 0.0]))
         for kind, label in ((SCALAR, 0), (SPHERICAL_PHOTON, 1), (RADIATION_GAUGE, "x")):
-            s1 = state_at(kind, [0.0, 1e308, 1.0], label)
-            s2 = state_at(kind, [0.0, -1e308, 0.0], label)
+            coeff = state_at(kind, [0.0, 0.0, 0.0], label).coefficients
             pairings = (qm_overlap, alt_overlap) if kind == RADIATION_GAUGE else (qm_overlap,)
-            for pairing in pairings:
-                with np.errstate(over="ignore"), pytest.raises(
-                    ValueError, match="separation must be finite"
-                ):
-                    pairing(s1, s2)
+            for x1, x2 in anchors:
+                s1 = LocalizedState(StateFamily.of(kind), np.array([0.0, *x1]), coeff, 1.0)
+                s2 = LocalizedState(StateFamily.of(kind), np.array([0.0, *x2]), coeff, 1.0)
+                for pairing in pairings:
+                    with pytest.raises(ValueError, match="separation must be finite"):
+                        pairing(s1, s2)
 
 
 class TestFullHelicityFamilies:

@@ -213,6 +213,13 @@ class TestRotateState:
         assert rotated.regulator_width == state.regulator_width
         assert rotated.x[0] == state.x[0]
 
+    def test_overflowing_rotated_anchor_rejected(self):
+        x = np.array([0.0, 1.5e308, 1.5e308, 0.0])
+        state = make_localized_state(StateFamily.of(SCALAR), x, 0, 1.0)
+        R = rotation_from_axis_angle([0.0, 0.0, 1.0], np.pi / 4)
+        with pytest.raises(ValueError, match="rotated anchor R x must be finite"):
+            rotate_state(state, R)
+
     def test_amplitude_covariance_under_rotations(self):
         # amplitudes at the rotated momentum equal the original amplitudes
         # times the helicity phase of the little-group angle
@@ -302,5 +309,13 @@ class TestTranslateState:
         state = make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, 1.0)
         shift = np.zeros(4)
         shift[0] = bad
-        with pytest.raises(ValueError, match="translation a must be finite"):
+        with pytest.raises(ValueError, match=r"translated anchor x \+ a must be finite"):
+            translate_state(state, shift)
+
+    @pytest.mark.parametrize("frequency, sign", [("positive", "+"), ("negative", "-")])
+    def test_overflowing_translation_rejected(self, frequency, sign):
+        x = np.array([0.0, 1e308, 0.0, 0.0])
+        state = make_localized_state(StateFamily.of(SCALAR, frequency), x, 0, 1.0)
+        shift = (1.0 if frequency == "positive" else -1.0) * x
+        with pytest.raises(ValueError, match=rf"translated anchor x \{sign} a must be finite"):
             translate_state(state, shift)
