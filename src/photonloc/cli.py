@@ -99,6 +99,17 @@ def _parse_float_list(text):
     return tuple(float(item) for item in text.split(",") if item.strip() != "")
 
 
+def _parse_separations(args):
+    """Unit ``--direction`` and the ``--r-list`` values of a scan."""
+    direction = np.asarray(_parse_float_list(args.direction), dtype=float)
+    if direction.shape != (3,) or not np.isfinite(direction).all() or not direction.any():
+        raise ValueError("--direction needs three finite comma-separated components, not all zero")
+    r_list = _parse_float_list(args.r_list)
+    if not r_list:
+        raise ValueError("--r-list must contain at least one separation")
+    return direction / np.linalg.norm(direction), r_list
+
+
 def _random_rotation(rng):
     axis = rng.normal(size=3)
     return rotation_from_axis_angle(axis, rng.uniform(-np.pi, np.pi))
@@ -152,13 +163,7 @@ def _cmd_mmatrix(args) -> int:
 def _cmd_kernel_scan(args) -> int:
     family = StateFamily.of(args.family)
     q = QuadratureSpec(n_theta=args.ntheta, n_phi=args.nphi, n_radial=args.nradial)
-    direction = np.asarray(_parse_float_list(args.direction), dtype=float)
-    if direction.shape != (3,) or np.linalg.norm(direction) == 0.0:
-        raise ValueError("--direction needs three comma-separated components, not all zero")
-    direction = direction / np.linalg.norm(direction)
-    r_list = _parse_float_list(args.r_list)
-    if not r_list:
-        raise ValueError("--r-list must contain at least one separation")
+    direction, r_list = _parse_separations(args)
 
     label_cols = ("i1", "i2") if family.label_basis == "cartesian" else ("sigma1", "sigma2")
     rows = []
@@ -194,12 +199,9 @@ def _cmd_kernel_scan(args) -> int:
 
 def _cmd_defect(args) -> int:
     helicities = _parse_int_list(args.helicities)
-    direction = np.asarray(_parse_float_list(args.direction), dtype=float)
-    if direction.shape != (3,) or np.linalg.norm(direction) == 0.0:
-        raise ValueError("--direction needs three comma-separated components, not all zero")
-    direction = direction / np.linalg.norm(direction)
+    direction, r_list = _parse_separations(args)
     rows = []
-    for r_over_a in _parse_float_list(args.r_list):
+    for r_over_a in r_list:
         kernel = general_j_defect(args.j, helicities, r_over_a * args.a * direction, args.a)
         frob = float(np.linalg.norm(kernel.entries))
         for p, s1 in enumerate(kernel.labels):

@@ -42,6 +42,7 @@ do not depend on how calls are distributed over threads or processes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +79,7 @@ class QuadratureSpec:
     ``n_theta`` Gauss-Legendre nodes in cos(theta), ``n_phi`` uniform
     azimuthal nodes and ``n_radial`` Gauss-Legendre nodes on
     [0, RADIAL_CUTOFF / a]; the oracle multiplies every count by four.
+    Each count must be an integer (numpy integers included) of at least 4.
     """
 
     n_theta: int = 32
@@ -86,7 +88,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("n_theta", "n_phi", "n_radial"):
-            if getattr(self, name) < 4:
+            if operator.index(getattr(self, name)) < 4:
                 raise ValueError(f"{name} must be at least 4")
 
 

@@ -5,6 +5,10 @@ z-axis into a given momentum direction, Wigner D-matrices for integer spin,
 the little-group (Wigner) angle induced on helicity frames, and the unitary
 change of basis between spherical and Cartesian labels.
 
+D-matrices are built one way: the ZYZ Euler angles of R, Jz phases and
+``small_d_matrix`` (from the cached Jy eigensystem). Only the brute-force
+oracle in ``overlap`` exponentiates generators, to stay independent.
+
 Conventions
 -----------
 * Active rotations; ``rotation_from_axis_angle(z_hat, a)`` maps x-hat toward
@@ -16,14 +20,13 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
-#: Largest spin for which D-matrices are constructed by default.
+#: Largest spin for which D-matrices are constructed.
 J_MAX = 10
 
 _ROTATION_TOL = 1e-9
@@ -39,8 +42,8 @@ class Direction:
     theta : float
         Polar angle in [0, pi], radians.
     phi : float
-        Azimuthal angle, radians; stored reduced to [0, 2*pi). At the poles
-        (theta = 0 or pi) the azimuth is canonicalized to 0.
+        Finite azimuthal angle, radians; stored reduced to [0, 2*pi). At the
+        poles (theta = 0 or pi) the azimuth is canonicalized to 0.
     """
 
     theta: float
@@ -55,6 +58,8 @@ class Direction:
             theta = np.pi
         if not 0.0 <= theta <= np.pi:
             raise ValueError(f"polar angle must lie in [0, pi], got {theta}")
+        if not math.isfinite(phi):
+            raise ValueError(f"azimuth must be finite, got {phi}")
         phi = phi % (2.0 * np.pi)
         if theta in (0.0, np.pi):
             phi = 0.0
@@ -112,6 +117,8 @@ def require_rotation_matrix(R, tol: float = _ROTATION_TOL) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("rotation matrix entries must be finite")
     if np.abs(R.T @ R - np.eye(3)).max() > tol:
         raise ValueError("matrix is not orthogonal within tolerance")
     if abs(np.linalg.det(R) - 1.0) > tol:
@@ -156,23 +163,32 @@ def angular_momentum_generators(j: int):
     return jx.copy(), jy.copy(), jz.copy()
 
 
-def _validated_spin(j, j_max: int = J_MAX) -> int:
+@lru_cache(maxsize=None)
+def _jy_eigensystem(j: int):
+    """Eigenvalues and eigenvectors of the spin-j Jy, read-only."""
+    evals, vecs = np.linalg.eigh(_generators(j)[1])
+    evals.flags.writeable = vecs.flags.writeable = False
+    return evals, vecs
+
+
+def _validated_spin(j) -> int:
     if j != int(j) or j < 0:
         raise ValueError(
             f"spin must be a non-negative integer (half-integer spins unsupported), got {j}"
         )
     j = int(j)
-    if j > j_max:
-        raise ValueError(f"spin j={j} exceeds the supported maximum {j_max}")
+    if j > J_MAX:
+        raise ValueError(f"spin j={j} exceeds the supported maximum {J_MAX}")
     return j
 
 
-def wigner_D(j: int, R, j_max: int = J_MAX) -> np.ndarray:
+def wigner_D(j: int, R) -> np.ndarray:
     """Wigner D-matrix of the spin-j representation of rotation ``R``.
 
-    Constructed by exponentiating the spin-j generators along the axis-angle
-    decomposition of R, which keeps the construction an exact homomorphism to
-    rounding accuracy and stays stable for all supported spins.
+    Writes R = R_z(alpha) R_y(beta) R_z(gamma); returns exp(-i alpha Jz)
+    d^(j)(beta) exp(-i gamma Jz). Near beta = 0 (pi) gamma comes from the
+    alpha + gamma (alpha - gamma) that the 2x2 block fixes well, so the error
+    of alpha multiplies only d-entries that vanish there.
 
     Returns
     -------
@@ -180,13 +196,16 @@ def wigner_D(j: int, R, j_max: int = J_MAX) -> np.ndarray:
         Complex unitary matrix of shape (2j+1, 2j+1), indices ordered
         m = +j, ..., -j.
     """
-    j = _validated_spin(j, j_max)
+    j = _validated_spin(j)
     R = require_rotation_matrix(R)
-    if j == 0:
-        return np.ones((1, 1), dtype=complex)
-    rotvec = _ScipyRotation.from_matrix(R).as_rotvec()
-    jx, jy, jz = _generators(j)
-    return expm(-1j * (rotvec[0] * jx + rotvec[1] * jy + rotvec[2] * jz))
+    beta = math.atan2(math.hypot(R[0, 2], R[1, 2]), R[2, 2])
+    alpha = math.atan2(R[1, 2], R[0, 2])
+    if R[2, 2] >= 0.0:
+        gamma = math.atan2(R[1, 0] - R[0, 1], R[0, 0] + R[1, 1]) - alpha
+    else:
+        gamma = alpha - math.atan2(-(R[1, 0] + R[0, 1]), R[1, 1] - R[0, 0])
+    m = np.arange(j, -j - 1, -1)
+    return np.exp(-1j * alpha * m)[:, None] * small_d_matrix(j, beta) * np.exp(-1j * gamma * m)
 
 
 def small_d_matrix(j: int, beta) -> np.ndarray:
@@ -196,8 +215,7 @@ def small_d_matrix(j: int, beta) -> np.ndarray:
     descending-m index ordering as :func:`wigner_D`.
     """
     j = _validated_spin(j)
-    _, jy, _ = _generators(j)
-    evals, vecs = np.linalg.eigh(jy)
+    evals, vecs = _jy_eigensystem(j)
     beta = np.asarray(beta, dtype=float)
     phases = np.exp(-1j * np.multiply.outer(beta, evals))
     d = np.einsum("ab,...b,cb->...ac", vecs, phases, vecs.conj())

@@ -176,25 +176,6 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
     return LocalizedState(family, x, coeff, a)
 
 
-def _standard_rotations(theta, phi):
-    """Standard rotation matrices for arrays of angles, shape (..., 3, 3)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    R = np.empty(np.broadcast(theta, phi).shape + (3, 3))
-    R[..., 0, 0] = c * cp**2 + sp**2
-    R[..., 0, 1] = (c - 1) * cp * sp
-    R[..., 0, 2] = s * cp
-    R[..., 1, 0] = (c - 1) * cp * sp
-    R[..., 1, 1] = c * sp**2 + cp**2
-    R[..., 1, 2] = s * sp
-    R[..., 2, 0] = -s * cp
-    R[..., 2, 1] = -s * sp
-    R[..., 2, 2] = c
-    return R
-
-
 def _small_d1_column(theta, lam: int):
     """Column lam of the spin-1 reduced rotation matrix, shape theta.shape + (3,)."""
     theta = np.asarray(theta, dtype=float)
@@ -228,21 +209,14 @@ def _spherical_coefficient_row(theta, phi, lam: int):
     return out
 
 
-def _cartesian_coefficient_row(theta, phi, lam: int):
-    """Conjugate polarization components A[..., i] for helicity lam."""
-    R = _standard_rotations(theta, phi)
-    eps_star_z = spherical_to_cartesian()[1 - lam]  # rows lambda = (+1, 0, -1)
-    return np.einsum("...ij,j->...i", R, eps_star_z)
-
-
 def _label_coefficient_row(family: StateFamily, theta, phi, lam: int):
     basis = family.label_basis
     if basis == "scalar":
         shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
         return np.ones(shape + (1,), dtype=complex)
-    if basis == "spherical":
-        return _spherical_coefficient_row(theta, phi, lam)
-    return _cartesian_coefficient_row(theta, phi, lam)
+    row = _spherical_coefficient_row(theta, phi, lam)
+    # the Cartesian row (conjugate polarization components) is the spherical row times <sigma|i>
+    return row if basis == "spherical" else row @ spherical_to_cartesian()
 
 
 def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:

@@ -54,6 +54,13 @@ class TestMMatrix:
         assert main(["mmatrix", "--theta", "9.9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_non_finite_azimuth_is_usage_error(self, capsys, phi):
+        assert main(["mmatrix", "--theta", "1", "--phi", phi]) == 2
+        captured = capsys.readouterr()
+        assert "azimuth must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestKernelScan:
     def test_full_helicity_family_off_diagonals_vanish(self, capsys):
@@ -119,6 +126,22 @@ class TestKernelScan:
     def test_bad_direction_is_usage_error(self, capsys):
         assert main(["kernel-scan", "--family", "spherical3",
                      "--direction", "0,0,0"]) == 2
+
+
+@pytest.mark.parametrize("command", [["kernel-scan", "--family", "spherical3"],
+                                     ["defect-j", "--j", "1"]])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--r-list", ",", "--r-list must contain at least one separation"),
+    ("--direction", "0,0,0", "--direction needs three"),
+    ("--direction", "1,0", "--direction needs three"),
+    ("--direction", "nan,0,1", "--direction needs three finite"),
+    ("--direction", "inf,0,1", "--direction needs three finite"),
+])
+def test_bad_separations_are_usage_errors(capsys, command, flag, value, message):
+    assert main([*command, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 class TestDefectCommand:

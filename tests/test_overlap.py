@@ -62,6 +62,13 @@ class TestQuadratureSpec:
         for name in ("n_theta", "n_phi", "n_radial"):
             with pytest.raises(ValueError, match="at least 4"):
                 QuadratureSpec(**{name: 3})
+            for count in (4.5, 8.0, "8"):
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    QuadratureSpec(**{name: count})
+
+    def test_numpy_integer_counts_accepted(self):
+        q = QuadratureSpec(np.int64(12), np.int32(12), np.int16(32))
+        assert q == QuadratureSpec(12, 12, 32)
 
 
 class TestScalarOverlap:

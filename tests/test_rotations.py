@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from photonloc.rotations import (
+    J_MAX,
     Direction,
     angular_momentum_generators,
     require_rotation_matrix,
@@ -64,6 +65,12 @@ class TestDirection:
         with pytest.raises(ValueError, match="polar angle"):
             Direction(3.5, 0.0)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_azimuth_rejected(self, phi):
+        for theta in (0.0, 0.5):
+            with pytest.raises(ValueError, match="azimuth must be finite"):
+                Direction(theta, phi)
+
     def test_from_vector_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -114,6 +121,27 @@ class TestWignerD:
         np.testing.assert_allclose(got, expected, atol=1e-13)
         assert abs(got[1, 1] - np.cos(beta)) < 1e-13
 
+    def test_matches_generator_exponential_near_gimbal_lock(self):
+        # reference exp(-i theta n.J) for every factor; near beta = 0 and pi the
+        # Euler angles alpha, gamma are ill-conditioned one by one
+        rng = np.random.default_rng(13)
+        betas = (0.0, 1e-12, 1e-8, np.pi / 2, np.pi - 1e-8, np.pi)
+        for j in range(J_MAX + 1):
+            jx, jy, jz = angular_momentum_generators(j)
+            cases = []
+            for beta in betas:
+                for alpha, gamma in rng.uniform(-np.pi, np.pi, size=(4, 2)):
+                    R = rotation_z(alpha) @ rotation_y(beta) @ rotation_z(gamma)
+                    ref = expm(-1j * alpha * jz) @ expm(-1j * beta * jy) @ expm(-1j * gamma * jz)
+                    cases.append((R, ref))
+            for _ in range(10):
+                axis, angle = rng.normal(size=3), rng.uniform(-np.pi, np.pi)
+                n = axis / np.linalg.norm(axis)
+                ref = expm(-1j * angle * (n[0] * jx + n[1] * jy + n[2] * jz))
+                cases.append((rotation_from_axis_angle(axis, angle), ref))
+            for R, ref in cases:
+                assert np.abs(wigner_D(j, R) - ref).max() < 1e-13
+
     def test_unitary_and_homomorphism_for_j2(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -157,6 +185,15 @@ class TestWignerD:
             wigner_D(1, np.eye(3) * 1.1)
         with pytest.raises(ValueError, match="determinant"):
             wigner_D(1, np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rotation_rejected(self, bad):
+        R = rotation_z(0.3)
+        R[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            wigner_D(1, R)
+        with pytest.raises(ValueError, match="finite"):
+            wigner_angle(R, Direction(0.5, 0.2))
 
 
 class TestWignerAngle:

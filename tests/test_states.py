@@ -163,8 +163,7 @@ class TestMomentumAmplitude:
 
         rng = np.random.default_rng(10)
         a = 1.0
-        for _ in range(10):
-            k = rng.normal(size=3)
+        for k in [*rng.normal(size=(10, 3)), [0.0, 0.0, 1.3], [0.0, 0.0, -0.7]]:
             omega = np.linalg.norm(k)
             d = Direction.from_vector(k)
             prefactor = (2 * np.pi) ** -1.5 * omega**-0.5 * np.exp(-0.5 * omega**2)
@@ -244,6 +243,14 @@ class TestRotateState:
         state = make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, 1.0)
         with pytest.raises(ValueError, match="orthogonal"):
             rotate_state(state, 2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rotation_rejected(self, bad):
+        state = make_localized_state(StateFamily.of(SPHERICAL_PHOTON), ORIGIN, 0, 1.0)
+        R = np.eye(3)
+        R[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rotate_state(state, R)
 
 
 class TestTranslateState:
