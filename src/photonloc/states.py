@@ -6,11 +6,13 @@ eigenvectors whose amplitude factorizes as
     c(k, lambda) = (2*pi)^(-3/2) * omega^(-p) * C(khat, lambda)
                    * exp(+-i k.x) * exp(-a^2 |k|^2 / 2),
 
-where p is the family weight exponent, C the family's label coefficient,
-k.x = omega*t - k_vec.x_vec, and a > 0 a Gaussian regulator width that makes
-all overlaps finite while commuting with rotations. A state is stored as its
-family, anchor point, regulator width, and a complex coefficient vector over
-the family's labels (a unit vector at construction, mixed by rotations).
+where p is the family weight exponent, C the family's label coefficient (a
+conjugated spin-1 D-matrix element of the standard rotation to khat, read off
+the components of khat), k.x = omega*t - k_vec.x_vec, and a > 0 a Gaussian
+regulator width that makes all overlaps finite while commuting with rotations.
+A state is stored as its family, anchor point, regulator width, and a complex
+coefficient vector over the family's labels (a unit vector at construction,
+mixed by rotations).
 
 Families
 --------
@@ -176,47 +178,49 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
     return LocalizedState(family, x, coeff, a)
 
 
-def _small_d1_column(theta, lam: int):
-    """Column lam of the spin-1 reduced rotation matrix, shape theta.shape + (3,)."""
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    rt2 = np.sqrt(2.0)
-    col = np.empty(theta.shape + (3,))
-    if lam == 1:
-        col[..., 0], col[..., 1], col[..., 2] = (1 + c) / 2, s / rt2, (1 - c) / 2
-    elif lam == 0:
-        col[..., 0], col[..., 1], col[..., 2] = -s / rt2, c, s / rt2
-    else:
-        col[..., 0], col[..., 1], col[..., 2] = (1 - c) / 2, -s / rt2, (1 + c) / 2
-    return col
+def _helicity_amplitudes(state: LocalizedState, kvec: np.ndarray) -> np.ndarray:
+    """c(k, lam) for every lam in the family's helicities, on a trailing axis.
 
-
-def _spherical_coefficient_row(theta, phi, lam: int):
-    """Inverse-frame coefficients A[..., sigma] for helicity lam, spherical labels.
-
-    These are the inverse standard-rotation D-matrix elements with row index
-    the helicity and column index the state label, ordered (+1, 0, -1).
+    ``kvec`` holds finite nonzero momenta, shape (N, 3); the result has shape
+    (N, len(helicities)). omega, the envelope and the phase are formed once for
+    all helicities, and the label mixing reads the inverse-frame D-matrix
+    elements d^1_{sigma lam}(theta) e^{i (sigma - lam) phi} from the components
+    of khat, cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x + i khat_y,
+    with e^{i phi} = 1 on the poles. Cartesian coefficients enter through
+    their spherical components <sigma|i>.
     """
-    d = _small_d1_column(theta, lam)
-    phi = np.asarray(phi, dtype=float)
-    # azimuthal factors e^{i (sigma - lam) phi} via integer powers of e^{i phi}
-    e1 = np.cos(phi) + 1j * np.sin(phi)
-    e2 = e1 * e1
-    powers = {0: 1.0, 1: e1, -1: e1.conj(), 2: e2, -2: e2.conj()}
-    out = np.empty(d.shape, dtype=complex)
-    for col, sigma in enumerate((1, 0, -1)):
-        out[..., col] = d[..., col] * powers[sigma - lam]
+    family = state.family
+    omega = np.sqrt(np.einsum("ni,ni->n", kvec, kvec))
+    kx = omega * state.x[0] - kvec @ state.x[1:]
+    if family.frequency_sign == "negative":
+        kx = -kx
+    a = state.regulator_width
+    envelope = (2.0 * np.pi) ** -1.5 * omega**-family.weight_exponent
+    envelope *= np.exp(-0.5 * a * a * omega * omega)
+    phase = np.empty(omega.shape, dtype=complex)  # envelope * e^{i k.x}
+    phase.real, phase.imag = envelope * np.cos(kx), envelope * np.sin(kx)
+    if family.label_basis == "scalar":
+        return phase[:, None] * state.coefficients
+    out = np.empty(omega.shape + (len(family.helicities),), dtype=complex)
+    b = state.coefficients
+    if family.label_basis == "cartesian":
+        b = spherical_to_cartesian() @ b
+    bp, b0, bm = b
+    c = kvec[:, 2] / omega  # cos(theta)
+    up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+    transverse = kvec[:, 0] + 1j * kvec[:, 1]
+    w = transverse * (np.sqrt(0.5) / omega)  # sin(theta) e^{i phi} / sqrt(2)
+    rho = np.hypot(kvec[:, 0], kvec[:, 1])  # e2 below is e^{2 i phi}
+    e2 = np.divide(transverse, rho, out=np.ones_like(transverse), where=rho > 0.0) ** 2
+    for i, lam in enumerate(family.helicities):
+        if lam == 1:
+            row = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
+        elif lam == 0:
+            row = c * b0 + w.conj() * bm - w * bp
+        else:
+            row = up * bm - w * b0 + (down * bp) * e2
+        out[:, i] = phase * row
     return out
-
-
-def _label_coefficient_row(family: StateFamily, theta, phi, lam: int):
-    basis = family.label_basis
-    if basis == "scalar":
-        shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
-        return np.ones(shape + (1,), dtype=complex)
-    row = _spherical_coefficient_row(theta, phi, lam)
-    # the Cartesian row (conjugate polarization components) is the spherical row times <sigma|i>
-    return row if basis == "spherical" else row @ spherical_to_cartesian()
 
 
 def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
@@ -226,45 +230,29 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     ----------
     state : LocalizedState
     k : array-like, shape (..., 3)
-        Momentum three-vectors; must be nonzero.
+        Momentum three-vectors; must be finite and nonzero.
     lam : int
         Helicity. Amplitudes vanish identically outside the family's set.
 
     Returns
     -------
     numpy.ndarray or complex
-        Complex amplitude with shape ``k.shape[:-1]``.
+        Complex amplitude with shape ``k.shape[:-1]``: one helicity column of
+        the amplitudes the oracle evaluates for all helicities at once.
     """
     k = np.asarray(k, dtype=float)
     if k.shape[-1] != 3:
         raise ValueError(f"momenta must have a trailing axis of length 3, got {k.shape}")
-    scalar_input = k.ndim == 1
-    kvec = np.atleast_2d(k)
-    omega = np.linalg.norm(kvec, axis=-1)
-    if np.any(omega == 0.0):
+    kvec = k.reshape(-1, 3)
+    if not np.all(np.isfinite(kvec)):
+        raise ValueError("momenta must be finite")
+    if np.any(np.linalg.norm(kvec, axis=-1) == 0.0):
         raise ValueError("momentum direction undefined at k = 0")
     if lam not in state.family.helicities:
-        out = np.zeros(omega.shape, dtype=complex)
-        return out[0] if scalar_input else out.reshape(k.shape[:-1])
-
-    theta = np.arccos(np.clip(kvec[..., 2] / omega, -1.0, 1.0))
-    phi = np.arctan2(kvec[..., 1], kvec[..., 0])
-    mixed = _label_coefficient_row(state.family, theta, phi, lam) @ state.coefficients
-
-    t, xvec = state.x[0], state.x[1:]
-    kx = omega * t - kvec @ xvec
-    if state.family.frequency_sign == "negative":
-        kx = -kx
-    phase = np.cos(kx) + 1j * np.sin(kx)
-    a = state.regulator_width
-    amp = (
-        (2.0 * np.pi) ** -1.5
-        * omega ** -state.family.weight_exponent
-        * mixed
-        * phase
-        * np.exp(-0.5 * a * a * omega * omega)
-    )
-    return amp[0] if scalar_input else amp.reshape(k.shape[:-1])
+        amp = np.zeros(kvec.shape[0], dtype=complex)
+    else:
+        amp = _helicity_amplitudes(state, kvec)[:, state.family.helicities.index(lam)]
+    return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])
 
 
 def rotate_state(state: LocalizedState, R) -> LocalizedState:

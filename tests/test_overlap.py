@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import photonloc.overlap
+import photonloc.rotations
+import photonloc.states
 from photonloc.overlap import (
     KernelMatrix,
     QuadratureSpec,
     _oracle_label_coefficients,
+    _oracle_radial_grid,
     alt_overlap,
     brute_force_kernel_matrix,
     brute_force_overlap,
@@ -37,6 +41,7 @@ from photonloc.states import (
     LocalizedState,
     StateFamily,
     make_localized_state,
+    momentum_amplitude,
     rotate_state,
 )
 
@@ -50,6 +55,19 @@ RHAT = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
 def state_at(kind, position, label, a=1.0, t=0.0):
     x = np.concatenate(([t], position))
     return make_localized_state(StateFamily.of(kind), x, label, a)
+
+
+def helicity_loop_overlap(s1, s2, q):
+    """The oracle overlap from one momentum_amplitude call per state, helicity and
+    radial shell: a second contraction of brute_force_overlap's grid."""
+    khat, wang, _ = _oracle_label_coefficients("spherical", q.n_theta, q.n_phi)
+    k, wk = _oracle_radial_grid(q, s1.regulator_width)
+    shells = np.zeros(k.size, dtype=complex)
+    for n, kvecs in enumerate(k[:, None, None] * khat[None, :, :]):
+        for lam in s1.family.helicities:
+            amp1 = momentum_amplitude(s1, kvecs, lam)
+            shells[n] += (amp1.conj() * momentum_amplitude(s2, kvecs, lam)) @ wang
+    return complex((wk * k**3) @ shells)
 
 
 class TestQuadratureSpec:
@@ -221,6 +239,41 @@ class TestBruteForceAgreement:
             oracle = brute_force_overlap(s1, s2, Q)
             scale = max(abs(oracle), gaussian_delta(0.0, a) * 1e-8)
             assert abs(fast - oracle) / scale < 1e-6
+
+    @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q])
+    def test_overlap_matches_per_helicity_amplitude_loop(self, spec):
+        rng = np.random.default_rng(23)
+        for kind in (SCALAR, SPHERICAL3, CARTESIAN3, SPHERICAL_PHOTON, CARTESIAN_PHOTON,
+                     RADIATION_GAUGE):
+            labels = StateFamily.of(kind).labels
+            a = rng.uniform(0.6, 1.5)
+            s1, s2 = (
+                rotate_state(state_at(kind, rng.normal(size=3), labels[i], a),
+                             rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, np.pi)))
+                for i in rng.integers(len(labels), size=2)
+            )
+            expected = helicity_loop_overlap(s1, s2, spec)
+            got = brute_force_overlap(s1, s2, spec)
+            assert abs(got - expected) < 1e-13 * gaussian_delta(0.0, a)
+
+    def test_oracle_calls_no_production_reduction(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached a production-path function")
+
+        for module, name in ((photonloc.overlap, "small_d_matrix"),
+                             (photonloc.overlap, "wigner_D"),
+                             (photonloc.overlap, "_radial_integrals"),
+                             (photonloc.rotations, "small_d_matrix"),
+                             (photonloc.rotations, "wigner_D"),
+                             (photonloc.states, "wigner_D")):
+            monkeypatch.setattr(module, name, forbidden)
+        q = QuadratureSpec(4, 4, 4)
+        _oracle_label_coefficients.cache_clear()
+        for kind, label in ((SPHERICAL3, 0), (CARTESIAN_PHOTON, "x")):
+            s1 = state_at(kind, [0.2, -0.1, 0.4], label)
+            s2 = state_at(kind, [0.0, 0.3, 0.0], label)
+            brute_force_overlap(s1, s2, q)
+            brute_force_kernel_matrix(StateFamily.of(kind), [0.2, -0.4, 0.4], 1.0, q)
 
     def test_kernel_matrix_against_oracle(self):
         a = 1.0

@@ -24,6 +24,22 @@ def random_rotation(rng):
     return rotation_from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
 
 
+def direction_of(k):
+    """Direction of k from atan2, which keeps tilts that arccos(k_z / |k|) rounds to 0."""
+    return Direction(np.arctan2(np.hypot(k[0], k[1]), k[2]), np.arctan2(k[1], k[0]))
+
+
+def coefficient_test_momenta(seed):
+    """Random momenta, then the poles with every sign of zero, 1e-12 tilts off both
+    poles and the -x axis on both sides of the azimuthal branch cut."""
+    poles = [[x, y, z] for z in (1.3, -0.7) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    tilts = [[1e-12 * np.cos(p), 1e-12 * np.sin(p), z] for z in (1.0, -1.0)
+             for p in (0.4, 2.9, -1.7)]
+    branch_cut = [[-0.9, 0.0, 0.0], [-0.9, -0.0, 0.0]]
+    rng = np.random.default_rng(seed)
+    return [*rng.normal(size=(10, 3)), *np.array(poles + tilts + branch_cut)]
+
+
 class TestStateFamily:
     def test_canonical_weights_and_helicities(self):
         assert StateFamily.of(SCALAR).weight_exponent == 0.5
@@ -144,35 +160,40 @@ class TestMomentumAmplitude:
         # the standard rotation for the momentum direction
         from photonloc.rotations import standard_rotation
 
-        rng = np.random.default_rng(9)
         a = 1.0
-        for _ in range(10):
-            k = rng.normal(size=3)
+        for k in coefficient_test_momenta(9):
             omega = np.linalg.norm(k)
-            d = Direction.from_vector(k)
-            D = wigner_D(1, standard_rotation(d))
+            D = wigner_D(1, standard_rotation(direction_of(k)))
             prefactor = (2 * np.pi) ** -1.5 * omega**-0.5 * np.exp(-0.5 * omega**2)
             for row, sigma in enumerate((1, 0, -1)):
-                state = make_localized_state(StateFamily.of(SPHERICAL_PHOTON), ORIGIN, sigma, a)
-                for lam in (-1, 1):
+                state = make_localized_state(StateFamily.of(SPHERICAL3), ORIGIN, sigma, a)
+                for lam in (-1, 0, 1):
                     expected = prefactor * np.conj(D[row, 1 - lam])
                     assert abs(momentum_amplitude(state, k, lam) - expected) < 1e-14
 
     def test_cartesian_coefficients_match_polarization_vectors(self):
         from photonloc.polarization import polarization_vector
 
-        rng = np.random.default_rng(10)
         a = 1.0
-        for k in [*rng.normal(size=(10, 3)), [0.0, 0.0, 1.3], [0.0, 0.0, -0.7]]:
+        for k in coefficient_test_momenta(10):
             omega = np.linalg.norm(k)
-            d = Direction.from_vector(k)
+            d = direction_of(k)
             prefactor = (2 * np.pi) ** -1.5 * omega**-0.5 * np.exp(-0.5 * omega**2)
             for axis_pos, axis in enumerate(("x", "y", "z")):
-                state = make_localized_state(StateFamily.of(CARTESIAN_PHOTON), ORIGIN, axis, a)
-                for lam in (-1, 1):
+                state = make_localized_state(StateFamily.of(CARTESIAN3), ORIGIN, axis, a)
+                for lam in (-1, 0, 1):
                     eps_star = polarization_vector(d, lam).conjugate[1 + axis_pos]
                     expected = prefactor * eps_star
                     assert abs(momentum_amplitude(state, k, lam) - expected) < 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momentum_rejected(self, bad):
+        state = make_localized_state(StateFamily.of(SPHERICAL3), ORIGIN, 1, 1.0)
+        k = np.ones((4, 3))
+        k[2, 0] = bad
+        for momenta in (k, k[2]):
+            with pytest.raises(ValueError, match="momenta must be finite"):
+                momentum_amplitude(state, momenta, 1)
 
     def test_zero_momentum_rejected(self):
         state = make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, 1.0)
