@@ -18,9 +18,12 @@ order. Each radial integral then has a closed form (Gradshteyn-Ryzhik
     I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r)
         = sqrt(pi)/2^(l+2) * Gamma(b)/Gamma(c) * x^l * a^-(3+s) * 1F1(b; c; -x^2/4),
 
-with x = r/a, b = (l+3+s)/2 and c = l+3/2. The aligned result is conjugated
-back by the representation matrix of the aligning rotation. No production
-step has a node count or a tolerance.
+with x = r/a, b = (l+3+s)/2 and c = l+3/2. The Legendre coefficients are
+cached per spin, one column per helicity. With theta and phi read off r by
+atan2, the aligned diagonal is rotated back by d(theta) and Jz phases,
+e^(-i phi m) d(theta) diag d(theta)^T e^(i phi m'), with no rotation matrix,
+so a tilt off either pole keeps its precision. No production step has a node
+count or a tolerance.
 
 Oracle path
 -----------
@@ -44,6 +47,7 @@ do not depend on how calls are distributed over threads or processes.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,14 +57,7 @@ from scipy.linalg import expm
 from scipy.special import eval_legendre, gammaln, hyp1f1
 
 from .polarization import validate_helicities
-from .rotations import (
-    Direction,
-    angular_momentum_generators,
-    small_d_matrix,
-    spherical_to_cartesian,
-    standard_rotation,
-    wigner_D,
-)
+from .rotations import angular_momentum_generators, small_d_matrix, spherical_to_cartesian
 from .states import (
     RADIATION_GAUGE,
     SCALAR,
@@ -160,29 +157,38 @@ def _state_separation(s1: LocalizedState, s2: LocalizedState) -> np.ndarray:
         return _separation(s1.x[1:] - s2.x[1:])
 
 
-def _aligned_diagonal(j: int, helicities: tuple, r: float, a: float, s: float) -> np.ndarray:
-    """Diagonal of the kernel in the frame whose z-axis is the separation."""
-    # f has degree 2j in mu, so P_l * f (l <= 2j) has degree <= 4j: 2j+1 nodes are exact
+@lru_cache(maxsize=None)
+def _aligned_table(j: int) -> np.ndarray:
+    """Read-only T[l, m, j - lam], i^l and 4 pi / (2 pi)^3 included: the kernel in the
+    frame aligned with r is diagonal, entries sum_(l, lam) I_l T[l, m, j - lam]."""
+    # d^2 has degree 2j in mu, so P_l * d^2 (l <= 2j) has degree <= 4j: 2j+1 nodes are exact
     mu, w = _leggauss(2 * j + 1)
-    d = small_d_matrix(j, np.arccos(mu))  # (n, 2j+1, 2j+1)
-    cols = [j - lam for lam in helicities]
-    f = (d[:, :, cols] ** 2).sum(axis=2)  # (n, 2j+1); phi-independent diagonals
     l = np.arange(2 * j + 1)
-    coeff = ((2 * l + 1) / 2.0)[:, None] * (eval_legendre(l[:, None], mu) * w) @ f
-    powers = np.array([1.0, 1j, -1.0, -1j])[l % 4]
-    diag = (powers * _radial_integrals(2 * j, r, a, s)) @ coeff
-    return diag * (4.0 * np.pi / (2.0 * np.pi) ** 3)
+    proj = ((2 * l + 1) / 2.0)[:, None] * eval_legendre(l[:, None], mu) * w
+    weights = np.array([1.0, 1j, -1.0, -1j])[l % 4] * (4.0 * np.pi / (2.0 * np.pi) ** 3)
+    table = weights[:, None, None] * np.einsum("ln,nmk->lmk", proj,
+                                               small_d_matrix(j, np.arccos(mu)) ** 2)
+    table.setflags(write=False)
+    return table
 
 
 def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float,
                       s: float) -> np.ndarray:
-    """Kernel matrix in the spherical label basis at separation ``rvec``."""
-    rnorm = float(np.linalg.norm(rvec))
-    diag = _aligned_diagonal(j, helicities, rnorm, a, s)
-    if rnorm == 0.0:
+    """Kernel matrix in the spherical label basis at separation ``rvec``.
+
+    The standard rotation's last Jz phase commutes with the aligned diagonal.
+    """
+    x, y, z = rvec
+    coeff = _aligned_table(j)[:, :, [j - lam for lam in helicities]].sum(axis=2)
+    diag = _radial_integrals(2 * j, math.hypot(x, y, z), a, s) @ coeff
+    if not (x or y or z):
         return np.diag(diag)
-    D = wigner_D(j, standard_rotation(Direction.from_vector(rvec)))
-    return D @ np.diag(diag) @ D.conj().T
+    phi = math.atan2(y, x)
+    if z < 0.0:  # d_mm'(pi - b) = (-1)^(j+m) d_m,-m'(b) keeps a tilt off -z exact
+        diag, phi = diag[::-1], phi - math.pi
+    d = small_d_matrix(j, math.atan2(math.hypot(x, y), abs(z)))
+    phase = np.exp(-1j * phi * np.arange(j, -j - 1, -1))
+    return phase[:, None] * ((d * diag) @ d.T) * phase.conj()
 
 
 def _family_kernel_parameters(family: StateFamily):

@@ -68,14 +68,15 @@ class Direction:
 
     @classmethod
     def from_vector(cls, v) -> "Direction":
-        """Direction of a nonzero 3-vector."""
+        """Direction of a nonzero 3-vector, theta = atan2(hypot(v_x, v_y), v_z).
+
+        Keeps a tilt off either pole, and the direction of a vector whose norm underflows.
+        """
         v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
+        if not np.any(v):
             raise ValueError("direction of the zero vector is undefined")
-        theta = float(np.arccos(np.clip(v[2] / norm, -1.0, 1.0)))
-        phi = float(np.arctan2(v[1], v[0]))
-        return cls(theta, phi)
+        theta = math.atan2(math.hypot(v[0], v[1]), v[2])
+        return cls(theta, math.atan2(v[1], v[0]))
 
     @property
     def unit_vector(self) -> np.ndarray:

@@ -13,8 +13,11 @@ import photonloc.states
 from photonloc.overlap import (
     KernelMatrix,
     QuadratureSpec,
+    _aligned_table,
     _oracle_label_coefficients,
     _oracle_radial_grid,
+    _radial_integrals,
+    _spherical_kernel,
     alt_overlap,
     brute_force_kernel_matrix,
     brute_force_overlap,
@@ -25,8 +28,10 @@ from photonloc.overlap import (
     transverse_kernel,
 )
 from photonloc.rotations import (
+    J_MAX,
     Direction,
     rotation_from_axis_angle,
+    small_d_matrix,
     spherical_to_cartesian,
     standard_rotation,
     wigner_D,
@@ -68,6 +73,25 @@ def helicity_loop_overlap(s1, s2, q):
             amp1 = momentum_amplitude(s1, kvecs, lam)
             shells[n] += (amp1.conj() * momentum_amplitude(s2, kvecs, lam)) @ wang
     return complex((wk * k**3) @ shells)
+
+
+def legendre_projection(j):
+    """{lam: aligned-table column} from a 4j+2-node Legendre rule, one helicity at a time."""
+    mu, w = np.polynomial.legendre.leggauss(4 * j + 2)
+    l = np.arange(2 * j + 1)
+    proj = ((2 * l + 1) / 2.0) * np.polynomial.legendre.legvander(mu, 2 * j) * w[:, None]
+    d = small_d_matrix(j, np.arccos(mu))
+    weights = (1j**l)[:, None] * (4.0 * np.pi / (2.0 * np.pi) ** 3)
+    return {lam: weights * (proj.T @ d[:, :, j - lam] ** 2) for lam in range(-j, j + 1)}
+
+
+def rotated_diagonal_kernel(columns, helicities, rvec, a, s):
+    """The aligned diagonal conjugated by the full D-matrix of the standard rotation."""
+    j = (len(columns) - 1) // 2
+    coeff = sum(columns[lam] for lam in helicities)
+    diag = _radial_integrals(2 * j, np.linalg.norm(rvec), a, s) @ coeff
+    D = wigner_D(j, standard_rotation(Direction.from_vector(rvec)))
+    return D @ np.diag(diag) @ D.conj().T
 
 
 class TestQuadratureSpec:
@@ -261,7 +285,7 @@ class TestBruteForceAgreement:
             raise AssertionError("the oracle reached a production-path function")
 
         for module, name in ((photonloc.overlap, "small_d_matrix"),
-                             (photonloc.overlap, "wigner_D"),
+                             (photonloc.overlap, "_aligned_table"),
                              (photonloc.overlap, "_radial_integrals"),
                              (photonloc.rotations, "small_d_matrix"),
                              (photonloc.rotations, "wigner_D"),
@@ -541,6 +565,69 @@ class TestGeneralDefect:
             general_j_defect(0, (0,), np.zeros(3), 1.0)
         with pytest.raises(ValueError, match="range"):
             general_j_defect(2, (-3, 3), np.zeros(3), 1.0)
+
+
+class TestKernelEngine:
+    DIRECTIONS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (1.0, -0.0, 0.0),
+                  (-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0), (-0.0, 0.0, -1.0)]
+
+    def test_matches_the_standard_rotation_d_matrix_for_every_spin(self):
+        rng = np.random.default_rng(31)
+        directions = self.DIRECTIONS + list(rng.normal(size=(4, 3)))
+        for j in range(J_MAX + 1):
+            columns = legendre_projection(j)
+            subsets = {(0,) if j == 0 else (-j, j), tuple(range(-j, j + 1))}
+            while len(subsets) < (1 if j == 0 else 5):
+                mask = rng.integers(2, size=2 * j + 1).astype(bool)
+                if mask.any():
+                    subsets.add(tuple(np.arange(-j, j + 1)[mask]))
+            for helicities in sorted(subsets):
+                for direction in directions:
+                    a, s = rng.uniform(0.5, 2.0), rng.choice([0.0, -1.0])
+                    rvec = rng.uniform(0.3, 3.0) * a * np.asarray(direction)
+                    expected = rotated_diagonal_kernel(columns, helicities, rvec, a, s)
+                    got = _spherical_kernel(j, helicities, rvec, a, s)
+                    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_table_matches_a_finer_legendre_projection(self):
+        rng = np.random.default_rng(37)
+        for j in range(J_MAX + 1):
+            table = _aligned_table(j)
+            assert table.shape == (2 * j + 1, 2 * j + 1, 2 * j + 1)
+            columns = legendre_projection(j)
+            for lam, column in columns.items():
+                assert np.abs(table[:, :, j - lam] - column).max() < 1e-14
+            mask = rng.integers(2, size=2 * j + 1).astype(bool)
+            helicities = [lam for lam, keep in zip(range(-j, j + 1), mask) if keep]
+            summed = table[:, :, [j - lam for lam in helicities]].sum(axis=2)
+            expected = sum((columns[lam] for lam in helicities), np.zeros_like(summed))
+            assert np.abs(summed - expected).max() < 1e-14
+
+    def test_table_is_read_only_and_cached_per_spin_only(self):
+        rvec = np.array([0.4, -0.2, 0.9])
+        for j in range(1, 4):
+            for mask in range(1, 2 ** (2 * j + 1)):
+                helicities = [lam for b, lam in enumerate(range(-j, j + 1)) if mask >> b & 1]
+                general_j_defect(j, helicities, rvec, 1.0)
+        for j in range(J_MAX + 1):
+            _spherical_kernel(j, (j,), rvec, 1.0, 0.0)
+            with pytest.raises(ValueError, match="read-only"):
+                _aligned_table(j)[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            _aligned_table(J_MAX + 1)
+        assert _aligned_table.cache_info().currsize <= J_MAX + 1
+
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_tilt_off_a_pole_survives_in_the_off_diagonal_entries(self, pole):
+        family = StateFamily.of(CARTESIAN_PHOTON)
+        ratios = []
+        for t in (1e-12, 1e-9, 1e-6):
+            rvec = np.array([2.0 * t, 0.0, 2.0 * pole])
+            xz = overlap_kernel_matrix(family, rvec, 1.0).entries[0, 2]
+            spin10 = np.diagonal(general_j_defect(10, (-1, 1), rvec, 1.0).entries, 1)
+            assert xz != 0.0 and np.all(spin10 != 0.0)
+            ratios.append(np.concatenate(([xz], spin10)) / t)
+        np.testing.assert_allclose(ratios[1:], [ratios[0]] * 2, rtol=1e-9)
 
 
 def test_kernel_matrix_records_its_configuration():

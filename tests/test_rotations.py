@@ -79,8 +79,21 @@ class TestDirection:
             np.testing.assert_allclose(d.unit_vector, v / np.linalg.norm(v), atol=1e-14)
 
     def test_from_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="undefined"):
-            Direction.from_vector([0.0, 0.0, 0.0])
+        for v in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
+            with pytest.raises(ValueError, match="undefined"):
+                Direction.from_vector(v)
+
+    @pytest.mark.parametrize("tilt", [1e-12, 1e-9, 1e-6])
+    def test_from_vector_keeps_a_tilt_off_either_pole(self, tilt):
+        north = Direction.from_vector([tilt, 0.0, 1.0])
+        south = Direction.from_vector([0.0, tilt, -1.0])
+        np.testing.assert_allclose(north.theta, np.arctan(tilt), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(south.theta, np.pi - np.arctan(tilt), rtol=1e-15, atol=0.0)
+        assert (north.phi, south.phi) == (0.0, np.pi / 2)
+
+    def test_from_vector_whose_norm_underflows(self):
+        d = Direction.from_vector([1e-170, 0.0, 0.0])
+        assert (d.theta, d.phi) == (np.pi / 2, 0.0)
 
     def test_unit_vector_has_unit_norm(self):
         rng = np.random.default_rng(6)
