@@ -19,6 +19,7 @@ import numpy as np
 
 from .overlap import (
     QuadratureSpec,
+    _family_kernel_parameters,
     alt_overlap,
     brute_force_kernel_matrix,
     general_j_defect,
@@ -62,7 +63,8 @@ EXIT_USAGE = 2
 
 CHECK_SUITES = ("covariance", "gauge", "translation", "alt-product")
 
-#: largest kernel-scan entry deviation from the oracle, relative to the oracle's largest entry
+#: largest kernel-scan entry deviation from the oracle, relative to the oracle's largest
+#: entry or the dipole tail's 1/(4 pi max(r, a)^(3+s)), whichever is larger
 SCAN_REL_TOL = 1e-6
 
 
@@ -162,7 +164,10 @@ def _cmd_mmatrix(args) -> int:
 
 def _cmd_kernel_scan(args) -> int:
     family = StateFamily.of(args.family)
-    q = QuadratureSpec(n_theta=args.ntheta, n_phi=args.nphi, n_radial=args.nradial)
+    counts = {"n_theta": args.ntheta, "n_phi": args.nphi, "n_radial": args.nradial}
+    counts = {name: n for name, n in counts.items() if n is not None}
+    q = QuadratureSpec(**counts) if counts else None  # no flag: the oracle sizes itself
+    _, _, s = _family_kernel_parameters(family)  # the radial measure power
     direction, r_list = _parse_separations(args)
 
     label_cols = ("i1", "i2") if family.label_basis == "cartesian" else ("sigma1", "sigma2")
@@ -175,7 +180,10 @@ def _cmd_kernel_scan(args) -> int:
             value = oracle
         else:
             value = overlap_kernel_matrix(family, rvec, args.a).entries
-        scale = max(np.abs(oracle).max(), 1e-300)
+        # the dipole tail's size floors the scale: an exact kernel far below it (the
+        # delta at r/a = 10) does not set the size of the oracle's rounding error
+        floor = 1.0 / (4.0 * np.pi * max(np.linalg.norm(rvec), args.a) ** (3.0 + s))
+        scale = max(np.abs(oracle).max(), floor)
         for p, l1 in enumerate(family.labels):
             for r, l2 in enumerate(family.labels):
                 rel = float(abs(value[p, r] - oracle[p, r]) / scale)
@@ -527,9 +535,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default="0,0,1", help="separation direction components")
     p.add_argument("--r-list", default="0,1,2,5,10", help="separations in units of a")
     p.add_argument("--a", type=float, default=1.0, help="Gaussian regulator width")
-    p.add_argument("--ntheta", type=int, default=32, help="oracle uses 4*NTHETA polar nodes")
-    p.add_argument("--nphi", type=int, default=32, help="oracle uses 4*NPHI azimuthal nodes")
-    p.add_argument("--nradial", type=int, default=64, help="oracle uses 4*NRADIAL radial nodes")
+    # without any of these flags the oracle sizes its grid from k_max r
+    p.add_argument("--ntheta", type=int, default=None, help="oracle uses 4*NTHETA polar nodes")
+    p.add_argument("--nphi", type=int, default=None, help="oracle uses 4*NPHI azimuthal nodes")
+    p.add_argument("--nradial", type=int, default=None, help="oracle uses 4*NRADIAL radial nodes")
     p.add_argument(
         "--oracle", action="store_true", help="take values from the brute-force path"
     )

@@ -27,19 +27,27 @@ count or a tolerance.
 
 Oracle path
 -----------
-``brute_force_overlap`` and ``brute_force_kernel_matrix`` sum the full
-3-D product grid (Gauss-Legendre in cos(theta) x uniform azimuth x
-Gauss-Legendre radial) at four times the node counts of a
-:class:`QuadratureSpec`, building the integrand from momentum amplitudes and
-D-matrices directly. The spin-1 D-matrix table on the angular grid is one
-stacked generator exponential over the polar nodes times azimuthal phases
-(the Euler factorization of the standard rotation), cached per grid and
-basis; ``brute_force_kernel_matrix`` then sums the angular nodes at each
-radial node and the radial nodes last, both as matrix products.
-``brute_force_overlap`` takes each state's amplitudes for all helicities in one
-call per block of radial shells and contracts the helicity axis. They share no
+``brute_force_overlap`` and ``brute_force_kernel_matrix`` sum a product grid
+(Gauss-Legendre in cos(theta) x uniform azimuth x Gauss-Legendre radial) whose
+polar axis is the separation r, so that the phase e^{i k.r} depends only on
+(k, cos theta). Without a :class:`QuadratureSpec` the grid sizes itself from
+k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes, rounded up to a
+multiple of 32, and eight azimuths, exact for the degree-2 label part; an
+explicit spec gives four times its counts. The spin-1 D-matrix table on the
+angular grid is the closed exponential of the real generator -i Jy (whose cube
+is its negative) over the polar nodes times azimuthal phases (the Euler
+factorization of the standard rotation), cached per grid and basis.
+``brute_force_kernel_matrix`` sums the table over azimuth, then over cos(theta)
+at each radial node, then over k, and rotates the aligned result back with a
+plain 3x3 rotation R, R z = rhat: K(r) = R K(|r| z) R^T. That assumes only a
+rotation-invariant measure. ``brute_force_overlap`` rotates the nodes,
+khat' = R khat, takes each state's amplitudes for all helicities in one call
+per block of radial shells and contracts the helicity axis. They share no
 reduction step, D-matrix builder or closed form with the production path and
-back every kernel result in the tests and the ``--oracle`` CLI path.
+back every kernel result in the tests and the ``--oracle`` CLI path. Summing
+O(a^-3) terms to an O(r^-3) result, the oracle's error relative to the dipole
+tail is a rounding floor that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11
+(up to 1e-10) at r/a = 200.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -53,7 +61,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import eval_legendre, gammaln, hyp1f1
 
 from .polarization import validate_helicities
@@ -70,20 +77,28 @@ from .states import (
 #: The oracle truncates momentum integrals at k = cutoff / a; exp(-8.5^2) ~ 5e-32.
 RADIAL_CUTOFF = 8.5
 
-#: Grid points per block of ``brute_force_overlap`` (whole radial shells). It sets
-#: the peak memory of a default-spec overlap: 72 MB, 1.8 s on 2 vCPUs, against
-#: 257 MB, 2.9 s at 500k points and 782 MB, 3.6 s at 2M.
+#: Grid points per block of the oracle (whole radial shells). It sets the peak
+#: memory of a default-spec overlap: 72 MB, 1.8 s on 2 vCPUs, against 257 MB,
+#: 2.9 s at 500k points and 782 MB, 3.6 s at 2M.
 _ORACLE_BLOCK_POINTS = 16_384
+
+#: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
+#: (r/a)^2: at the bound a kernel takes ~1 s on 2 vCPUs, a scalar overlap ~30 s.
+_ORACLE_MAX_R_OVER_A = 1e3
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts of the brute-force oracle.
+    """Explicit node counts of the brute-force oracle.
 
     ``n_theta`` Gauss-Legendre nodes in cos(theta), ``n_phi`` uniform
     azimuthal nodes and ``n_radial`` Gauss-Legendre nodes on
-    [0, RADIAL_CUTOFF / a]; the oracle multiplies every count by four.
-    Each count must be an integer (numpy integers included) of at least 4.
+    [0, RADIAL_CUTOFF / a]; the oracle multiplies every count by four. Without
+    a spec the oracle sizes its grid from k_max r, so a spec serves to refine
+    or starve it. Each count must be an integer (numpy integers included) of
+    at least 4.
     """
 
     n_theta: int = 32
@@ -117,6 +132,23 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+@lru_cache(maxsize=None)
+def _radial_constants(lmax: int, s: float):
+    """Separation-independent parts of the closed form for l = 0..lmax, read-only:
+    (l, orders with b == c, the other orders, their b and c, the prefactor
+    sqrt(pi) 2^-(l+2) Gamma(b) / Gamma(c)). Keyed on lmax = 2j <= 20 and
+    s in {0, -1}: at most 42 entries."""
+    l = np.arange(lmax + 1)
+    b, c = (l + 3.0 + s) / 2.0, l + 1.5
+    # b == c only at l = s = 0, where 1F1 is exactly exp(-z) and scipy's series costs O(z)
+    same, rest = np.flatnonzero(b == c), np.flatnonzero(b != c)
+    prefactor = np.sqrt(np.pi) * 2.0 ** -(l + 2.0) * np.exp(gammaln(b) - gammaln(c))
+    out = (l, same, rest, b[rest], c[rest], prefactor)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
     """I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r) for l = 0..lmax.
 
@@ -124,21 +156,17 @@ def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
     where 1F1 leaves the double range: r/a beyond ~2e14 at lmax = 20
     (spin 10), ~3e46 at lmax = 2.
     """
-    l = np.arange(lmax + 1)
+    l, same, rest, b, c, prefactor = _radial_constants(lmax, s)
     x = r / a
-    b, c = (l + 3.0 + s) / 2.0, l + 1.5
     z = x * x / 4.0
     hyp = np.empty(lmax + 1)
-    # b == c only at l = s = 0, where 1F1 is exactly exp(-z) and scipy's series costs O(z)
-    same = b == c
     hyp[same] = np.exp(-z)
-    hyp[~same] = hyp1f1(b[~same], c[~same], -z)
+    hyp[rest] = rest_hyp = hyp1f1(b, c, -z)
     # 1F1(b; c; -z) > 0 for c > b > 0, so a value below the normal range has underflowed
-    if not np.all(hyp[~same] >= np.finfo(float).tiny):
+    if not rest_hyp.min(initial=np.inf) >= _TINY:
         raise ValueError(
             f"separation r/a = {x:.3g} is beyond the double range of Legendre orders to {lmax}"
         )
-    prefactor = np.sqrt(np.pi) * 2.0 ** -(l + 2.0) * np.exp(gammaln(b) - gammaln(c))
     return prefactor * x**l * a ** -(3.0 + s) * hyp
 
 
@@ -313,31 +341,99 @@ def alt_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
     return complex(2.0 * gaussian_delta(rnorm, s1.regulator_width))
 
 
-# --- brute-force product-grid oracle ---------------------------------------
+# --- brute-force aligned-grid oracle -----------------------------------------
 
 
-def _oracle_radial_grid(q: QuadratureSpec, a: float):
-    nk = 4 * q.n_radial
-    t, w = _leggauss(nk)
+def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float):
+    """(polar, azimuthal, radial) node counts of the oracle grid at separation r.
+
+    An explicit spec gives four times its counts. Self-sized (``q`` None), the
+    phase k r cos(theta) spans RADIAL_CUTOFF r / a radians over the grid, so the
+    polar and radial counts follow k_max r / 2 with 64 nodes on top, rounded up
+    to a multiple of 32 (so that warm calls share tables); eight azimuthal nodes
+    are exact for the degree-2 label part.
+    """
+    if q is not None:
+        return 4 * q.n_theta, 4 * q.n_phi, 4 * q.n_radial
+    if not r <= _ORACLE_MAX_R_OVER_A * a:
+        raise ValueError(f"separation r/a = {r / a:.3g} is beyond the self-sized oracle's "
+                         f"range, r/a <= {_ORACLE_MAX_R_OVER_A:g}")
+    n = math.ceil(RADIAL_CUTOFF * r / (2.0 * a)) + 64
+    n = -(-n // 32) * 32
+    return n, 8, n
+
+
+def _oracle_rotation(rvec: np.ndarray) -> np.ndarray:
+    """Proper rotation R with R z = rvec / |rvec| (the identity at rvec = 0).
+
+    Columns (e1, e2, rhat) of the branchless orthonormal basis of Duff et al.,
+    J. Comput. Graph. Tech. 6, 1 (2017): it divides by 1 + |rhat_z| >= 1, so
+    rhat near -z is as exact as rhat near +z.
+    """
+    r = math.hypot(*rvec)
+    if r == 0.0:
+        return np.eye(3)
+    x, y, z = rvec / r
+    sign = math.copysign(1.0, z)
+    c = -1.0 / (sign + z)
+    b = x * y * c
+    return np.array([[1.0 + sign * x * x * c, b, x],
+                     [sign * b, sign + y * y * c, y],
+                     [-sign * x, -y, z]])
+
+
+@lru_cache(maxsize=32)
+def _oracle_gauss_legendre(n: int):
+    """Read-only n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence from Tricomi's initial guess,
+    weights 2 / ((1 - x^2) P_n'(x)^2), on the positive half and mirrored. It
+    needs O(n) memory, 0.16 s at n = 4320 where numpy's companion-matrix
+    ``leggauss`` takes ~8 s and ~350 MB, and its weights hold to ~1e-15 where
+    those of ``leggauss`` are off by up to 1e-8 at n = 928.
+    """
+    i = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (4.0 * i - 1.0) / (4.0 * n + 2.0))
+    for _ in range(10):
+        p_prev, p = np.ones_like(x), x
+        for m in range(2, n + 1):
+            p_prev, p = p, ((2.0 * m - 1.0) * x * p - (m - 1.0) * p_prev) / m
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-16:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate((-x, x[::-1][n % 2 :]))
+    weights = np.concatenate((w, w[::-1][n % 2 :]))
+    for arr in (nodes, weights):
+        arr.setflags(write=False)
+    return nodes, weights
+
+
+def _oracle_radial_grid(nk: int, a: float):
+    t, w = _oracle_gauss_legendre(nk)
     k = (t + 1.0) * (RADIAL_CUTOFF / (2.0 * a))
     wk = w * (RADIAL_CUTOFF / (2.0 * a))
     return k, wk
 
 
-@lru_cache(maxsize=4)
-def _oracle_label_coefficients(basis: str, n_theta: int, n_phi: int):
+@lru_cache(maxsize=16)
+def _oracle_label_coefficients(basis: str, nmu: int, nphi: int):
     """Label coefficients on the oracle angular grid, built from D-matrices.
 
-    Returns read-only (khat, angular weights, A) with A[label, node, helicity]
-    the amplitude coefficient for each of the three labels; helicity axis
-    ordered (+1, 0, -1). On the product grid the standard rotation factorizes
-    as D(R_z(phi) R_y(theta) R_z(-phi)) = exp(-i phi Jz) exp(-i theta Jy)
-    exp(i phi Jz), so one stacked ``expm`` over the polar nodes and broadcast
-    azimuthal phases give every node, independently of ``small_d_matrix``,
-    ``wigner_D`` and the closed forms used by the state amplitudes.
+    Returns read-only (khat, angular weights, A) on ``nmu`` Gauss-Legendre nodes
+    in cos(theta) times ``nphi`` uniform azimuths (azimuth the fast axis), with
+    A[label, node, helicity] the amplitude coefficient for each of the three
+    labels; helicity axis ordered (+1, 0, -1). On the product grid the standard
+    rotation factorizes as D(R_z(phi) R_y(theta) R_z(-phi)) = exp(-i phi Jz)
+    exp(-i theta Jy) exp(i phi Jz). The spin-1 generator K = -i Jy is real with
+    K^3 = -K, so exp(theta K) = I + sin(theta) K + (1 - cos(theta)) K^2 exactly;
+    with broadcast azimuthal phases that gives every node, independently of
+    ``small_d_matrix``, ``wigner_D`` and the closed forms used by the state
+    amplitudes. The bound of 16 tables holds every key a benchmark round uses.
     """
-    nmu, nphi = 4 * n_theta, 4 * n_phi
-    mu, wmu = _leggauss(nmu)
+    mu, wmu = _oracle_gauss_legendre(nmu)
     phi = np.arange(nphi) * (2.0 * np.pi / nphi)
     st = np.sqrt(1.0 - mu**2)
     khat = np.empty((nmu * nphi, 3))
@@ -346,7 +442,9 @@ def _oracle_label_coefficients(basis: str, n_theta: int, n_phi: int):
     khat[:, 2] = np.outer(mu, np.ones(nphi)).ravel()
     weights = np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
     _, jy, _ = angular_momentum_generators(1)
-    d = expm(np.arccos(mu)[:, None, None] * (-1j * jy).real)  # (nmu, 3, 3), real
+    gen = (-1j * jy).real
+    theta = np.arccos(mu)[:, None, None]
+    d = np.eye(3) + np.sin(theta) * gen + (1.0 - np.cos(theta)) * (gen @ gen)  # (nmu, 3, 3)
     m = np.array([1.0, 0.0, -1.0])
     ph = np.exp(1j * np.outer(phi, m))  # (nphi, 3)
     # conj(D)[node, sigma, helicity]: rows sigma, columns helicity, both descending
@@ -362,36 +460,57 @@ def _oracle_label_coefficients(basis: str, n_theta: int, n_phi: int):
 
 def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
                               q: QuadratureSpec | None = None) -> KernelMatrix:
-    """Oracle kernel matrix by direct 3-D product-grid quadrature."""
+    """Oracle kernel matrix by direct quadrature on a grid aligned with ``rvec``.
+
+    In the frame whose z-axis is rhat the phase e^{i k.r} depends only on
+    (k, cos theta): the label table is summed over azimuth first, then over
+    cos(theta) at each radial node, then over k. The result is rotated back
+    with the plain 3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families
+    through ``spherical_to_cartesian()``. This assumes only that the measure is
+    rotation invariant. ``q`` None sizes the grid from k_max r.
+    """
     a = require_regulator_width(a)
-    q = q or QuadratureSpec()
     helicities, basis, s = _family_kernel_parameters(family)
     rvec = _separation(rvec)
-    khat, wang, A = _oracle_label_coefficients(basis, q.n_theta, q.n_phi)
+    r = math.hypot(*rvec)
+    nmu, nphi, nk = _oracle_node_counts(q, r, a)
+    khat, wang, A = _oracle_label_coefficients(basis, nmu, nphi)
     rows = [1 - lam for lam in helicities]
-    G = np.einsum("anl,bnl->abn", A[:, :, rows].conj(), A[:, :, rows])
-    k, wk = _oracle_radial_grid(q, a)
+    G = np.einsum("anl,bnl->abn", A[:, :, rows].conj(), A[:, :, rows]) * wang
+    G = G.reshape(9, nmu, nphi).sum(axis=2)  # azimuth first
+    k, wk = _oracle_radial_grid(nk, a)
     wrad = wk * k ** (2.0 + s) * np.exp(-a * a * k * k)
-    arg = np.outer(k, khat @ rvec)
-    phase = np.empty(arg.shape, dtype=complex)  # bit-identical to np.exp(1j * arg)
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
-    # angular sum at each radial node first, then the radial sum: this order keeps
-    # the oracle at its rounding floor (cli max_rel_err 6.5e-14); a single einsum
-    # over both node sets measured up to 2.7e-12 and radial-first 2.0e-13
-    angular = phase @ (G * wang).reshape(-1, khat.shape[0]).T  # (radial, label pairs)
-    entries = (wrad @ angular).reshape(3, 3) / (2.0 * np.pi) ** 3
+    rmu = r * khat[::nphi, 2]
+    aligned = np.zeros(9, dtype=complex)
+    block = max(1, _ORACLE_BLOCK_POINTS // nmu)
+    for start in range(0, nk, block):
+        arg = np.outer(k[start : start + block], rmu)
+        phase = np.empty(arg.shape, dtype=complex)  # bit-identical to np.exp(1j * arg)
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
+        # the polar sum at each radial node first, then the radial sum
+        aligned += wrad[start : start + block] @ (phase @ G.T)
+    aligned = aligned.reshape(3, 3) / (2.0 * np.pi) ** 3
+    rot = _oracle_rotation(rvec)
+    if basis == "spherical":
+        u = spherical_to_cartesian()
+        rot = u @ rot @ u.conj().T
+    entries = rot @ aligned @ rot.conj().T
     return KernelMatrix(rvec.copy(), entries, family.kind, a, family.labels)
 
 
 def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
                         q: QuadratureSpec | None = None) -> complex:
-    """Oracle overlap summing momentum amplitudes over the 3-D product grid."""
-    q = q or QuadratureSpec()
+    """Oracle overlap summing momentum amplitudes over a grid aligned with the
+    anchors' separation: the nodes are rotated, khat' = R khat, with the same
+    weights. ``q`` None sizes the grid from k_max r."""
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
-    khat, wang, _ = _oracle_label_coefficients("spherical", q.n_theta, q.n_phi)
-    k, wk = _oracle_radial_grid(q, a)
+    rvec = _state_separation(s1, s2)
+    nmu, nphi, nk = _oracle_node_counts(q, math.hypot(*rvec), a)
+    khat, wang, _ = _oracle_label_coefficients("spherical", nmu, nphi)
+    khat = khat @ _oracle_rotation(rvec).T
+    k, wk = _oracle_radial_grid(nk, a)
     wrad = wk * k**3  # k^2 from the volume element, one k from the measure
     total = 0.0 + 0.0j
     block = max(1, _ORACLE_BLOCK_POINTS // khat.shape[0])

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import photonloc.cli
 from photonloc.cli import main
+from photonloc.overlap import QuadratureSpec, brute_force_kernel_matrix
+from photonloc.states import StateFamily
 
 FAST = ["--ntheta", "8", "--nphi", "8", "--nradial", "24"]
 
@@ -117,6 +121,48 @@ class TestKernelScan:
              "--nradial", "4"],
         )
         assert code == 1
+
+    @pytest.mark.parametrize("family", ["spherical3", "cartesian3"])
+    def test_plain_scan_of_full_helicity_families_passes(self, capsys, family):
+        # at r/a = 10 the exact kernel is a ~1e-13 delta; the gate's dipole floor
+        # keeps the oracle's rounding error from counting as a failure
+        code, rows = run_csv(capsys, ["kernel-scan", "--family", family])
+        assert code == 0
+        assert max(float(row["rel_err"]) for row in rows) < 1e-12
+
+    def test_gate_catches_an_error_of_1e_5_of_the_dipole_floor(self, capsys, monkeypatch):
+        exact = photonloc.cli.overlap_kernel_matrix
+
+        def perturbed(family, rvec, a):
+            kernel = exact(family, rvec, a)
+            floor = 1.0 / (4.0 * np.pi * max(np.linalg.norm(rvec), a) ** 3)
+            entries = kernel.entries.copy()
+            entries[0, 1] += 1e-5 * floor
+            return replace(kernel, entries=entries)
+
+        monkeypatch.setattr(photonloc.cli, "overlap_kernel_matrix", perturbed)
+        argv = ["kernel-scan", "--family", "spherical-photon", "--r-list", "1",
+                "--direction", "1,0,1"]
+        code, rows = run_csv(capsys, argv)
+        assert code == 1
+        assert max(float(row["rel_err"]) for row in rows) == pytest.approx(1e-5, rel=1e-6)
+
+    def test_node_flags_build_an_explicit_spec_with_defaults(self, capsys):
+        family = StateFamily.of("cartesian-photon")
+        rvec = 2.0 * np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+        for flags, q in (([], None), (["--ntheta", "4"], QuadratureSpec(n_theta=4)),
+                         (["--nphi", "5", "--nradial", "6"], QuadratureSpec(n_phi=5, n_radial=6))):
+            code, rows = run_csv(capsys, ["kernel-scan", "--family", "cartesian-photon",
+                                          "--r-list", "2", "--direction", "1,0,1", *flags])
+            oracle = brute_force_kernel_matrix(family, rvec, 1.0, q).entries
+            got = [complex(float(r["oracle_re"]), float(r["oracle_im"])) for r in rows]
+            assert np.array_equal(np.array(got).reshape(3, 3), oracle)
+
+    def test_separation_beyond_the_self_sized_oracle_is_usage_error(self, capsys):
+        assert main(["kernel-scan", "--family", "spherical3", "--r-list", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert "beyond the self-sized oracle's range" in captured.err
+        assert captured.out == ""
 
     def test_scalar_family_rejected_by_parser(self):
         with pytest.raises(SystemExit) as err:

@@ -14,8 +14,11 @@ from photonloc.overlap import (
     KernelMatrix,
     QuadratureSpec,
     _aligned_table,
+    _oracle_gauss_legendre,
     _oracle_label_coefficients,
+    _oracle_node_counts,
     _oracle_radial_grid,
+    _oracle_rotation,
     _radial_integrals,
     _spherical_kernel,
     alt_overlap,
@@ -64,9 +67,12 @@ def state_at(kind, position, label, a=1.0, t=0.0):
 
 def helicity_loop_overlap(s1, s2, q):
     """The oracle overlap from one momentum_amplitude call per state, helicity and
-    radial shell: a second contraction of brute_force_overlap's grid."""
-    khat, wang, _ = _oracle_label_coefficients("spherical", q.n_theta, q.n_phi)
-    k, wk = _oracle_radial_grid(q, s1.regulator_width)
+    radial shell: a second contraction of brute_force_overlap's aligned grid."""
+    a, rvec = s1.regulator_width, s1.x[1:] - s2.x[1:]
+    nmu, nphi, nk = _oracle_node_counts(q, np.linalg.norm(rvec), a)
+    khat, wang, _ = _oracle_label_coefficients("spherical", nmu, nphi)
+    khat = khat @ _oracle_rotation(rvec).T
+    k, wk = _oracle_radial_grid(nk, a)
     shells = np.zeros(k.size, dtype=complex)
     for n, kvecs in enumerate(k[:, None, None] * khat[None, :, :]):
         for lam in s1.family.helicities:
@@ -287,17 +293,19 @@ class TestBruteForceAgreement:
         for module, name in ((photonloc.overlap, "small_d_matrix"),
                              (photonloc.overlap, "_aligned_table"),
                              (photonloc.overlap, "_radial_integrals"),
+                             (photonloc.overlap, "_radial_constants"),
+                             (photonloc.overlap, "_leggauss"),
                              (photonloc.rotations, "small_d_matrix"),
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
             monkeypatch.setattr(module, name, forbidden)
-        q = QuadratureSpec(4, 4, 4)
         _oracle_label_coefficients.cache_clear()
-        for kind, label in ((SPHERICAL3, 0), (CARTESIAN_PHOTON, "x")):
-            s1 = state_at(kind, [0.2, -0.1, 0.4], label)
-            s2 = state_at(kind, [0.0, 0.3, 0.0], label)
-            brute_force_overlap(s1, s2, q)
-            brute_force_kernel_matrix(StateFamily.of(kind), [0.2, -0.4, 0.4], 1.0, q)
+        for q in (QuadratureSpec(4, 4, 4), None):
+            for kind, label in ((SPHERICAL3, 0), (CARTESIAN_PHOTON, "x")):
+                s1 = state_at(kind, [0.2, -0.1, 0.4], label)
+                s2 = state_at(kind, [0.0, 0.3, 0.0], label)
+                brute_force_overlap(s1, s2, q)
+                brute_force_kernel_matrix(StateFamily.of(kind), [0.2, -0.4, 0.4], 1.0, q)
 
     def test_kernel_matrix_against_oracle(self):
         a = 1.0
@@ -315,7 +323,7 @@ class TestOracleTable:
     @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
     @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q])
     def test_batched_table_matches_node_by_node_rotations(self, basis, spec):
-        khat, _, A = _oracle_label_coefficients(basis, spec.n_theta, spec.n_phi)
+        khat, _, A = _oracle_label_coefficients(basis, 4 * spec.n_theta, 4 * spec.n_phi)
         assert A.shape == (3, 16 * spec.n_theta * spec.n_phi, 3)
         for n, vec in enumerate(khat):
             inv = wigner_D(1, standard_rotation(Direction.from_vector(vec))).conj().T
@@ -323,7 +331,7 @@ class TestOracleTable:
             assert np.abs(A[:, n, :] - expected).max() < 1e-14
 
     def test_cached_table_is_read_only(self):
-        for arr in _oracle_label_coefficients("spherical", Q.n_theta, Q.n_phi):
+        for arr in _oracle_label_coefficients("spherical", 4 * Q.n_theta, 4 * Q.n_phi):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
@@ -332,8 +340,119 @@ class TestOracleTable:
         _oracle_label_coefficients.cache_clear()
         start = time.perf_counter()
         for basis in ("spherical", "cartesian"):
-            _oracle_label_coefficients(basis, q.n_theta, q.n_phi)
+            _oracle_label_coefficients(basis, 4 * q.n_theta, 4 * q.n_phi)
         assert time.perf_counter() - start < 1.0
+
+
+def dipole_floor_error(got, exact, r, a, s):
+    """Largest entry error relative to max(|exact|, 1/(4 pi max(r, a)^(3+s)))."""
+    floor = 1.0 / (4.0 * np.pi * max(r, a) ** (3.0 + s))
+    return np.abs(np.asarray(got) - exact).max() / max(np.abs(exact).max(), floor)
+
+
+THREE_LABEL_KINDS = (SPHERICAL3, CARTESIAN3, SPHERICAL_PHOTON, CARTESIAN_PHOTON,
+                     RADIATION_GAUGE)
+
+
+class TestAlignedOracle:
+    DIRECTIONS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.6, -0.8, 0.0),
+                  (-0.0, 1.0, -0.0), (1e-12, 0.0, 1.0), (-4e-13, 7e-13, -1.0)]
+
+    def test_gauss_legendre_rule_holds_its_weights_at_large_n(self):
+        for n in (4, 5, 48, 128):
+            nodes, weights = _oracle_gauss_legendre(n)
+            expected = np.polynomial.legendre.leggauss(n)
+            np.testing.assert_allclose(nodes, expected[0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weights, expected[1], rtol=1e-10)
+        for n in (384, 928, 4320):
+            nodes, weights = _oracle_gauss_legendre(n)
+            assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+            # e^{i c x} on [-1, 1] with c = 0.85 n, as in a self-sized phase sum
+            c = 0.85 * n
+            assert abs(weights @ np.cos(c * nodes) - 2.0 * np.sin(c) / c) < 2e-14
+
+    def test_rotation_takes_z_to_the_separation(self):
+        rng = np.random.default_rng(53)
+        for rvec in [np.array(d) * 3.0 for d in self.DIRECTIONS] + list(rng.normal(size=(20, 3))):
+            R = _oracle_rotation(rvec)
+            assert abs(np.linalg.det(R) - 1.0) < 1e-15
+            assert np.abs(R.T @ R - np.eye(3)).max() < 1e-15
+            assert np.abs(R[:, 2] - rvec / np.linalg.norm(rvec)).max() < 1e-15
+        assert np.array_equal(_oracle_rotation(np.zeros(3)), np.eye(3))
+
+    @pytest.mark.parametrize("r_over_a", [20.0, 40.0, 68.0, 200.0])
+    def test_self_sized_kernel_matches_production(self, r_over_a):
+        rng = np.random.default_rng(int(r_over_a))
+        directions = self.DIRECTIONS + list(rng.normal(size=(3, 3)))
+        for kind in THREE_LABEL_KINDS:
+            family = StateFamily.of(kind)
+            s = 1.0 - 2.0 * family.weight_exponent
+            for direction in directions:
+                a = rng.uniform(0.5, 2.0)
+                rvec = r_over_a * a * np.asarray(direction) / np.linalg.norm(direction)
+                oracle = brute_force_kernel_matrix(family, rvec, a).entries
+                exact = overlap_kernel_matrix(family, rvec, a).entries
+                assert dipole_floor_error(oracle, exact, r_over_a * a, a, s) < 1e-10
+
+    def test_self_sized_overlap_of_rotated_states_matches_production(self):
+        rng = np.random.default_rng(59)
+        for r_over_a in (0.5, 5.0, 40.0):
+            for kind in (SCALAR,) + THREE_LABEL_KINDS:
+                family = StateFamily.of(kind)
+                s = 1.0 - 2.0 * family.weight_exponent
+                a = rng.uniform(0.6, 1.5)
+                direction = rng.normal(size=3)
+                x2 = rng.normal(size=3) * a
+                x1 = x2 + r_over_a * a * direction / np.linalg.norm(direction)
+                states = []
+                for x in (x1, x2):  # built at R^T x and rotated by R: mixed labels at x
+                    R = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, np.pi))
+                    label = family.labels[rng.integers(len(family.labels))]
+                    states.append(rotate_state(state_at(kind, R.T @ x, label, a), R))
+                oracle = brute_force_overlap(*states)
+                exact = qm_overlap(*states)
+                assert dipole_floor_error(oracle, exact, r_over_a * a, a, s) < 1e-10
+
+    def test_self_sized_grid_differs_from_explicit_specs(self):
+        family = StateFamily.of(CARTESIAN_PHOTON)
+        rvec = 10.0 * RHAT
+        exact = overlap_kernel_matrix(family, rvec, 1.0).entries
+        sized = brute_force_kernel_matrix(family, rvec, 1.0).entries
+        default = brute_force_kernel_matrix(family, rvec, 1.0, QuadratureSpec()).entries
+        starved = brute_force_kernel_matrix(family, rvec, 1.0, QuadratureSpec(4, 4, 4)).entries
+        assert _oracle_node_counts(None, 10.0, 1.0) == (128, 8, 128)
+        assert _oracle_node_counts(QuadratureSpec(), 10.0, 1.0) == (128, 128, 256)
+        assert not np.array_equal(sized, default)
+        assert dipole_floor_error(sized, exact, 10.0, 1.0, 0.0) < 1e-12
+        assert dipole_floor_error(starved, exact, 10.0, 1.0, 0.0) > 1e-3
+
+    def test_self_sized_range_is_bounded(self):
+        family = StateFamily.of(SPHERICAL_PHOTON)
+        assert _oracle_node_counts(None, 1e3, 1.0) == (4320, 8, 4320)
+        with pytest.raises(ValueError, match="beyond the self-sized oracle's range"):
+            brute_force_kernel_matrix(family, [0.0, 0.0, 1.001e3], 1.0)
+        s1 = state_at(SCALAR, [2e3, 0.0, 0.0], 0)
+        with pytest.raises(ValueError, match="beyond the self-sized oracle's range"):
+            brute_force_overlap(s1, state_at(SCALAR, [0.0, 0.0, 0.0], 0))
+
+    def test_table_cache_holds_a_round_of_separations(self):
+        # one r = 0 point and nine log-spaced r/a to 68, both label bases, and the
+        # overlap's test spec: a second round builds no table
+        ladder = [0.0] + [10.0 ** (-1.0 + (k + 0.5) / 3.0) for k in range(9)]
+        origin = state_at(SCALAR, [0.0, 0.0, 0.0], 0)
+
+        def round_of_calls():
+            for k, r_over_a in enumerate(ladder):
+                family = StateFamily.of(THREE_LABEL_KINDS[k % 5])
+                brute_force_kernel_matrix(family, r_over_a * RHAT, 1.0)
+            brute_force_overlap(state_at(SCALAR, RHAT, 0), origin, Q)
+            return _oracle_label_coefficients.cache_info()
+
+        _oracle_label_coefficients.cache_clear()
+        first = round_of_calls()
+        second = round_of_calls()
+        assert second.misses == first.misses
+        assert second.currsize <= second.maxsize == 16
 
 
 class TestOverlapSymmetries:
