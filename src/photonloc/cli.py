@@ -2,8 +2,10 @@
 
 Every command writes one machine-readable table (CSV with RFC-4180 quoting or
 a JSON array of row objects) to stdout or ``--out``. Identical invocations,
-including the seed, produce byte-identical output. Exit status: 0 when all
-checks pass, 1 on a residual failure, 2 on a usage error.
+including the seed of ``check``, produce byte-identical output. Exit status: 0
+when all checks pass, 1 on a residual failure, 2 on a usage error. Every
+residual and tolerance comes from :mod:`photonloc.checks`; this module parses
+arguments, formats tables and exits.
 """
 
 from __future__ import annotations
@@ -17,55 +19,14 @@ import sys
 
 import numpy as np
 
-from .overlap import (
-    QuadratureSpec,
-    _family_kernel_parameters,
-    alt_overlap,
-    brute_force_kernel_matrix,
-    general_j_defect,
-    overlap_kernel_matrix,
-)
-from .polarization import (
-    AXES,
-    field_strength,
-    gauge_transform,
-    helicity_sum_matrix,
-    minkowski_dot,
-    polarization_vector,
-    transverse_helicity_sum_closed_form,
-    transverse_outer_product,
-    wave_four_vector,
-)
-from .rotations import (
-    Direction,
-    rotation_from_axis_angle,
-    spherical_to_cartesian,
-    standard_rotation,
-    wigner_D,
-    wigner_angle,
-)
-from .states import (
-    CARTESIAN_PHOTON,
-    RADIATION_GAUGE,
-    SCALAR,
-    SPHERICAL_PHOTON,
-    FAMILY_KINDS,
-    StateFamily,
-    make_localized_state,
-    momentum_amplitude,
-    rotate_state,
-    translate_state,
-)
+from . import checks
+from .overlap import QuadratureSpec, general_j_defect
+from .rotations import Direction
+from .states import FAMILY_KINDS, SCALAR, StateFamily
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
 EXIT_USAGE = 2
-
-CHECK_SUITES = ("covariance", "gauge", "translation", "alt-product")
-
-#: largest kernel-scan entry deviation from the oracle, relative to the oracle's largest
-#: entry or the dipole tail's 1/(4 pi max(r, a)^(3+s)), whichever is larger
-SCAN_REL_TOL = 1e-6
 
 
 def _fmt(value) -> str:
@@ -76,9 +37,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(rows, fieldnames, out, fmt):
+def _write_table(rows, out, fmt):
+    """Rows of one table; the first row's keys are the columns, in order."""
     if fmt == "csv":
         buf = io.StringIO()
+        fieldnames = list(rows[0])
         writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n")
         writer.writeheader()
         for row in rows:
@@ -93,73 +56,57 @@ def _write_table(rows, fieldnames, out, fmt):
             handle.write(text)
 
 
-def _parse_int_list(text):
-    return tuple(int(item) for item in text.split(",") if item.strip() != "")
-
-
-def _parse_float_list(text):
-    return tuple(float(item) for item in text.split(",") if item.strip() != "")
+def _parse_list(text, kind=float):
+    return tuple(kind(item) for item in text.split(",") if item.strip() != "")
 
 
 def _parse_separations(args):
     """Unit ``--direction`` and the ``--r-list`` values of a scan."""
-    direction = np.asarray(_parse_float_list(args.direction), dtype=float)
+    direction = np.asarray(_parse_list(args.direction), dtype=float)
     if direction.shape != (3,) or not np.isfinite(direction).all() or not direction.any():
         raise ValueError("--direction needs three finite comma-separated components, not all zero")
-    r_list = _parse_float_list(args.r_list)
+    r_list = _parse_list(args.r_list)
     if not r_list:
         raise ValueError("--r-list must contain at least one separation")
+    if not all(0.0 <= r < np.inf for r in r_list):
+        raise ValueError(f"--r-list separations must be finite and non-negative, got {args.r_list}")
     return direction / np.linalg.norm(direction), r_list
 
 
-def _random_rotation(rng):
-    axis = rng.normal(size=3)
-    return rotation_from_axis_angle(axis, rng.uniform(-np.pi, np.pi))
+def _pair_rows(labels, label_cols, lead, columns):
+    """One row per label pair: ``lead``, the two labels, then each column's entry
+    at that pair; a column given as None or a scalar repeats in every row."""
+    rows = []
+    for p, l1 in enumerate(labels):
+        for r, l2 in enumerate(labels):
+            row = {**lead, label_cols[0]: l1, label_cols[1]: l2}
+            for name, col in columns.items():
+                row[name] = col if col is None or np.ndim(col) == 0 else float(col[p, r])
+            rows.append(row)
+    return rows
 
 
-def _random_direction(rng) -> Direction:
-    return Direction(np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi))
-
-
-def _status(residual, tolerance) -> str:
-    return "PASS" if residual <= tolerance else "FAIL"
+def _exit_status(judged) -> int:
+    """The one exit rule: 1 unless every (residual, tolerance) pair has residual <= tolerance."""
+    return EXIT_OK if all(res <= tol for res, tol in judged) else EXIT_RESIDUAL
 
 
 # --- subcommands ------------------------------------------------------------
 
 
 def _cmd_mmatrix(args) -> int:
-    direction = Direction(args.theta, args.phi)
-    helicities = _parse_int_list(args.helicities)
-    matrix = helicity_sum_matrix(direction, helicities, j=args.j)
-    closed = None
-    if args.j == 1 and tuple(sorted(helicities)) == (-1, 1):
-        closed = transverse_helicity_sum_closed_form(direction)
-    labels = list(range(args.j, -args.j - 1, -1))
-    rows = []
-    worst = 0.0
-    for p, s1 in enumerate(labels):
-        for r, s2 in enumerate(labels):
-            row = {
-                "sigma1": s1,
-                "sigma2": s2,
-                "re": float(matrix[p, r].real),
-                "im": float(matrix[p, r].imag),
-            }
-            if closed is not None:
-                residual = float(abs(matrix[p, r] - closed[p, r]))
-                row["closed_re"] = float(closed[p, r].real)
-                row["closed_im"] = float(closed[p, r].imag)
-                row["residual"] = residual
-                worst = max(worst, residual)
-            else:
-                row["closed_re"] = None
-                row["closed_im"] = None
-                row["residual"] = None
-            rows.append(row)
-    fields = ["sigma1", "sigma2", "re", "im", "closed_re", "closed_im", "residual"]
-    _write_table(rows, fields, args.out, args.format)
-    return EXIT_RESIDUAL if worst > 1e-12 else EXIT_OK
+    matrix, closed, residual = checks.helicity_sum_residual(
+        Direction(args.theta, args.phi), _parse_list(args.helicities, int), args.j
+    )
+    closed_re, closed_im = (None, None) if closed is None else (closed.real, closed.imag)
+    rows = _pair_rows(
+        range(args.j, -args.j - 1, -1), ("sigma1", "sigma2"), {},
+        {"re": matrix.real, "im": matrix.imag, "closed_re": closed_re,
+         "closed_im": closed_im, "residual": residual},
+    )
+    _write_table(rows, args.out, args.format)
+    return _exit_status((row["residual"], checks.MMATRIX_TOL)
+                        for row in rows if row["residual"] is not None)
 
 
 def _cmd_kernel_scan(args) -> int:
@@ -167,327 +114,43 @@ def _cmd_kernel_scan(args) -> int:
     counts = {"n_theta": args.ntheta, "n_phi": args.nphi, "n_radial": args.nradial}
     counts = {name: n for name, n in counts.items() if n is not None}
     q = QuadratureSpec(**counts) if counts else None  # no flag: the oracle sizes itself
-    _, _, s = _family_kernel_parameters(family)  # the radial measure power
     direction, r_list = _parse_separations(args)
 
     label_cols = ("i1", "i2") if family.label_basis == "cartesian" else ("sigma1", "sigma2")
     rows = []
-    worst = 0.0
     for r_over_a in r_list:
-        rvec = r_over_a * args.a * direction
-        oracle = brute_force_kernel_matrix(family, rvec, args.a, q).entries
-        if args.oracle:
-            value = oracle
-        else:
-            value = overlap_kernel_matrix(family, rvec, args.a).entries
-        # the dipole tail's size floors the scale: an exact kernel far below it (the
-        # delta at r/a = 10) does not set the size of the oracle's rounding error
-        floor = 1.0 / (4.0 * np.pi * max(np.linalg.norm(rvec), args.a) ** (3.0 + s))
-        scale = max(np.abs(oracle).max(), floor)
-        for p, l1 in enumerate(family.labels):
-            for r, l2 in enumerate(family.labels):
-                rel = float(abs(value[p, r] - oracle[p, r]) / scale)
-                worst = max(worst, rel)
-                rows.append(
-                    {
-                        "r_over_a": float(r_over_a),
-                        label_cols[0]: l1,
-                        label_cols[1]: l2,
-                        "re": float(value[p, r].real),
-                        "im": float(value[p, r].imag),
-                        "oracle_re": float(oracle[p, r].real),
-                        "oracle_im": float(oracle[p, r].imag),
-                        "rel_err": rel,
-                    }
-                )
-    fields = ["r_over_a", *label_cols, "re", "im", "oracle_re", "oracle_im", "rel_err"]
-    _write_table(rows, fields, args.out, args.format)
-    return EXIT_RESIDUAL if worst > SCAN_REL_TOL else EXIT_OK
+        value, oracle, rel = checks.kernel_against_oracle(
+            family, r_over_a * args.a * direction, args.a, q, args.oracle
+        )
+        rows += _pair_rows(
+            family.labels, label_cols, {"r_over_a": float(r_over_a)},
+            {"re": value.real, "im": value.imag, "oracle_re": oracle.real,
+             "oracle_im": oracle.imag, "rel_err": rel},
+        )
+    _write_table(rows, args.out, args.format)
+    return _exit_status((row["rel_err"], checks.SCAN_REL_TOL) for row in rows)
 
 
 def _cmd_defect(args) -> int:
-    helicities = _parse_int_list(args.helicities)
+    helicities = _parse_list(args.helicities, int)
     direction, r_list = _parse_separations(args)
     rows = []
     for r_over_a in r_list:
         kernel = general_j_defect(args.j, helicities, r_over_a * args.a * direction, args.a)
-        frob = float(np.linalg.norm(kernel.entries))
-        for p, s1 in enumerate(kernel.labels):
-            for r, s2 in enumerate(kernel.labels):
-                rows.append(
-                    {
-                        "r_over_a": float(r_over_a),
-                        "sigma1": s1,
-                        "sigma2": s2,
-                        "re": float(kernel.entries[p, r].real),
-                        "im": float(kernel.entries[p, r].imag),
-                        "frobenius": frob,
-                    }
-                )
-    fields = ["r_over_a", "sigma1", "sigma2", "re", "im", "frobenius"]
-    _write_table(rows, fields, args.out, args.format)
+        rows += _pair_rows(
+            kernel.labels, ("sigma1", "sigma2"), {"r_over_a": float(r_over_a)},
+            {"re": kernel.entries.real, "im": kernel.entries.imag,
+             "frobenius": float(np.linalg.norm(kernel.entries))},
+        )
+    _write_table(rows, args.out, args.format)
     return EXIT_OK
 
 
-# --- check suites -----------------------------------------------------------
-
-
-def _suite_covariance(seed):
-    rng = np.random.default_rng(seed)
-    rows = []
-
-    for kind, label in ((SPHERICAL_PHOTON, 0), (CARTESIAN_PHOTON, "y")):
-        state = make_localized_state(
-            StateFamily.of(kind), (0.3, 0.1, -0.2, 0.4), label, 1.0
-        )
-        diff, scale = 0.0, 0.0
-        for _ in range(100):
-            R = _random_rotation(rng)
-            k = rng.normal(size=3) * rng.uniform(0.3, 2.0)
-            lam = int(rng.choice([-1, 1]))
-            w = wigner_angle(R, Direction.from_vector(k))
-            lhs = momentum_amplitude(rotate_state(state, R), R @ k, lam)
-            rhs = np.exp(-1j * lam * w) * momentum_amplitude(state, k, lam)
-            diff = max(diff, abs(lhs - rhs))
-            scale = max(scale, abs(rhs))
-        rows.append(
-            {
-                "check": f"rotation-mixing-{kind}",
-                "value": diff / scale,
-                "residual": diff / scale,
-                "tolerance": 1e-10,
-            }
-        )
-
-    u = spherical_to_cartesian()
-    resid = max(
-        np.abs(u.conj().T @ wigner_D(1, R) @ u - R).max()
-        for R in (_random_rotation(rng) for _ in range(100))
-    )
-    rows.append(
-        {
-            "check": "spherical-cartesian-conjugation",
-            "value": resid,
-            "residual": resid,
-            "tolerance": 1e-12,
-        }
-    )
-
-    resid = 0.0
-    for j in range(5):
-        for _ in range(20):
-            r1, r2 = _random_rotation(rng), _random_rotation(rng)
-            resid = max(
-                resid,
-                np.abs(wigner_D(j, r1 @ r2) - wigner_D(j, r1) @ wigner_D(j, r2)).max(),
-            )
-    rows.append(
-        {
-            "check": "d-matrix-homomorphism",
-            "value": resid,
-            "residual": resid,
-            "tolerance": 1e-10,
-        }
-    )
-
-    fix, rebuild = 0.0, 0.0
-    z = np.array([0.0, 0.0, 1.0])
-    for _ in range(100):
-        R = _random_rotation(rng)
-        direction = _random_direction(rng)
-        rotated = Direction.from_vector(R @ direction.unit_vector)
-        composed = standard_rotation(rotated).T @ R @ standard_rotation(direction)
-        fix = max(fix, np.abs(composed @ z - z).max())
-        w = wigner_angle(R, direction)
-        rebuild = max(rebuild, np.abs(rotation_from_axis_angle(z, w) - composed).max())
-    rows.append(
-        {"check": "little-group-fixes-z", "value": fix, "residual": fix, "tolerance": 1e-12}
-    )
-    rows.append(
-        {
-            "check": "little-group-angle-reconstruction",
-            "value": rebuild,
-            "residual": rebuild,
-            "tolerance": 1e-12,
-        }
-    )
-    return rows
-
-
-def _suite_gauge(seed):
-    rng = np.random.default_rng(seed)
-    directions = [Direction(0.0, 0.0), Direction(np.pi, 0.0), Direction(np.pi / 2, 0.0)]
-    directions += [_random_direction(rng) for _ in range(50)]
-
-    lorentz = preserved = strength = norm = transverse = ortho = 0.0
-    for direction in directions:
-        khat = direction.unit_vector
-        omega = float(rng.uniform(0.2, 4.0))
-        g = complex(rng.normal(), rng.normal())
-        k4 = wave_four_vector(omega, direction)
-        for lam in (-1, 1):
-            pol = polarization_vector(direction, lam)
-            lorentz = max(lorentz, abs(minkowski_dot(k4, pol.components)) / omega)
-            shifted = gauge_transform(pol, omega, g)
-            preserved = max(preserved, abs(minkowski_dot(k4, shifted.components)) / omega)
-            f0 = field_strength(omega, direction, pol)
-            f1 = field_strength(omega, direction, shifted)
-            strength = max(strength, np.abs(f1 - f0).max() / omega)
-            norm = max(norm, abs(pol.spatial @ pol.spatial.conj() - 1.0))
-            transverse = max(transverse, abs(khat @ pol.spatial))
-            other = polarization_vector(direction, -lam)
-            ortho = max(ortho, abs(pol.spatial @ other.spatial.conj()))
-    return [
-        {"check": "lorentz-condition", "value": lorentz, "residual": lorentz, "tolerance": 1e-12},
-        {"check": "gauge-shift-preserves-lorentz", "value": preserved, "residual": preserved, "tolerance": 1e-12},
-        {"check": "field-strength-invariance", "value": strength, "residual": strength, "tolerance": 1e-12},
-        {"check": "polarization-normalization", "value": norm, "residual": norm, "tolerance": 1e-12},
-        {"check": "transversality", "value": transverse, "residual": transverse, "tolerance": 1e-12},
-        {"check": "helicity-orthogonality", "value": ortho, "residual": ortho, "tolerance": 1e-12},
-    ]
-
-
-def _translation_grid():
-    axis = np.linspace(-2.3, 2.7, 10)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 3)
-
-
-def _suite_translation(seed):
-    rng = np.random.default_rng(seed)
-    grid = _translation_grid()
-    shift = np.array([0.6, -0.4, 0.25, 0.8])
-    second = np.array([-0.2, 0.35, 0.5, -0.15])
-    rows = []
-
-    def max_amp_diff(state_a, state_b):
-        diff, scale = 0.0, 0.0
-        for lam in state_a.family.helicities:
-            amp_a = momentum_amplitude(state_a, grid, lam)
-            amp_b = momentum_amplitude(state_b, grid, lam)
-            diff = max(diff, np.abs(amp_a - amp_b).max())
-            scale = max(scale, np.abs(amp_b).max())
-        return diff / scale
-
-    base = np.array([0.1, 0.2, -0.3, 0.4])
-    for kind in (SCALAR, SPHERICAL_PHOTON):
-        label = 0
-        pos = make_localized_state(StateFamily.of(kind), base, label, 1.0)
-        resid = max_amp_diff(
-            translate_state(pos, shift),
-            make_localized_state(StateFamily.of(kind), base + shift, label, 1.0),
-        )
-        rows.append(
-            {
-                "check": f"positive-frequency-reanchors-at-x-plus-a-{kind}",
-                "value": resid,
-                "residual": resid,
-                "tolerance": 1e-14,
-            }
-        )
-
-        neg = make_localized_state(StateFamily.of(kind, "negative"), base, label, 1.0)
-        resid = max_amp_diff(
-            translate_state(neg, shift),
-            make_localized_state(StateFamily.of(kind, "negative"), base - shift, label, 1.0),
-        )
-        rows.append(
-            {
-                "check": f"negative-frequency-reanchors-at-x-minus-a-{kind}",
-                "value": resid,
-                "residual": resid,
-                "tolerance": 1e-14,
-            }
-        )
-
-    pos = make_localized_state(StateFamily.of(SCALAR), base, 0, 1.0)
-    resid = max_amp_diff(
-        translate_state(translate_state(pos, shift), second),
-        translate_state(pos, shift + second),
-    )
-    rows.append(
-        {
-            "check": "translation-composition",
-            "value": resid,
-            "residual": resid,
-            "tolerance": 1e-14,
-        }
-    )
-    return rows
-
-
-def _suite_alt_product(seed):
-    rng = np.random.default_rng(seed)
-    a = 1.0
-    family = StateFamily.of(RADIATION_GAUGE)
-    origin = make_localized_state(family, (0.0, 0.0, 0.0, 0.0), "x", a)
-    # the regulated delta is written out: alt_overlap itself returns gaussian_delta
-    delta = 1.0 / (8.0 * np.pi**1.5 * a**3)
-    ratio = alt_overlap(origin, origin).real / delta
-    rows = [
-        {
-            "check": "coincidence-ratio",
-            "value": ratio,
-            "residual": abs(ratio - 2.0),
-            "tolerance": 1e-12,
-        }
-    ]
-
-    resid = 0.0
-    rhat = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    for r_over_a in (0.5, 1.0, 2.0, 5.0):
-        shifted = make_localized_state(
-            family, np.concatenate(([0.0], r_over_a * a * rhat)), "y", a
-        )
-        value = alt_overlap(shifted, origin).real
-        expected = 2.0 * delta * np.exp(-(r_over_a**2) / 4.0)
-        resid = max(resid, abs(value - expected) / expected)
-    rows.append(
-        {
-            "check": "separation-matches-twice-gaussian",
-            "value": resid,
-            "residual": resid,
-            "tolerance": 1e-12,
-        }
-    )
-
-    resid = 0.0
-    for _ in range(30):
-        direction = _random_direction(rng)
-        khat = direction.unit_vector
-        for i1 in range(3):
-            for i2 in range(3):
-                value = transverse_outer_product(direction, AXES[i1], AXES[i2])
-                expected = (1.0 if i1 == i2 else 0.0) - khat[i1] * khat[i2]
-                resid = max(resid, abs(value - expected))
-    rows.append(
-        {
-            "check": "unsummed-integrand-transverse-projector",
-            "value": resid,
-            "residual": resid,
-            "tolerance": 1e-13,
-        }
-    )
-    return rows
-
-
-_SUITES = {
-    "covariance": _suite_covariance,
-    "gauge": _suite_gauge,
-    "translation": _suite_translation,
-    "alt-product": _suite_alt_product,
-}
-
-
 def _cmd_check(args) -> int:
-    rows = _SUITES[args.suite](args.seed)
-    failed = False
-    for row in rows:
-        row["status"] = _status(row["residual"], row["tolerance"])
-        failed = failed or row["status"] == "FAIL"
-    fields = ["check", "value", "residual", "tolerance", "status"]
-    _write_table(rows, fields, args.out, args.format)
-    return EXIT_RESIDUAL if failed else EXIT_OK
+    results = checks.run(args.suite, args.seed)
+    rows = [{**row._asdict(), "status": row.status} for row in results]
+    _write_table(rows, args.out, args.format)
+    return _exit_status((row.residual, row.tolerance) for row in results)
 
 
 # --- argument parsing -------------------------------------------------------
@@ -496,7 +159,6 @@ def _cmd_check(args) -> int:
 def _add_common(parser):
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -555,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_defect)
 
     p = sub.add_parser("check", help="run an invariant suite")
-    p.add_argument("suite", choices=CHECK_SUITES)
+    p.add_argument("suite", choices=checks.SUITES)
+    p.add_argument("--seed", type=int, default=0, help="seed of the suite's random draws")
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 

@@ -128,11 +128,6 @@ def gaussian_delta(r: float, a: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-@lru_cache(maxsize=None)
 def _radial_constants(lmax: int, s: float):
     """Separation-independent parts of the closed form for l = 0..lmax, read-only:
     (l, orders with b == c, the other orders, their b and c, the prefactor
@@ -190,7 +185,7 @@ def _aligned_table(j: int) -> np.ndarray:
     """Read-only T[l, m, j - lam], i^l and 4 pi / (2 pi)^3 included: the kernel in the
     frame aligned with r is diagonal, entries sum_(l, lam) I_l T[l, m, j - lam]."""
     # d^2 has degree 2j in mu, so P_l * d^2 (l <= 2j) has degree <= 4j: 2j+1 nodes are exact
-    mu, w = _leggauss(2 * j + 1)
+    mu, w = np.polynomial.legendre.leggauss(2 * j + 1)
     l = np.arange(2 * j + 1)
     proj = ((2 * l + 1) / 2.0)[:, None] * eval_legendre(l[:, None], mu) * w
     weights = np.array([1.0, 1j, -1.0, -1j])[l % 4] * (4.0 * np.pi / (2.0 * np.pi) ** 3)
@@ -219,14 +214,13 @@ def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float,
     return phase[:, None] * ((d * diag) @ d.T) * phase.conj()
 
 
-def _family_kernel_parameters(family: StateFamily):
-    """(helicity set, label basis, radial measure power) for a 3-label family."""
+def _radial_power(family: StateFamily) -> float:
+    """The radial measure power s = 1 - 2p of a 3-label family of weight exponent p."""
     if family.kind == SCALAR:
         raise ValueError(
             "the scalar family has a single label; use qm_overlap on scalar states"
         )
-    s = 1.0 - 2.0 * family.weight_exponent
-    return family.helicities, family.label_basis, s
+    return 1.0 - 2.0 * family.weight_exponent
 
 
 def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
@@ -237,10 +231,10 @@ def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     non-local transverse tail.
     """
     a = require_regulator_width(a)
-    helicities, basis, s = _family_kernel_parameters(family)
+    s = _radial_power(family)
     rvec = _separation(rvec)
-    entries = _spherical_kernel(1, helicities, rvec, a, s)
-    if basis == "cartesian":
+    entries = _spherical_kernel(1, family.helicities, rvec, a, s)
+    if family.label_basis == "cartesian":
         u = spherical_to_cartesian()
         entries = u.conj().T @ entries @ u
     return KernelMatrix(rvec.copy(), entries, family.kind, a, family.labels)
@@ -470,12 +464,12 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     rotation invariant. ``q`` None sizes the grid from k_max r.
     """
     a = require_regulator_width(a)
-    helicities, basis, s = _family_kernel_parameters(family)
+    s = _radial_power(family)
     rvec = _separation(rvec)
     r = math.hypot(*rvec)
     nmu, nphi, nk = _oracle_node_counts(q, r, a)
-    khat, wang, A = _oracle_label_coefficients(basis, nmu, nphi)
-    rows = [1 - lam for lam in helicities]
+    khat, wang, A = _oracle_label_coefficients(family.label_basis, nmu, nphi)
+    rows = [1 - lam for lam in family.helicities]
     G = np.einsum("anl,bnl->abn", A[:, :, rows].conj(), A[:, :, rows]) * wang
     G = G.reshape(9, nmu, nphi).sum(axis=2)  # azimuth first
     k, wk = _oracle_radial_grid(nk, a)
@@ -492,7 +486,7 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
         aligned += wrad[start : start + block] @ (phase @ G.T)
     aligned = aligned.reshape(3, 3) / (2.0 * np.pi) ** 3
     rot = _oracle_rotation(rvec)
-    if basis == "spherical":
+    if family.label_basis == "spherical":
         u = spherical_to_cartesian()
         rot = u @ rot @ u.conj().T
     entries = rot @ aligned @ rot.conj().T

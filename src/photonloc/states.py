@@ -70,31 +70,29 @@ _SPHERICAL_LABELS = (1, 0, -1)  # descending, matching D-matrix ordering
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Amplitude family: kind, measure weight, helicity support, frequency sign."""
+    """Amplitude family: kind and frequency sign; the kind fixes weight, helicities, labels."""
 
     kind: str
-    weight_exponent: float
-    helicities: tuple
     frequency_sign: str = "positive"
 
     def __post_init__(self):
         if self.kind not in _CANONICAL:
             raise ValueError(f"unknown family kind {self.kind!r}; choose from {FAMILY_KINDS}")
-        p, hel, _ = _CANONICAL[self.kind]
-        if (self.weight_exponent, tuple(self.helicities)) != (p, hel):
-            raise ValueError(
-                f"family {self.kind!r} requires weight exponent {p} and helicities {hel}"
-            )
         if self.frequency_sign not in ("positive", "negative"):
             raise ValueError("frequency_sign must be 'positive' or 'negative'")
 
     @classmethod
     def of(cls, kind: str, frequency_sign: str = "positive") -> "StateFamily":
         """Canonical family for a kind string."""
-        if kind not in _CANONICAL:
-            raise ValueError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
-        p, hel, _ = _CANONICAL[kind]
-        return cls(kind, p, hel, frequency_sign)
+        return cls(kind, frequency_sign)
+
+    @property
+    def weight_exponent(self) -> float:
+        return _CANONICAL[self.kind][0]
+
+    @property
+    def helicities(self) -> tuple:
+        return _CANONICAL[self.kind][1]
 
     @property
     def label_basis(self) -> str:

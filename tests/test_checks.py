@@ -1,0 +1,94 @@
+import json
+
+import numpy as np
+import pytest
+
+import photonloc.checks as checks
+from photonloc.cli import main
+from photonloc.rotations import Direction
+from photonloc.states import StateFamily
+
+COLUMNS = ["check", "value", "residual", "tolerance", "status"]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("suite", checks.SUITES)
+def test_every_suite_passes_in_the_library(suite, seed):
+    rows = checks.run(suite, seed)
+    assert rows
+    for row in rows:
+        assert isinstance(row, checks.Row)
+        assert row.residual <= row.tolerance, row
+        assert row.status == "PASS"
+
+
+@pytest.mark.parametrize("suite", checks.SUITES)
+def test_json_table_is_the_library_rows_plus_status(suite, capsys):
+    assert main(["check", suite, "--seed", "7", "--format", "json"]) == 0
+    table = json.loads(capsys.readouterr().out)
+    expected = [{**row._asdict(), "status": row.status} for row in checks.run(suite, 7)]
+    assert table == expected
+    assert all(list(row) == COLUMNS for row in table)
+
+
+def test_value_is_the_residual_unless_reported_apart():
+    for suite in checks.SUITES:
+        for row in checks.run(suite, 3):
+            if row.check != "coincidence-ratio":
+                assert row.value == row.residual
+    ratio = next(row for row in checks.run("alt-product", 3) if row.check == "coincidence-ratio")
+    assert abs(ratio.value - 2.0) < 1e-12
+    assert ratio.residual == abs(ratio.value - 2.0)
+
+
+def test_translation_draws_nothing(capsys):
+    outputs = []
+    for seed in ("1", "99"):
+        assert main(["check", "translation", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("residual", [1e-9, np.nan])
+def test_a_failing_row_makes_check_exit_1(monkeypatch, capsys, residual):
+    passing = checks.gauge
+
+    def failing(seed):
+        rows = passing(seed)
+        rows[2] = rows[2]._replace(value=residual, residual=residual)
+        return rows
+
+    monkeypatch.setattr(checks, "gauge", failing)
+    assert main(["check", "gauge", "--format", "json"]) == 1
+    table = json.loads(capsys.readouterr().out)
+    assert [row["status"] for row in table] == ["PASS", "PASS", "FAIL", "PASS", "PASS", "PASS"]
+
+
+@pytest.mark.parametrize("command", [["mmatrix", "--theta", "1"],
+                                     ["kernel-scan", "--family", "spherical3"],
+                                     ["defect-j", "--j", "1"]])
+def test_seed_is_a_usage_error_outside_check(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--seed", "5"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_helicity_sum_residual_has_a_closed_form_for_the_transverse_set_only():
+    direction = Direction(0.8, 1.1)
+    matrix, closed, residual = checks.helicity_sum_residual(direction, (1, -1), 1)
+    assert residual.shape == (3, 3) and residual.max() <= checks.MMATRIX_TOL
+    assert residual[0, 1] == abs(matrix[0, 1] - closed[0, 1])
+    assert checks.helicity_sum_residual(direction, (-2, 0, 2), 2)[1:] == (None, None)
+
+
+def test_kernel_against_oracle_scales_by_the_dipole_floor():
+    family = StateFamily.of("spherical3")
+    rvec = np.array([0.0, 0.0, 10.0])
+    value, oracle, rel = checks.kernel_against_oracle(family, rvec, 1.0)
+    floor = 1.0 / (4.0 * np.pi * 10.0**3)
+    assert np.abs(oracle).max() < floor  # the exact kernel is a ~1e-13 delta here
+    np.testing.assert_array_equal(rel, np.vectorize(abs)(value - oracle) / floor)
+    assert rel.max() <= checks.SCAN_REL_TOL
+    _, _, rel = checks.kernel_against_oracle(family, rvec, 1.0, take_oracle=True)
+    assert not rel.any()

@@ -294,7 +294,7 @@ class TestBruteForceAgreement:
                              (photonloc.overlap, "_aligned_table"),
                              (photonloc.overlap, "_radial_integrals"),
                              (photonloc.overlap, "_radial_constants"),
-                             (photonloc.overlap, "_leggauss"),
+                             (np.polynomial.legendre, "leggauss"),
                              (photonloc.rotations, "small_d_matrix"),
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):

@@ -55,12 +55,9 @@ class TestStateFamily:
             family = StateFamily.of(kind)
             assert family.kind == kind
             assert family.frequency_sign == "positive"
+            assert StateFamily(kind) == family
 
     def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError, match="requires"):
-            StateFamily(SPHERICAL_PHOTON, 1.0, (-1, 1))
-        with pytest.raises(ValueError, match="requires"):
-            StateFamily(SCALAR, 0.5, (-1, 0, 1))
         with pytest.raises(ValueError, match="unknown"):
             StateFamily.of("tensor")
         with pytest.raises(ValueError, match="frequency_sign"):
