@@ -22,7 +22,7 @@ import numpy as np
 from . import checks
 from .overlap import QuadratureSpec, general_j_defect
 from .rotations import Direction
-from .states import FAMILY_KINDS, SCALAR, StateFamily
+from .states import FAMILY_KINDS, SCALAR, StateFamily, require_regulator_width
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -61,16 +61,24 @@ def _parse_list(text, kind=float):
 
 
 def _parse_separations(args):
-    """Unit ``--direction`` and the ``--r-list`` values of a scan."""
+    """(r/a, separation vector) for each ``--r-list`` value of a scan: r/a times
+    ``--a`` times the unit ``--direction``, checked finite."""
     direction = np.asarray(_parse_list(args.direction), dtype=float)
     if direction.shape != (3,) or not np.isfinite(direction).all() or not direction.any():
         raise ValueError("--direction needs three finite comma-separated components, not all zero")
+    direction = direction / np.linalg.norm(direction)
     r_list = _parse_list(args.r_list)
     if not r_list:
         raise ValueError("--r-list must contain at least one separation")
     if not all(0.0 <= r < np.inf for r in r_list):
         raise ValueError(f"--r-list separations must be finite and non-negative, got {args.r_list}")
-    return direction / np.linalg.norm(direction), r_list
+    require_regulator_width(args.a)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        separations = [r_over_a * args.a * direction for r_over_a in r_list]
+    if not all(np.isfinite(rvec).all() for rvec in separations):
+        raise ValueError(f"--r-list {args.r_list} times --a {args.a!r} overflows: "
+                         "every separation r/a * a must be finite")
+    return list(zip(r_list, separations))
 
 
 def _pair_rows(labels, label_cols, lead, columns):
@@ -114,14 +122,10 @@ def _cmd_kernel_scan(args) -> int:
     counts = {"n_theta": args.ntheta, "n_phi": args.nphi, "n_radial": args.nradial}
     counts = {name: n for name, n in counts.items() if n is not None}
     q = QuadratureSpec(**counts) if counts else None  # no flag: the oracle sizes itself
-    direction, r_list = _parse_separations(args)
-
     label_cols = ("i1", "i2") if family.label_basis == "cartesian" else ("sigma1", "sigma2")
     rows = []
-    for r_over_a in r_list:
-        value, oracle, rel = checks.kernel_against_oracle(
-            family, r_over_a * args.a * direction, args.a, q, args.oracle
-        )
+    for r_over_a, rvec in _parse_separations(args):
+        value, oracle, rel = checks.kernel_against_oracle(family, rvec, args.a, q, args.oracle)
         rows += _pair_rows(
             family.labels, label_cols, {"r_over_a": float(r_over_a)},
             {"re": value.real, "im": value.imag, "oracle_re": oracle.real,
@@ -133,10 +137,9 @@ def _cmd_kernel_scan(args) -> int:
 
 def _cmd_defect(args) -> int:
     helicities = _parse_list(args.helicities, int)
-    direction, r_list = _parse_separations(args)
     rows = []
-    for r_over_a in r_list:
-        kernel = general_j_defect(args.j, helicities, r_over_a * args.a * direction, args.a)
+    for r_over_a, rvec in _parse_separations(args):
+        kernel = general_j_defect(args.j, helicities, rvec, args.a)
         rows += _pair_rows(
             kernel.labels, ("sigma1", "sigma2"), {"r_over_a": float(r_over_a)},
             {"re": kernel.entries.real, "im": kernel.entries.imag,

@@ -41,13 +41,16 @@ factorization of the standard rotation), cached per grid and basis.
 at each radial node, then over k, and rotates the aligned result back with a
 plain 3x3 rotation R, R z = rhat: K(r) = R K(|r| z) R^T. That assumes only a
 rotation-invariant measure. ``brute_force_overlap`` rotates the nodes,
-khat' = R khat, takes each state's amplitudes for all helicities in one call
-per block of radial shells and contracts the helicity axis. They share no
-reduction step, D-matrix builder or closed form with the production path and
-back every kernel result in the tests and the ``--oracle`` CLI path. Summing
-O(a^-3) terms to an O(r^-3) result, the oracle's error relative to the dipole
-tail is a rounding floor that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11
-(up to 1e-10) at r/a = 200.
+khat' = R khat, and sums the states' own amplitudes in their separable form
+c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam) from the states module:
+the helicity contraction of the label rows C once per direction node, the
+envelopes E once per radial node, and each state's anchor phase e^{i k u},
+u = t - khat.x, at every grid point, summed per block of radial shells. The
+two oracles share no reduction step, D-matrix builder or closed form with the
+production path and back every kernel result in the tests and the
+``--oracle`` CLI path. Summing O(a^-3) terms to an O(r^-3) result, the
+oracle's error relative to the dipole tail is a rounding floor that grows as
+(r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -70,7 +73,7 @@ from .states import (
     SCALAR,
     LocalizedState,
     StateFamily,
-    _helicity_amplitudes,
+    _amplitude_factors,
     require_regulator_width,
 )
 
@@ -78,12 +81,12 @@ from .states import (
 RADIAL_CUTOFF = 8.5
 
 #: Grid points per block of the oracle (whole radial shells). It sets the peak
-#: memory of a default-spec overlap: 72 MB, 1.8 s on 2 vCPUs, against 257 MB,
-#: 2.9 s at 500k points and 782 MB, 3.6 s at 2M.
+#: memory of a fresh default-spec overlap: 61 MB, 0.31 s on 2 vCPUs, against
+#: 61 MB, 0.41 s at 4k points, 83 MB, 0.34 s at 500k and 152 MB, 0.38 s at 2M.
 _ORACLE_BLOCK_POINTS = 16_384
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
-#: (r/a)^2: at the bound a kernel takes ~1 s on 2 vCPUs, a scalar overlap ~30 s.
+#: (r/a)^2: at the bound a kernel takes ~1 s on 2 vCPUs, a scalar overlap ~10 s.
 _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
@@ -497,7 +500,13 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
                         q: QuadratureSpec | None = None) -> complex:
     """Oracle overlap summing momentum amplitudes over a grid aligned with the
     anchors' separation: the nodes are rotated, khat' = R khat, with the same
-    weights. ``q`` None sizes the grid from k_max r."""
+    weights. ``q`` None sizes the grid from k_max r.
+
+    Each amplitude is the product of its separable factors, envelope(k)
+    e^{i k u(khat)} rows(khat): the helicity contraction of the two states'
+    label rows is formed once per direction, the product of the envelopes once
+    per radial node, and each state's own anchor phase at every grid point.
+    """
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
     rvec = _state_separation(s1, s2)
@@ -505,14 +514,21 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     khat, wang, _ = _oracle_label_coefficients("spherical", nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     k, wk = _oracle_radial_grid(nk, a)
-    wrad = wk * k**3  # k^2 from the volume element, one k from the measure
+    env1, u1, rows1 = _amplitude_factors(s1, k, khat)
+    env2, u2, rows2 = _amplitude_factors(s2, k, khat)
+    labels = np.einsum("nl,nl->n", rows1.conj(), rows2) * wang
+    wrad = wk * k**3 * env1 * env2  # k^2 from the volume element, one k from the measure
     total = 0.0 + 0.0j
     block = max(1, _ORACLE_BLOCK_POINTS // khat.shape[0])
-    for start in range(0, k.size, block):
+    phases = np.empty((2, min(block, nk), khat.shape[0]), dtype=complex)
+    for start in range(0, nk, block):
         kb = k[start : start + block]
-        kvecs = (kb[:, None, None] * khat[None, :, :]).reshape(-1, 3)
-        amp1 = _helicity_amplitudes(s1, kvecs)
-        amp2 = _helicity_amplitudes(s2, kvecs)
-        acc = np.einsum("nl,nl->n", amp1.conj(), amp2).reshape(kb.size, -1)
-        total += wrad[start : start + block] @ (acc @ wang)
+        p1, p2 = phases[:, : kb.size]
+        for p, u in ((p1, u1), (p2, u2)):  # e^{i k u} of each state's own anchor
+            arg = np.outer(kb, u)
+            np.cos(arg, out=p.real)
+            np.sin(arg, out=p.imag)
+        np.conjugate(p1, out=p1)
+        p1 *= p2
+        total += wrad[start : start + block] @ (p1 @ labels)
     return complex(total)

@@ -10,9 +10,11 @@ where p is the family weight exponent, C the family's label coefficient (a
 conjugated spin-1 D-matrix element of the standard rotation to khat, read off
 the components of khat), k.x = omega*t - k_vec.x_vec, and a > 0 a Gaussian
 regulator width that makes all overlaps finite while commuting with rotations.
-A state is stored as its family, anchor point, regulator width, and a complex
-coefficient vector over the family's labels (a unit vector at construction,
-mixed by rotations).
+With k.x = |k| u(khat), u = t - khat.x_vec, the amplitude is a product of three
+separable factors: an envelope in |k|, the anchor phase exp(+-i |k| u) and the
+label rows C(khat, lambda). A state is stored as its family, anchor point,
+regulator width, and a complex coefficient vector over the family's labels (a
+unit vector at construction, mixed by rotations).
 
 Families
 --------
@@ -176,49 +178,47 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
     return LocalizedState(family, x, coeff, a)
 
 
-def _helicity_amplitudes(state: LocalizedState, kvec: np.ndarray) -> np.ndarray:
-    """c(k, lam) for every lam in the family's helicities, on a trailing axis.
+def _amplitude_factors(state: LocalizedState, k: np.ndarray, khat: np.ndarray):
+    """The separable factors of c(k khat, lam) = envelope(k) e^{i k u(khat)} rows(khat, lam).
 
-    ``kvec`` holds finite nonzero momenta, shape (N, 3); the result has shape
-    (N, len(helicities)). omega, the envelope and the phase are formed once for
-    all helicities, and the label mixing reads the inverse-frame D-matrix
-    elements d^1_{sigma lam}(theta) e^{i (sigma - lam) phi} from the components
-    of khat, cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x + i khat_y,
-    with e^{i phi} = 1 on the poles. Cartesian coefficients enter through
-    their spherical components <sigma|i>.
+    ``k`` holds positive radii, shape (N,), and ``khat`` unit directions, shape
+    (M, 3). Returns the envelope (2 pi)^(-3/2) k^(-p) e^(-a^2 k^2 / 2), shape (N,);
+    the phase variable u = +-(t - khat.x_vec), signed by the frequency sign, shape
+    (M,); and the label rows C(khat, lam) for every lam in the family's
+    helicities, shape (M, len(helicities)). The rows are the inverse-frame
+    D-matrix elements d^1_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the
+    components of khat, cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x +
+    i khat_y, with e^{i phi} = 1 on the poles, contracted with the label
+    coefficients; Cartesian coefficients enter through their spherical
+    components <sigma|i>.
     """
     family = state.family
-    omega = np.sqrt(np.einsum("ni,ni->n", kvec, kvec))
-    kx = omega * state.x[0] - kvec @ state.x[1:]
-    if family.frequency_sign == "negative":
-        kx = -kx
     a = state.regulator_width
-    envelope = (2.0 * np.pi) ** -1.5 * omega**-family.weight_exponent
-    envelope *= np.exp(-0.5 * a * a * omega * omega)
-    phase = np.empty(omega.shape, dtype=complex)  # envelope * e^{i k.x}
-    phase.real, phase.imag = envelope * np.cos(kx), envelope * np.sin(kx)
+    envelope = (2.0 * np.pi) ** -1.5 * k**-family.weight_exponent * np.exp(-0.5 * a * a * k * k)
+    u = state.x[0] - khat @ state.x[1:]
+    if family.frequency_sign == "negative":
+        u = -u
     if family.label_basis == "scalar":
-        return phase[:, None] * state.coefficients
-    out = np.empty(omega.shape + (len(family.helicities),), dtype=complex)
+        return envelope, u, np.broadcast_to(state.coefficients, (khat.shape[0], 1))
     b = state.coefficients
     if family.label_basis == "cartesian":
         b = spherical_to_cartesian() @ b
     bp, b0, bm = b
-    c = kvec[:, 2] / omega  # cos(theta)
+    c = khat[:, 2]  # cos(theta)
     up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-    transverse = kvec[:, 0] + 1j * kvec[:, 1]
-    w = transverse * (np.sqrt(0.5) / omega)  # sin(theta) e^{i phi} / sqrt(2)
-    rho = np.hypot(kvec[:, 0], kvec[:, 1])  # e2 below is e^{2 i phi}
+    transverse = khat[:, 0] + 1j * khat[:, 1]
+    w = transverse * np.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
+    rho = np.hypot(khat[:, 0], khat[:, 1])  # e2 below is e^{2 i phi}
     e2 = np.divide(transverse, rho, out=np.ones_like(transverse), where=rho > 0.0) ** 2
+    rows = np.empty((khat.shape[0], len(family.helicities)), dtype=complex)
     for i, lam in enumerate(family.helicities):
         if lam == 1:
-            row = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
+            rows[:, i] = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
         elif lam == 0:
-            row = c * b0 + w.conj() * bm - w * bp
+            rows[:, i] = c * b0 + w.conj() * bm - w * bp
         else:
-            row = up * bm - w * b0 + (down * bp) * e2
-        out[:, i] = phase * row
-    return out
+            rows[:, i] = up * bm - w * b0 + (down * bp) * e2
+    return envelope, u, rows
 
 
 def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
@@ -235,8 +235,8 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray or complex
-        Complex amplitude with shape ``k.shape[:-1]``: one helicity column of
-        the amplitudes the oracle evaluates for all helicities at once.
+        Complex amplitude with shape ``k.shape[:-1]``: the product of the
+        separable factors, evaluated at each momentum's own |k| and khat.
     """
     k = np.asarray(k, dtype=float)
     if k.shape[-1] != 3:
@@ -244,12 +244,17 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     kvec = k.reshape(-1, 3)
     if not np.all(np.isfinite(kvec)):
         raise ValueError("momenta must be finite")
-    if np.any(np.linalg.norm(kvec, axis=-1) == 0.0):
+    omega = np.linalg.norm(kvec, axis=-1)
+    if np.any(omega == 0.0):
         raise ValueError("momentum direction undefined at k = 0")
     if lam not in state.family.helicities:
         amp = np.zeros(kvec.shape[0], dtype=complex)
     else:
-        amp = _helicity_amplitudes(state, kvec)[:, state.family.helicities.index(lam)]
+        envelope, u, rows = _amplitude_factors(state, omega, kvec / omega[:, None])
+        arg = omega * u
+        amp = np.empty(omega.shape, dtype=complex)  # envelope * e^{i k u}
+        amp.real, amp.imag = envelope * np.cos(arg), envelope * np.sin(arg)
+        amp *= rows[:, state.family.helicities.index(lam)]
     return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])
 
 

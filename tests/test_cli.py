@@ -186,6 +186,8 @@ class TestKernelScan:
     ("--direction", "1,0", "--direction needs three"),
     ("--direction", "nan,0,1", "--direction needs three finite"),
     ("--direction", "inf,0,1", "--direction needs three finite"),
+    ("--a", "nan", "regulator width must be finite and positive"),
+    ("--a", "1e308", "times --a 1e+308 overflows"),
 ])
 def test_bad_separations_are_usage_errors(capsys, command, flag, value, message):
     assert main([*command, flag, value]) == 2

@@ -51,6 +51,7 @@ from photonloc.states import (
     make_localized_state,
     momentum_amplitude,
     rotate_state,
+    translate_state,
 )
 
 # modest node counts keep the brute-force comparisons quick; the oracle
@@ -285,6 +286,30 @@ class TestBruteForceAgreement:
             expected = helicity_loop_overlap(s1, s2, spec)
             got = brute_force_overlap(s1, s2, spec)
             assert abs(got - expected) < 1e-13 * gaussian_delta(0.0, a)
+
+    @pytest.mark.parametrize("spec", [Q, None])
+    def test_oracle_is_translation_invariant_and_hermitian(self, spec):
+        # a common four-vector shift moves both states' anchor phases; swapping
+        # the states conjugates the sum
+        rng = np.random.default_rng(31)
+        for kind in (SCALAR, SPHERICAL3, CARTESIAN3, SPHERICAL_PHOTON, CARTESIAN_PHOTON,
+                     RADIATION_GAUGE):
+            labels = StateFamily.of(kind).labels
+            a = rng.uniform(0.6, 1.5)
+            t = rng.uniform(-2.0, 2.0)
+            s1, s2 = (
+                rotate_state(state_at(kind, rng.normal(size=3), labels[i], a, t),
+                             rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, np.pi)))
+                for i in rng.integers(len(labels), size=2)
+            )
+            shift = np.concatenate(([rng.uniform(-5.0, 5.0)], rng.normal(size=3) * 4.0))
+            base = brute_force_overlap(s1, s2, spec)
+            shifted = brute_force_overlap(translate_state(s1, shift),
+                                          translate_state(s2, shift), spec)
+            swapped = brute_force_overlap(s2, s1, spec)
+            bound = 1e-13 * gaussian_delta(0.0, a)
+            assert abs(shifted - base) < bound
+            assert abs(swapped - base.conjugate()) < bound
 
     def test_oracle_calls_no_production_reduction(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -183,6 +183,25 @@ class TestMomentumAmplitude:
                     expected = prefactor * eps_star
                     assert abs(momentum_amplitude(state, k, lam) - expected) < 1e-14
 
+    @pytest.mark.parametrize("frequency, sign", [("positive", 1.0), ("negative", -1.0)])
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_anchored_amplitude_is_the_anchor_phase_times_the_origin_amplitude(
+        self, kind, frequency, sign
+    ):
+        family = StateFamily.of(kind, frequency)
+        k = np.array(coefficient_test_momenta(12))
+        omega = np.linalg.norm(k, axis=-1)
+        for x in ([2.5, 6.0, -7.0, 3.5], [-4.0, -0.3, 9.2, -3.1]):  # t != 0, |x_vec| ~ 10
+            x = np.array(x)
+            phase = np.exp(sign * 1j * (omega * x[0] - k @ x[1:]))
+            for label in family.labels:
+                at_x = make_localized_state(family, x, label, 0.8)
+                at_origin = make_localized_state(family, ORIGIN, label, 0.8)
+                for lam in family.helicities:
+                    expected = phase * momentum_amplitude(at_origin, k, lam)
+                    got = momentum_amplitude(at_x, k, lam)
+                    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_momentum_rejected(self, bad):
         state = make_localized_state(StateFamily.of(SPHERICAL3), ORIGIN, 1, 1.0)
