@@ -33,24 +33,23 @@ polar axis is the separation r, so that the phase e^{i k.r} depends only on
 (k, cos theta). Without a :class:`QuadratureSpec` the grid sizes itself from
 k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes, rounded up to a
 multiple of 32, and eight azimuths, exact for the degree-2 label part; an
-explicit spec gives four times its counts. The spin-1 D-matrix table on the
-angular grid is the closed exponential of the real generator -i Jy (whose cube
-is its negative) over the polar nodes times azimuthal phases (the Euler
-factorization of the standard rotation), cached per grid and basis.
-``brute_force_kernel_matrix`` sums the table over azimuth, then over cos(theta)
-at each radial node, then over k, and rotates the aligned result back with a
-plain 3x3 rotation R, R z = rhat: K(r) = R K(|r| z) R^T. That assumes only a
-rotation-invariant measure. ``brute_force_overlap`` rotates the nodes,
-khat' = R khat, and sums the states' own amplitudes in their separable form
-c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam) from the states module:
-the helicity contraction of the label rows C once per direction node, the
-envelopes E once per radial node, and each state's anchor phase e^{i k u},
-u = t - khat.x, at every grid point, summed per block of radial shells. The
-two oracles share no reduction step, D-matrix builder or closed form with the
-production path and back every kernel result in the tests and the
-``--oracle`` CLI path. Summing O(a^-3) terms to an O(r^-3) result, the
-oracle's error relative to the dipole tail is a rounding floor that grows as
-(r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
+explicit spec gives four times its counts. Both oracles take the label
+dependence from the states' own label rows C(khat, lam), so the kernel oracle
+is by construction the overlap oracle of unit-label states.
+``brute_force_kernel_matrix`` sums conj(C_a) C_b of the unit labels over
+helicities and azimuth into a table cached per family and grid, then over
+cos(theta) at each radial node, then over k, and rotates the aligned result
+back with a plain 3x3 rotation R, R z = rhat: K(r) = R K(|r| z) R^T, which
+assumes only a rotation-invariant measure. ``brute_force_overlap`` rotates the
+nodes, khat' = R khat, and sums the states' amplitudes in their separable form
+c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam): the helicity contraction
+of the rows once per direction node, the envelopes E once per radial node, and
+each state's anchor phase e^{i k u}, u = t - khat.x, at every grid point, per
+block of radial shells. The two oracles share no reduction step, D-matrix or
+closed form with the production path and back every kernel result in the
+tests and the ``--oracle`` CLI path. Summing O(a^-3) terms to an O(r^-3)
+result, the oracle's error relative to the dipole tail is a rounding floor
+that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -67,13 +66,14 @@ import numpy as np
 from scipy.special import eval_legendre, gammaln, hyp1f1
 
 from .polarization import validate_helicities
-from .rotations import angular_momentum_generators, small_d_matrix, spherical_to_cartesian
+from .rotations import small_d_matrix, spherical_to_cartesian
 from .states import (
     RADIATION_GAUGE,
     SCALAR,
     LocalizedState,
     StateFamily,
     _amplitude_factors,
+    _label_rows,
     require_regulator_width,
 )
 
@@ -81,8 +81,9 @@ from .states import (
 RADIAL_CUTOFF = 8.5
 
 #: Grid points per block of the oracle (whole radial shells). It sets the peak
-#: memory of a fresh default-spec overlap: 61 MB, 0.31 s on 2 vCPUs, against
-#: 61 MB, 0.41 s at 4k points, 83 MB, 0.34 s at 500k and 152 MB, 0.38 s at 2M.
+#: memory of a fresh default-spec overlap (process peak RSS, median of three):
+#: 58 MB, 0.15 s on 2 vCPUs, against 58 MB, 0.20 s at 4k points, 80 MB, 0.21 s
+#: at 500k and 148 MB, 0.23 s at 2M.
 _ORACLE_BLOCK_POINTS = 16_384
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
@@ -415,55 +416,41 @@ def _oracle_radial_grid(nk: int, a: float):
     return k, wk
 
 
-@lru_cache(maxsize=16)
-def _oracle_label_coefficients(basis: str, nmu: int, nphi: int):
-    """Label coefficients on the oracle angular grid, built from D-matrices.
-
-    Returns read-only (khat, angular weights, A) on ``nmu`` Gauss-Legendre nodes
-    in cos(theta) times ``nphi`` uniform azimuths (azimuth the fast axis), with
-    A[label, node, helicity] the amplitude coefficient for each of the three
-    labels; helicity axis ordered (+1, 0, -1). On the product grid the standard
-    rotation factorizes as D(R_z(phi) R_y(theta) R_z(-phi)) = exp(-i phi Jz)
-    exp(-i theta Jy) exp(i phi Jz). The spin-1 generator K = -i Jy is real with
-    K^3 = -K, so exp(theta K) = I + sin(theta) K + (1 - cos(theta)) K^2 exactly;
-    with broadcast azimuthal phases that gives every node, independently of
-    ``small_d_matrix``, ``wigner_D`` and the closed forms used by the state
-    amplitudes. The bound of 16 tables holds every key a benchmark round uses.
-    """
+def _oracle_angular_grid(nmu: int, nphi: int):
+    """(khat, weights) of ``nmu`` Gauss-Legendre nodes in cos(theta) times ``nphi``
+    uniform azimuths, azimuth the fast axis; the weights sum to 4 pi."""
     mu, wmu = _oracle_gauss_legendre(nmu)
     phi = np.arange(nphi) * (2.0 * np.pi / nphi)
     st = np.sqrt(1.0 - mu**2)
-    khat = np.empty((nmu * nphi, 3))
-    khat[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    khat[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    khat[:, 2] = np.outer(mu, np.ones(nphi)).ravel()
-    weights = np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
-    _, jy, _ = angular_momentum_generators(1)
-    gen = (-1j * jy).real
-    theta = np.arccos(mu)[:, None, None]
-    d = np.eye(3) + np.sin(theta) * gen + (1.0 - np.cos(theta)) * (gen @ gen)  # (nmu, 3, 3)
-    m = np.array([1.0, 0.0, -1.0])
-    ph = np.exp(1j * np.outer(phi, m))  # (nphi, 3)
-    # conj(D)[node, sigma, helicity]: rows sigma, columns helicity, both descending
-    conj_d = ph[None, :, :, None] * d[:, None, :, :] * ph.conj()[None, :, None, :]
-    conj_d = conj_d.reshape(nmu * nphi, 3, 3)
-    if basis == "cartesian":
-        conj_d = spherical_to_cartesian().T @ conj_d
-    A = conj_d.transpose(1, 0, 2)
-    for arr in (khat, weights, A):
-        arr.setflags(write=False)
-    return khat, weights, A
+    khat = np.stack((np.outer(st, np.cos(phi)).ravel(), np.outer(st, np.sin(phi)).ravel(),
+                     np.repeat(mu, nphi)), axis=1)
+    return khat, np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
+
+
+@lru_cache(maxsize=16)
+def _oracle_label_sums(kind: str, nmu: int, nphi: int) -> np.ndarray:
+    """Read-only G[(a, b), mu]: sum over helicities and azimuth of conj(C_a) C_b times
+    the angular weight, C_a the label rows of the family's unit label a on the
+    unrotated grid. The bound of 16 tables holds every key a benchmark round uses."""
+    khat, weights = _oracle_angular_grid(nmu, nphi)
+    rows = np.stack([_label_rows(StateFamily(kind), b, khat) for b in np.eye(3, dtype=complex)])
+    G = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights
+    G = G.reshape(9, nmu, nphi).sum(axis=2)
+    G.setflags(write=False)
+    return G
 
 
 def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
                               q: QuadratureSpec | None = None) -> KernelMatrix:
     """Oracle kernel matrix by direct quadrature on a grid aligned with ``rvec``.
 
-    In the frame whose z-axis is rhat the phase e^{i k.r} depends only on
-    (k, cos theta): the label table is summed over azimuth first, then over
-    cos(theta) at each radial node, then over k. The result is rotated back
-    with the plain 3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families
-    through ``spherical_to_cartesian()``. This assumes only that the measure is
+    Entry (a, b) is the oracle overlap of the unit-label states a at ``rvec``
+    and b at the origin. In the frame whose z-axis is rhat the phase e^{i k.r}
+    depends only on (k, cos theta): the states' label rows are summed over
+    helicities and azimuth first (``_oracle_label_sums``), then over cos(theta)
+    at each radial node, then over k. The result is rotated back with the plain
+    3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families through
+    ``spherical_to_cartesian()``. This assumes only that the measure is
     rotation invariant. ``q`` None sizes the grid from k_max r.
     """
     a = require_regulator_width(a)
@@ -471,13 +458,10 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     rvec = _separation(rvec)
     r = math.hypot(*rvec)
     nmu, nphi, nk = _oracle_node_counts(q, r, a)
-    khat, wang, A = _oracle_label_coefficients(family.label_basis, nmu, nphi)
-    rows = [1 - lam for lam in family.helicities]
-    G = np.einsum("anl,bnl->abn", A[:, :, rows].conj(), A[:, :, rows]) * wang
-    G = G.reshape(9, nmu, nphi).sum(axis=2)  # azimuth first
+    G = _oracle_label_sums(family.kind, nmu, nphi)  # azimuth first
     k, wk = _oracle_radial_grid(nk, a)
     wrad = wk * k ** (2.0 + s) * np.exp(-a * a * k * k)
-    rmu = r * khat[::nphi, 2]
+    rmu = r * _oracle_gauss_legendre(nmu)[0]
     aligned = np.zeros(9, dtype=complex)
     block = max(1, _ORACLE_BLOCK_POINTS // nmu)
     for start in range(0, nk, block):
@@ -511,7 +495,7 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     a = s1.regulator_width
     rvec = _state_separation(s1, s2)
     nmu, nphi, nk = _oracle_node_counts(q, math.hypot(*rvec), a)
-    khat, wang, _ = _oracle_label_coefficients("spherical", nmu, nphi)
+    khat, wang = _oracle_angular_grid(nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     k, wk = _oracle_radial_grid(nk, a)
     env1, u1, rows1 = _amplitude_factors(s1, k, khat)

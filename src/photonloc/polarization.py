@@ -21,6 +21,7 @@ import numpy as np
 
 from .rotations import (
     Direction,
+    _validated_spin,
     spherical_to_cartesian,
     standard_rotation,
     wigner_D,
@@ -159,6 +160,7 @@ def helicity_sum_matrix(direction: Direction, helicities, j: int = 1) -> np.ndar
     identity (completeness); dropping helicities leaves the identity minus a
     projector of rank equal to the number dropped.
     """
+    j = _validated_spin(j)  # before the helicities, whose range it sets
     values = validate_helicities(helicities, j)
     D = wigner_D(j, standard_rotation(direction))
     cols = D[:, [j - lam for lam in values]]

@@ -6,8 +6,8 @@ the little-group (Wigner) angle induced on helicity frames, and the unitary
 change of basis between spherical and Cartesian labels.
 
 D-matrices are built one way: the ZYZ Euler angles of R, Jz phases and
-``small_d_matrix`` (from the cached Jy eigensystem). Only the brute-force
-oracle in ``overlap`` exponentiates generators, to stay independent.
+``small_d_matrix`` (from the cached Jy eigensystem). The brute-force oracle in
+``overlap`` builds none, to stay independent: it reads the label rows off khat.
 
 Conventions
 -----------

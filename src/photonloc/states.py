@@ -178,29 +178,17 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
     return LocalizedState(family, x, coeff, a)
 
 
-def _amplitude_factors(state: LocalizedState, k: np.ndarray, khat: np.ndarray):
-    """The separable factors of c(k khat, lam) = envelope(k) e^{i k u(khat)} rows(khat, lam).
-
-    ``k`` holds positive radii, shape (N,), and ``khat`` unit directions, shape
-    (M, 3). Returns the envelope (2 pi)^(-3/2) k^(-p) e^(-a^2 k^2 / 2), shape (N,);
-    the phase variable u = +-(t - khat.x_vec), signed by the frequency sign, shape
-    (M,); and the label rows C(khat, lam) for every lam in the family's
-    helicities, shape (M, len(helicities)). The rows are the inverse-frame
-    D-matrix elements d^1_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the
-    components of khat, cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x +
-    i khat_y, with e^{i phi} = 1 on the poles, contracted with the label
-    coefficients; Cartesian coefficients enter through their spherical
-    components <sigma|i>.
+def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray) -> np.ndarray:
+    """Label rows C(khat, lam) of ``coefficients``, shape (M, len(helicities)), at unit
+    directions ``khat`` of shape (M, 3): the inverse-frame D-matrix elements
+    d^1_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the components of khat,
+    cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x + i khat_y, with e^{i phi} = 1
+    on the poles, contracted with the coefficients; Cartesian coefficients enter
+    through their spherical components <sigma|i>.
     """
-    family = state.family
-    a = state.regulator_width
-    envelope = (2.0 * np.pi) ** -1.5 * k**-family.weight_exponent * np.exp(-0.5 * a * a * k * k)
-    u = state.x[0] - khat @ state.x[1:]
-    if family.frequency_sign == "negative":
-        u = -u
     if family.label_basis == "scalar":
-        return envelope, u, np.broadcast_to(state.coefficients, (khat.shape[0], 1))
-    b = state.coefficients
+        return np.broadcast_to(coefficients, (khat.shape[0], 1))
+    b = coefficients
     if family.label_basis == "cartesian":
         b = spherical_to_cartesian() @ b
     bp, b0, bm = b
@@ -218,7 +206,24 @@ def _amplitude_factors(state: LocalizedState, k: np.ndarray, khat: np.ndarray):
             rows[:, i] = c * b0 + w.conj() * bm - w * bp
         else:
             rows[:, i] = up * bm - w * b0 + (down * bp) * e2
-    return envelope, u, rows
+    return rows
+
+
+def _amplitude_factors(state: LocalizedState, k: np.ndarray, khat: np.ndarray):
+    """The separable factors of c(k khat, lam) = envelope(k) e^{i k u(khat)} rows(khat, lam).
+
+    ``k`` holds positive radii, shape (N,), and ``khat`` unit directions, shape
+    (M, 3). Returns the envelope (2 pi)^(-3/2) k^(-p) e^(-a^2 k^2 / 2), shape (N,);
+    the phase variable u = +-(t - khat.x_vec), signed by the frequency sign, shape
+    (M,); and the state's :func:`_label_rows`, shape (M, len(helicities)).
+    """
+    family = state.family
+    a = state.regulator_width
+    envelope = (2.0 * np.pi) ** -1.5 * k**-family.weight_exponent * np.exp(-0.5 * a * a * k * k)
+    u = state.x[0] - khat @ state.x[1:]
+    if family.frequency_sign == "negative":
+        u = -u
+    return envelope, u, _label_rows(family, state.coefficients, khat)
 
 
 def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
@@ -236,7 +241,8 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     -------
     numpy.ndarray or complex
         Complex amplitude with shape ``k.shape[:-1]``: the product of the
-        separable factors, evaluated at each momentum's own |k| and khat.
+        separable factors, evaluated at each momentum's own |k| and khat;
+        exactly 0 where the envelope underflows.
     """
     k = np.asarray(k, dtype=float)
     if k.shape[-1] != 3:
@@ -244,16 +250,16 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     kvec = k.reshape(-1, 3)
     if not np.all(np.isfinite(kvec)):
         raise ValueError("momenta must be finite")
-    omega = np.linalg.norm(kvec, axis=-1)
+    omega = np.hypot(np.hypot(kvec[:, 0], kvec[:, 1]), kvec[:, 2])  # squares no component
     if np.any(omega == 0.0):
         raise ValueError("momentum direction undefined at k = 0")
-    if lam not in state.family.helicities:
-        amp = np.zeros(kvec.shape[0], dtype=complex)
-    else:
-        envelope, u, rows = _amplitude_factors(state, omega, kvec / omega[:, None])
-        arg = omega * u
-        amp = np.empty(omega.shape, dtype=complex)  # envelope * e^{i k u}
-        amp.real, amp.imag = envelope * np.cos(arg), envelope * np.sin(arg)
+    amp = np.zeros(kvec.shape[0], dtype=complex)
+    if lam in state.family.helicities:
+        with np.errstate(over="ignore"):  # a^2 k^2 past the double range: the envelope is 0
+            envelope, u, rows = _amplitude_factors(state, omega, kvec / omega[:, None])
+        live = envelope > 0.0  # the phase of an underflowed envelope is never formed
+        arg = omega[live] * u[live]
+        amp.real[live], amp.imag[live] = envelope[live] * np.cos(arg), envelope[live] * np.sin(arg)
         amp *= rows[:, state.family.helicities.index(lam)]
     return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])
 

@@ -58,6 +58,13 @@ class TestMMatrix:
         assert main(["mmatrix", "--theta", "9.9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("j", ["-1", "11"])
+    def test_bad_spin_is_reported_before_the_helicities(self, capsys, j):
+        assert main(["mmatrix", "--theta", "1", "--j", j]) == 2
+        captured = capsys.readouterr()
+        assert "spin" in captured.err and "helicities" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("phi", ["nan", "inf"])
     def test_non_finite_azimuth_is_usage_error(self, capsys, phi):
         assert main(["mmatrix", "--theta", "1", "--phi", phi]) == 2

@@ -14,8 +14,9 @@ from photonloc.overlap import (
     KernelMatrix,
     QuadratureSpec,
     _aligned_table,
+    _oracle_angular_grid,
     _oracle_gauss_legendre,
-    _oracle_label_coefficients,
+    _oracle_label_sums,
     _oracle_node_counts,
     _oracle_radial_grid,
     _oracle_rotation,
@@ -60,6 +61,9 @@ Q = QuadratureSpec(n_theta=12, n_phi=12, n_radial=32)
 
 RHAT = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
 
+THREE_LABEL_KINDS = (SPHERICAL3, CARTESIAN3, SPHERICAL_PHOTON, CARTESIAN_PHOTON,
+                     RADIATION_GAUGE)
+
 
 def state_at(kind, position, label, a=1.0, t=0.0):
     x = np.concatenate(([t], position))
@@ -71,7 +75,7 @@ def helicity_loop_overlap(s1, s2, q):
     radial shell: a second contraction of brute_force_overlap's aligned grid."""
     a, rvec = s1.regulator_width, s1.x[1:] - s2.x[1:]
     nmu, nphi, nk = _oracle_node_counts(q, np.linalg.norm(rvec), a)
-    khat, wang, _ = _oracle_label_coefficients("spherical", nmu, nphi)
+    khat, wang = _oracle_angular_grid(nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     k, wk = _oracle_radial_grid(nk, a)
     shells = np.zeros(k.size, dtype=complex)
@@ -324,7 +328,7 @@ class TestBruteForceAgreement:
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
             monkeypatch.setattr(module, name, forbidden)
-        _oracle_label_coefficients.cache_clear()
+        _oracle_label_sums.cache_clear()
         for q in (QuadratureSpec(4, 4, 4), None):
             for kind, label in ((SPHERICAL3, 0), (CARTESIAN_PHOTON, "x")):
                 s1 = state_at(kind, [0.2, -0.1, 0.4], label)
@@ -343,29 +347,57 @@ class TestBruteForceAgreement:
                 scale = np.abs(oracle).max()
                 assert np.abs(fast - oracle).max() / scale < 1e-6
 
+    @pytest.mark.parametrize("kind", THREE_LABEL_KINDS)
+    @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q, None])
+    def test_kernel_oracle_is_the_overlap_oracle_of_unit_labels(self, kind, spec):
+        # K_ij(r) = <label i at r | label j at 0>; the two oracles share the grid, not the
+        # contraction, so they agree to rounding even on a starved grid
+        a = 0.8
+        family = StateFamily.of(kind)
+        rng = np.random.default_rng(61)
+        separations = (np.zeros(3), np.array([0.0, 0.0, -1.3]),
+                       np.array([1.2e-12, 0.0, 1.2]), rng.normal(size=3))
+        for rvec in separations:
+            kernel = brute_force_kernel_matrix(family, rvec, a, spec).entries
+            for i, label_i in enumerate(family.labels):
+                for j, label_j in enumerate(family.labels):
+                    overlap = brute_force_overlap(state_at(kind, rvec, label_i, a),
+                                                  state_at(kind, np.zeros(3), label_j, a), spec)
+                    assert abs(kernel[i, j] - overlap) < 1e-13 * gaussian_delta(0.0, a)
+
 
 class TestOracleTable:
-    @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
+    @pytest.mark.parametrize("kind", THREE_LABEL_KINDS)
     @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q])
-    def test_batched_table_matches_node_by_node_rotations(self, basis, spec):
-        khat, _, A = _oracle_label_coefficients(basis, 4 * spec.n_theta, 4 * spec.n_phi)
-        assert A.shape == (3, 16 * spec.n_theta * spec.n_phi, 3)
+    def test_label_sums_match_node_by_node_rotations(self, kind, spec):
+        nmu, nphi = 4 * spec.n_theta, 4 * spec.n_phi
+        family = StateFamily.of(kind)
+        khat, weights = _oracle_angular_grid(nmu, nphi)
+        assert np.abs(np.linalg.norm(khat, axis=1) - 1.0).max() < 1e-15
+        assert abs(weights.sum() - 4.0 * np.pi) < 1e-13
+        expected = np.zeros((nmu * nphi, 3, 3), dtype=complex)
         for n, vec in enumerate(khat):
-            inv = wigner_D(1, standard_rotation(Direction.from_vector(vec))).conj().T
-            expected = inv.T if basis == "spherical" else (inv @ spherical_to_cartesian()).T
-            assert np.abs(A[:, n, :] - expected).max() < 1e-14
+            D = wigner_D(1, standard_rotation(Direction.from_vector(vec)))
+            if family.label_basis == "cartesian":
+                D = spherical_to_cartesian().conj().T @ D
+            cols = D[:, [1 - lam for lam in family.helicities]]
+            expected[n] = weights[n] * (cols @ cols.conj().T)
+        expected = expected.reshape(nmu, nphi, 9).sum(axis=1).T
+        G = _oracle_label_sums(kind, nmu, nphi)
+        assert G.shape == (9, nmu)
+        assert np.abs(G - expected).max() < 1e-14
 
     def test_cached_table_is_read_only(self):
-        for arr in _oracle_label_coefficients("spherical", 4 * Q.n_theta, 4 * Q.n_phi):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+        G = _oracle_label_sums(SPHERICAL_PHOTON, 4 * Q.n_theta, 4 * Q.n_phi)
+        with pytest.raises(ValueError, match="read-only"):
+            G[0] = 0.0
 
     def test_cold_default_tables_build_under_one_second(self):
         q = QuadratureSpec()
-        _oracle_label_coefficients.cache_clear()
+        _oracle_label_sums.cache_clear()
         start = time.perf_counter()
-        for basis in ("spherical", "cartesian"):
-            _oracle_label_coefficients(basis, 4 * q.n_theta, 4 * q.n_phi)
+        for kind in THREE_LABEL_KINDS:
+            _oracle_label_sums(kind, 4 * q.n_theta, 4 * q.n_phi)
         assert time.perf_counter() - start < 1.0
 
 
@@ -373,10 +405,6 @@ def dipole_floor_error(got, exact, r, a, s):
     """Largest entry error relative to max(|exact|, 1/(4 pi max(r, a)^(3+s)))."""
     floor = 1.0 / (4.0 * np.pi * max(r, a) ** (3.0 + s))
     return np.abs(np.asarray(got) - exact).max() / max(np.abs(exact).max(), floor)
-
-
-THREE_LABEL_KINDS = (SPHERICAL3, CARTESIAN3, SPHERICAL_PHOTON, CARTESIAN_PHOTON,
-                     RADIATION_GAUGE)
 
 
 class TestAlignedOracle:
@@ -461,8 +489,8 @@ class TestAlignedOracle:
             brute_force_overlap(s1, state_at(SCALAR, [0.0, 0.0, 0.0], 0))
 
     def test_table_cache_holds_a_round_of_separations(self):
-        # one r = 0 point and nine log-spaced r/a to 68, both label bases, and the
-        # overlap's test spec: a second round builds no table
+        # one r = 0 point and nine log-spaced r/a to 68, one family per rung, and an
+        # overlap at the test spec, which uses no table: a second round builds none
         ladder = [0.0] + [10.0 ** (-1.0 + (k + 0.5) / 3.0) for k in range(9)]
         origin = state_at(SCALAR, [0.0, 0.0, 0.0], 0)
 
@@ -471,9 +499,9 @@ class TestAlignedOracle:
                 family = StateFamily.of(THREE_LABEL_KINDS[k % 5])
                 brute_force_kernel_matrix(family, r_over_a * RHAT, 1.0)
             brute_force_overlap(state_at(SCALAR, RHAT, 0), origin, Q)
-            return _oracle_label_coefficients.cache_info()
+            return _oracle_label_sums.cache_info()
 
-        _oracle_label_coefficients.cache_clear()
+        _oracle_label_sums.cache_clear()
         first = round_of_calls()
         second = round_of_calls()
         assert second.misses == first.misses

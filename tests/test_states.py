@@ -211,6 +211,36 @@ class TestMomentumAmplitude:
             with pytest.raises(ValueError, match="momenta must be finite"):
                 momentum_amplitude(state, momenta, 1)
 
+    def test_huge_momentum_gives_exact_zero_without_warning(self):
+        # |k|^2 and, at the large anchor, k u leave the double range; 60/a only
+        # underflows the envelope
+        big = np.array([1e200, -3e200, 2e200, 5e199])
+        momenta = ([1e200, 0.0, 0.0], [[-1e200, 1e200, 3e199], [0.0, 0.0, 60.0]])
+        for kind in FAMILY_KINDS:
+            family = StateFamily.of(kind)
+            for x in (ORIGIN, big):
+                state = make_localized_state(family, x, family.labels[-1], 1.0)
+                for k in momenta:
+                    for lam in family.helicities:
+                        assert np.all(momentum_amplitude(state, k, lam) == 0.0)
+
+    def test_tiny_momentum_matches_closed_form(self):
+        # |k| = 1e-200 squares to 0. Along x with x_vec = (-3e199, 0, 0) the phase is
+        # k u = 0.3; the rows are conj(D^1_{sigma lam}) at theta = pi/2, phi = 0, and
+        # eps*(x_hat, +-1)_y = i / sqrt(2) for the Cartesian y label
+        k, x = 1e-200, np.array([0.0, -3e199, 0.0, 0.0])
+        phase = (2 * np.pi) ** -1.5 * np.exp(0.3j)
+        cases = (
+            (SCALAR, 0, 0.5, {0: 1.0}),
+            (SPHERICAL3, 0, 0.5, {1: 2**-0.5, 0: 0.0, -1: -(2**-0.5)}),
+            (RADIATION_GAUGE, "y", 1.0, {1: 1j * 2**-0.5, -1: 1j * 2**-0.5}),
+        )
+        for kind, label, p, rows in cases:
+            state = make_localized_state(StateFamily.of(kind), x, label, 0.7)
+            for lam, row in rows.items():
+                got = momentum_amplitude(state, [k, 0.0, 0.0], lam)
+                assert abs(got - phase * k**-p * row) <= 1e-15 * k**-p
+
     def test_zero_momentum_rejected(self):
         state = make_localized_state(StateFamily.of(SCALAR), ORIGIN, 0, 1.0)
         with pytest.raises(ValueError, match="undefined"):
