@@ -35,21 +35,26 @@ k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes, rounded up to a
 multiple of 32, and eight azimuths, exact for the degree-2 label part; an
 explicit spec gives four times its counts. Both oracles take the label
 dependence from the states' own label rows C(khat, lam), so the kernel oracle
-is by construction the overlap oracle of unit-label states.
-``brute_force_kernel_matrix`` sums conj(C_a) C_b of the unit labels over
-helicities and azimuth into a table cached per family and grid, then over
-cos(theta) at each radial node, then over k, and rotates the aligned result
-back with a plain 3x3 rotation R, R z = rhat: K(r) = R K(|r| z) R^T, which
-assumes only a rotation-invariant measure. ``brute_force_overlap`` rotates the
-nodes, khat' = R khat, and sums the states' amplitudes in their separable form
+is by construction the overlap oracle of unit-label states. Both sum their
+phase in one loop, ``_oracle_polar_radial_sum``: e^{i k p(cos theta)} per
+block of radial shells, summed over cos(theta) at each radial node, then over
+k. ``brute_force_kernel_matrix`` sums conj(C_a) C_b of the unit labels over
+helicities and azimuth into a table cached per family and grid, takes
+p = r cos(theta), and rotates the aligned result back with a plain 3x3
+rotation R, R z = rhat: K(r) = R K(|r| z) R^T, which assumes only a
+rotation-invariant measure. ``brute_force_overlap`` rotates the nodes,
+khat' = R khat, and sums the states' amplitudes in their separable form
 c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam): the helicity contraction
-of the rows once per direction node, the envelopes E once per radial node, and
-each state's anchor phase e^{i k u}, u = t - khat.x, at every grid point, per
-block of radial shells. The two oracles share no reduction step, D-matrix or
-closed form with the production path and back every kernel result in the
-tests and the ``--oracle`` CLI path. Summing O(a^-3) terms to an O(r^-3)
-result, the oracle's error relative to the dipole tail is a rounding floor
-that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
+of the rows once per direction node, summed over azimuth, and the envelopes E
+once per radial node. The anchor phases meet as e^{i k (u2 - u1)} with
+u = t - khat.x, and at equal times u2 - u1 = khat'.(x1 - x2) depends on
+cos(theta) alone, so p is the states' own u2 - u1 per polar node; a spread of
+u2 - u1 over azimuth beyond rounding raises. The two oracles share no
+reduction step, D-matrix or closed form with the production path and back
+every kernel result in the tests and the ``--oracle`` CLI path. Summing
+O(a^-3) terms to an O(r^-3) result, the oracle's error relative to the dipole
+tail is a rounding floor that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up
+to 1e-10) at r/a = 200.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -80,17 +85,19 @@ from .states import (
 #: The oracle truncates momentum integrals at k = cutoff / a; exp(-8.5^2) ~ 5e-32.
 RADIAL_CUTOFF = 8.5
 
-#: Grid points per block of the oracle (whole radial shells). It sets the peak
-#: memory of a fresh default-spec overlap (process peak RSS, median of three):
-#: 58 MB, 0.15 s on 2 vCPUs, against 58 MB, 0.20 s at 4k points, 80 MB, 0.21 s
-#: at 500k and 148 MB, 0.23 s at 2M.
+#: (k, cos theta) points per block of the oracles' phase sum (whole radial shells).
+#: It bounds the phase buffer. A fresh self-sized scalar overlap at r/a = 1000
+#: (process peak RSS, median of three, 2 vCPUs): 58 MB, 0.88 s, against 58 MB,
+#: 0.91 s at 4k points, 63 MB, 0.87 s at 131k and 105 MB, 0.87 s at 1M.
 _ORACLE_BLOCK_POINTS = 16_384
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
-#: (r/a)^2: at the bound a kernel takes ~1 s on 2 vCPUs, a scalar overlap ~10 s.
+#: (r/a)^2: at the bound a kernel or an overlap takes ~0.6 s warm and ~0.9 s in a
+#: fresh process on 2 vCPUs.
 _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -440,6 +447,25 @@ def _oracle_label_sums(kind: str, nmu: int, nphi: int) -> np.ndarray:
     return G
 
 
+def _oracle_polar_radial_sum(table: np.ndarray, k: np.ndarray, wrad: np.ndarray,
+                             polar: np.ndarray) -> np.ndarray:
+    """sum_(n, mu) wrad[n] e^{i k[n] polar[mu]} table[:, mu], shape (len(table),).
+
+    The one phase loop of both oracles: the phase depends only on the radial
+    node and the polar node of the aligned grid. It is formed per block of
+    radial shells, summed over cos(theta) at each radial node, then over k.
+    """
+    total = np.zeros(table.shape[0], dtype=complex)
+    block = max(1, _ORACLE_BLOCK_POINTS // polar.size)
+    for start in range(0, k.size, block):
+        arg = np.outer(k[start : start + block], polar)
+        phase = np.empty(arg.shape, dtype=complex)  # bit-identical to np.exp(1j * arg)
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
+        total += wrad[start : start + block] @ (phase @ table.T)
+    return total
+
+
 def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
                               q: QuadratureSpec | None = None) -> KernelMatrix:
     """Oracle kernel matrix by direct quadrature on a grid aligned with ``rvec``.
@@ -461,16 +487,7 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     G = _oracle_label_sums(family.kind, nmu, nphi)  # azimuth first
     k, wk = _oracle_radial_grid(nk, a)
     wrad = wk * k ** (2.0 + s) * np.exp(-a * a * k * k)
-    rmu = r * _oracle_gauss_legendre(nmu)[0]
-    aligned = np.zeros(9, dtype=complex)
-    block = max(1, _ORACLE_BLOCK_POINTS // nmu)
-    for start in range(0, nk, block):
-        arg = np.outer(k[start : start + block], rmu)
-        phase = np.empty(arg.shape, dtype=complex)  # bit-identical to np.exp(1j * arg)
-        np.cos(arg, out=phase.real)
-        np.sin(arg, out=phase.imag)
-        # the polar sum at each radial node first, then the radial sum
-        aligned += wrad[start : start + block] @ (phase @ G.T)
+    aligned = _oracle_polar_radial_sum(G, k, wrad, r * _oracle_gauss_legendre(nmu)[0])
     aligned = aligned.reshape(3, 3) / (2.0 * np.pi) ** 3
     rot = _oracle_rotation(rvec)
     if family.label_basis == "spherical":
@@ -488,8 +505,12 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
 
     Each amplitude is the product of its separable factors, envelope(k)
     e^{i k u(khat)} rows(khat): the helicity contraction of the two states'
-    label rows is formed once per direction, the product of the envelopes once
-    per radial node, and each state's own anchor phase at every grid point.
+    label rows is formed once per direction and summed over azimuth, the
+    product of the envelopes once per radial node. The two anchor phases meet
+    as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) = r cos(theta) at equal
+    times, so the states' own u enter through their difference per polar node
+    and the phase is summed by ``_oracle_polar_radial_sum``, as in the kernel oracle.
+    Raises RuntimeError if u2 - u1 varies with azimuth beyond rounding.
     """
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
@@ -500,19 +521,12 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     k, wk = _oracle_radial_grid(nk, a)
     env1, u1, rows1 = _amplitude_factors(s1, k, khat)
     env2, u2, rows2 = _amplitude_factors(s2, k, khat)
-    labels = np.einsum("nl,nl->n", rows1.conj(), rows2) * wang
+    du = (u2 - u1).reshape(nmu, nphi)
+    # each u carries a rounding error of a few eps (|t| + |x|_1)
+    bound = 64.0 * _EPS * (np.abs(s1.x).sum() + np.abs(s2.x).sum())
+    if not np.ptp(du, axis=1).max() <= bound:
+        raise RuntimeError("the states' relative anchor phase varies with azimuth on the "
+                           "grid aligned with their separation")
+    labels = (np.einsum("nl,nl->n", rows1.conj(), rows2) * wang).reshape(nmu, nphi).sum(axis=1)
     wrad = wk * k**3 * env1 * env2  # k^2 from the volume element, one k from the measure
-    total = 0.0 + 0.0j
-    block = max(1, _ORACLE_BLOCK_POINTS // khat.shape[0])
-    phases = np.empty((2, min(block, nk), khat.shape[0]), dtype=complex)
-    for start in range(0, nk, block):
-        kb = k[start : start + block]
-        p1, p2 = phases[:, : kb.size]
-        for p, u in ((p1, u1), (p2, u2)):  # e^{i k u} of each state's own anchor
-            arg = np.outer(kb, u)
-            np.cos(arg, out=p.real)
-            np.sin(arg, out=p.imag)
-        np.conjugate(p1, out=p1)
-        p1 *= p2
-        total += wrad[start : start + block] @ (p1 @ labels)
-    return complex(total)
+    return complex(_oracle_polar_radial_sum(labels[None], k, wrad, du.mean(axis=1))[0])

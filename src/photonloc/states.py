@@ -242,7 +242,8 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     numpy.ndarray or complex
         Complex amplitude with shape ``k.shape[:-1]``: the product of the
         separable factors, evaluated at each momentum's own |k| and khat;
-        exactly 0 where the envelope underflows.
+        exactly 0 where the envelope underflows. Raises ValueError where the
+        envelope is nonzero but the anchor phase |k| u overflows.
     """
     k = np.asarray(k, dtype=float)
     if k.shape[-1] != 3:
@@ -257,8 +258,11 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     if lam in state.family.helicities:
         with np.errstate(over="ignore"):  # a^2 k^2 past the double range: the envelope is 0
             envelope, u, rows = _amplitude_factors(state, omega, kvec / omega[:, None])
-        live = envelope > 0.0  # the phase of an underflowed envelope is never formed
-        arg = omega[live] * u[live]
+            live = envelope > 0.0  # the phase of an underflowed envelope is never formed
+            arg = omega[live] * u[live]  # an overflow is rejected below
+        if not np.all(np.isfinite(arg)):
+            raise ValueError("the anchor phase |k| (t - khat.x) overflows: the anchor times "
+                             "the momentum leaves the double range")
         amp.real[live], amp.imag[live] = envelope[live] * np.cos(arg), envelope[live] * np.sin(arg)
         amp *= rows[:, state.family.helicities.index(lam)]
     return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])

@@ -70,6 +70,17 @@ def state_at(kind, position, label, a=1.0, t=0.0):
     return make_localized_state(StateFamily.of(kind), x, label, a)
 
 
+def mixed_label_states(kind, anchors, a, rng, t=0.0):
+    """One state per anchor x, built at R^T x and rotated by a random R: mixed labels at x."""
+    labels = StateFamily.of(kind).labels
+    states = []
+    for x in anchors:
+        R = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, np.pi))
+        label = labels[rng.integers(len(labels))]
+        states.append(rotate_state(state_at(kind, R.T @ x, label, a, t), R))
+    return states
+
+
 def helicity_loop_overlap(s1, s2, q):
     """The oracle overlap from one momentum_amplitude call per state, helicity and
     radial shell: a second contraction of brute_force_overlap's aligned grid."""
@@ -315,6 +326,42 @@ class TestBruteForceAgreement:
             assert abs(shifted - base) < bound
             assert abs(swapped - base.conjugate()) < bound
 
+    @pytest.mark.parametrize("spec", [Q, None])
+    def test_oracle_holds_at_large_anchors(self, spec):
+        # anchors and time of magnitude 1e6 at separation ~2: each state's phase
+        # k u ~ 1e7 cancels in u2 - u1 to k r cos(theta). At magnitude 1e9 the rounding
+        # of x1 - x2 alone moves both sides by a few 1e-9 of the coincident delta, and
+        # the azimuth guard must stay silent
+        rng = np.random.default_rng(67)
+        for scale, tolerance in ((1e6, 1e-10), (1e9, 1e-7)):
+            for kind in (SCALAR,) + THREE_LABEL_KINDS:
+                a = rng.uniform(0.6, 1.5)
+                t = scale * rng.uniform(-1.0, 1.0)
+                x2 = scale * rng.uniform(-1.0, 1.0, size=3)
+                direction = rng.normal(size=3)
+                x1 = x2 + 2.0 * direction / np.linalg.norm(direction)
+                states = mixed_label_states(kind, (x1, x2), a, rng, t)
+                oracle = brute_force_overlap(*states, spec)
+                exact = qm_overlap(*states)
+                assert abs(oracle - exact) < tolerance * gaussian_delta(0.0, a)
+
+    @pytest.mark.parametrize("spec", [Q, None])
+    def test_oracle_rejects_an_azimuth_dependent_relative_phase(self, monkeypatch, spec):
+        s1 = state_at(CARTESIAN_PHOTON, [0.3, -0.2, 0.5], "x")
+        s2 = state_at(CARTESIAN_PHOTON, [-0.1, 0.4, 0.0], "y")
+        factors = photonloc.overlap._amplitude_factors
+
+        def corrupted(state, k, khat):
+            envelope, u, rows = factors(state, k, khat)
+            if state is s1:
+                u = u + 1e-9 * khat[:, 0]
+            return envelope, u, rows
+
+        brute_force_overlap(s1, s2, spec)
+        monkeypatch.setattr(photonloc.overlap, "_amplitude_factors", corrupted)
+        with pytest.raises(RuntimeError, match="varies with azimuth"):
+            brute_force_overlap(s1, s2, spec)
+
     def test_oracle_calls_no_production_reduction(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached a production-path function")
@@ -350,8 +397,10 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("kind", THREE_LABEL_KINDS)
     @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q, None])
     def test_kernel_oracle_is_the_overlap_oracle_of_unit_labels(self, kind, spec):
-        # K_ij(r) = <label i at r | label j at 0>; the two oracles share the grid, not the
-        # contraction, so they agree to rounding even on a starved grid
+        # K_ij(r) = <label i at r | label j at 0>; the two oracles share the grid and the
+        # phase sum, not the label sums: the kernel's unit rows on the unrotated grid are
+        # rotated back, the overlap takes the rows on rotated nodes. They agree to
+        # rounding even on a starved grid
         a = 0.8
         family = StateFamily.of(kind)
         rng = np.random.default_rng(61)
@@ -457,11 +506,7 @@ class TestAlignedOracle:
                 direction = rng.normal(size=3)
                 x2 = rng.normal(size=3) * a
                 x1 = x2 + r_over_a * a * direction / np.linalg.norm(direction)
-                states = []
-                for x in (x1, x2):  # built at R^T x and rotated by R: mixed labels at x
-                    R = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, np.pi))
-                    label = family.labels[rng.integers(len(family.labels))]
-                    states.append(rotate_state(state_at(kind, R.T @ x, label, a), R))
+                states = mixed_label_states(kind, (x1, x2), a, rng)
                 oracle = brute_force_overlap(*states)
                 exact = qm_overlap(*states)
                 assert dipole_floor_error(oracle, exact, r_over_a * a, a, s) < 1e-10

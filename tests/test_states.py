@@ -224,6 +224,16 @@ class TestMomentumAmplitude:
                     for lam in family.helicities:
                         assert np.all(momentum_amplitude(state, k, lam) == 0.0)
 
+    def test_overflowing_anchor_phase_rejected(self):
+        # at |k| = 10, a = 0.1 the envelope is e^-0.5, but |k| u = 1e309 overflows
+        x = np.array([0.0, -1e308, 0.0, 0.0])
+        for kind in FAMILY_KINDS:
+            family = StateFamily.of(kind)
+            state = make_localized_state(family, x, family.labels[-1], 0.1)
+            for k in ([10.0, 0.0, 0.0], [[0.0, 0.0, 10.0], [10.0, 0.0, 0.0]]):
+                with pytest.raises(ValueError, match="anchor times the momentum"):
+                    momentum_amplitude(state, k, family.helicities[0])
+
     def test_tiny_momentum_matches_closed_form(self):
         # |k| = 1e-200 squares to 0. Along x with x_vec = (-3e199, 0, 0) the phase is
         # k u = 0.3; the rows are conj(D^1_{sigma lam}) at theta = pi/2, phi = 0, and
