@@ -23,7 +23,9 @@ cached per spin, one column per helicity. With theta and phi read off r by
 atan2, the aligned diagonal is rotated back by d(theta) and Jz phases,
 e^(-i phi m) d(theta) diag d(theta)^T e^(i phi m'), with no rotation matrix,
 so a tilt off either pole keeps its precision. No production step has a node
-count or a tolerance.
+count or a tolerance. ``scipy.special`` (1F1, Gamma, Legendre) serves only
+this closed form and is imported where it runs, so a process that never
+evaluates a production kernel never loads it.
 
 Oracle path
 -----------
@@ -49,9 +51,11 @@ of the rows once per direction node, summed over azimuth, and the envelopes E
 once per radial node. The anchor phases meet as e^{i k (u2 - u1)} with
 u = t - khat.x, and at equal times u2 - u1 = khat'.(x1 - x2) depends on
 cos(theta) alone, so p is the states' own u2 - u1 per polar node; a spread of
-u2 - u1 over azimuth beyond rounding raises. The two oracles share no
-reduction step, D-matrix or closed form with the production path and back
-every kernel result in the tests and the ``--oracle`` CLI path. Summing
+u2 - u1 over azimuth or a departure from r cos(theta) beyond rounding raises,
+and so do anchors whose rounding in u would hide the separation. The two
+oracles share no reduction step, D-matrix or closed form with the production
+path and back every kernel result in the tests and the ``--oracle`` CLI path,
+and never import ``scipy.special``. Summing
 O(a^-3) terms to an O(r^-3) result, the oracle's error relative to the dipole
 tail is a rounding floor that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up
 to 1e-10) at r/a = 200.
@@ -68,7 +72,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_legendre, gammaln, hyp1f1
 
 from .polarization import validate_helicities
 from .rotations import small_d_matrix, spherical_to_cartesian
@@ -144,6 +147,8 @@ def _radial_constants(lmax: int, s: float):
     (l, orders with b == c, the other orders, their b and c, the prefactor
     sqrt(pi) 2^-(l+2) Gamma(b) / Gamma(c)). Keyed on lmax = 2j <= 20 and
     s in {0, -1}: at most 42 entries."""
+    from scipy.special import gammaln
+
     l = np.arange(lmax + 1)
     b, c = (l + 3.0 + s) / 2.0, l + 1.5
     # b == c only at l = s = 0, where 1F1 is exactly exp(-z) and scipy's series costs O(z)
@@ -162,6 +167,8 @@ def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
     where 1F1 leaves the double range: r/a beyond ~2e14 at lmax = 20
     (spin 10), ~3e46 at lmax = 2.
     """
+    from scipy.special import hyp1f1
+
     l, same, rest, b, c, prefactor = _radial_constants(lmax, s)
     x = r / a
     z = x * x / 4.0
@@ -195,6 +202,8 @@ def _state_separation(s1: LocalizedState, s2: LocalizedState) -> np.ndarray:
 def _aligned_table(j: int) -> np.ndarray:
     """Read-only T[l, m, j - lam], i^l and 4 pi / (2 pi)^3 included: the kernel in the
     frame aligned with r is diagonal, entries sum_(l, lam) I_l T[l, m, j - lam]."""
+    from scipy.special import eval_legendre
+
     # d^2 has degree 2j in mu, so P_l * d^2 (l <= 2j) has degree <= 4j: 2j+1 nodes are exact
     mu, w = np.polynomial.legendre.leggauss(2 * j + 1)
     l = np.arange(2 * j + 1)
@@ -510,23 +519,39 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) = r cos(theta) at equal
     times, so the states' own u enter through their difference per polar node
     and the phase is summed by ``_oracle_polar_radial_sum``, as in the kernel oracle.
-    Raises RuntimeError if u2 - u1 varies with azimuth beyond rounding.
+    Raises ValueError if u overflows, or if its rounding could move the phase
+    k u by a radian at the grid's largest k, where the anchors hide their
+    separation; RuntimeError if u2 - u1 varies with azimuth or departs from
+    r cos(theta) beyond rounding.
     """
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
     rvec = _state_separation(s1, s2)
-    nmu, nphi, nk = _oracle_node_counts(q, math.hypot(*rvec), a)
+    r = math.hypot(*rvec)
+    nmu, nphi, nk = _oracle_node_counts(q, r, a)
     khat, wang = _oracle_angular_grid(nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     k, wk = _oracle_radial_grid(nk, a)
-    env1, u1, rows1 = _amplitude_factors(s1, k, khat)
-    env2, u2, rows2 = _amplitude_factors(s2, k, khat)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        env1, u1, rows1 = _amplitude_factors(s1, k, khat)
+        env2, u2, rows2 = _amplitude_factors(s2, k, khat)
+        # each u carries a rounding error of a few eps (|t| + |x|_1)
+        bound = 64.0 * _EPS * (np.abs(s1.x).sum() + np.abs(s2.x).sum())
+    if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+        raise ValueError("the anchor phase u = t - khat.x overflows: the anchors leave the "
+                         "double range of the oracle")
+    if not k[-1] * bound < 1.0:
+        raise ValueError(f"the anchors are too large for the oracle: the rounding of the "
+                         f"anchor phase k u reaches {k[-1] * bound:.3g} rad, which hides "
+                         f"their separation")
     du = (u2 - u1).reshape(nmu, nphi)
-    # each u carries a rounding error of a few eps (|t| + |x|_1)
-    bound = 64.0 * _EPS * (np.abs(s1.x).sum() + np.abs(s2.x).sum())
     if not np.ptp(du, axis=1).max() <= bound:
         raise RuntimeError("the states' relative anchor phase varies with azimuth on the "
                            "grid aligned with their separation")
+    polar = r * _oracle_gauss_legendre(nmu)[0]
+    if not np.abs(du - polar[:, None]).max() <= bound:
+        raise RuntimeError("the states' relative anchor phase departs from r cos(theta) on "
+                           "the grid aligned with their separation")
     labels = (np.einsum("nl,nl->n", rows1.conj(), rows2) * wang).reshape(nmu, nphi).sum(axis=1)
     wrad = wk * k**3 * env1 * env2  # k^2 from the volume element, one k from the measure
     return complex(_oracle_polar_radial_sum(labels[None], k, wrad, du.mean(axis=1))[0])

@@ -362,6 +362,43 @@ class TestBruteForceAgreement:
         with pytest.raises(RuntimeError, match="varies with azimuth"):
             brute_force_overlap(s1, s2, spec)
 
+    @pytest.mark.parametrize("spec", [Q, None])
+    def test_oracle_rejects_a_relative_phase_off_the_separation(self, monkeypatch, spec):
+        # a shift of u along rhat is the same at every azimuth, so only the comparison
+        # of u2 - u1 with r cos(theta) sees it
+        x1, x2 = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.0])
+        s1 = state_at(CARTESIAN_PHOTON, x1, "x")
+        s2 = state_at(CARTESIAN_PHOTON, x2, "y")
+        rhat = (x1 - x2) / np.linalg.norm(x1 - x2)
+        factors = photonloc.overlap._amplitude_factors
+
+        def corrupted(state, k, khat):
+            envelope, u, rows = factors(state, k, khat)
+            if state is s1:
+                u = u + 1e-9 * (khat @ rhat)
+            return envelope, u, rows
+
+        monkeypatch.setattr(photonloc.overlap, "_amplitude_factors", corrupted)
+        with pytest.raises(RuntimeError, match="departs from r cos"):
+            brute_force_overlap(s1, s2, spec)
+
+    @pytest.mark.parametrize("spec", [Q, None])
+    def test_oracle_rejects_anchors_that_hide_the_separation(self, spec):
+        # u2 - u1 rounds to 0 at |x| ~ 1e300, which would give the coincident value
+        # 0.0224 where qm_overlap gives 0.0083
+        s1 = state_at(SCALAR, [1e300, 0.0, 0.0], 0)
+        s2 = state_at(SCALAR, [1e300, 0.0, 2.0], 0)
+        assert abs(qm_overlap(s1, s2) - 0.008258) < 1e-6
+        with pytest.raises(ValueError, match="hides their separation"):
+            brute_force_overlap(s1, s2, spec)
+
+    def test_oracle_rejects_an_overflowing_anchor_phase(self):
+        # each |x_i| is finite, but t - khat.x leaves the double range; no warning
+        # may escape before the error (warnings are errors in this suite)
+        s = state_at(SCALAR, [1e308, 1e308, 1e308], 0, t=-1e308)
+        with pytest.raises(ValueError, match="anchor phase u = t - khat.x overflows"):
+            brute_force_overlap(s, s)
+
     def test_oracle_calls_no_production_reduction(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached a production-path function")
