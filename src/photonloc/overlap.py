@@ -19,10 +19,14 @@ order. Each radial integral then has a closed form (Gradshteyn-Ryzhik
         = sqrt(pi)/2^(l+2) * Gamma(b)/Gamma(c) * x^l * a^-(3+s) * 1F1(b; c; -x^2/4),
 
 with x = r/a, b = (l+3+s)/2 and c = l+3/2. The Legendre coefficients are
-cached per spin, one column per helicity. With theta and phi read off r by
+cached per spin, one column per helicity, and their sum over a helicity set
+once per (spin, set) in a bounded cache. With theta and phi read off r by
 atan2, the aligned diagonal is rotated back by d(theta) and Jz phases,
 e^(-i phi m) d(theta) diag d(theta)^T e^(i phi m'), with no rotation matrix,
-so a tilt off either pole keeps its precision. No production step has a node
+so a tilt off either pole keeps its precision; d(theta) is the Fourier series
+of ``rotations``, evaluated unchecked because the angle comes from atan2. A
+call checks and copies its separation once, and the Cartesian families
+conjugate by module-level constants U, U^H. No production step has a node
 count or a tolerance. ``scipy.special`` (1F1, Gamma, Legendre) serves only
 this closed form and is imported where it runs, so a process that never
 evaluates a production kernel never loads it.
@@ -74,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polarization import validate_helicities
-from .rotations import small_d_matrix, spherical_to_cartesian
+from .rotations import _magnetic_numbers, _small_d, small_d_matrix, spherical_to_cartesian
 from .states import (
     RADIATION_GAUGE,
     SCALAR,
@@ -101,6 +105,12 @@ _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+
+#: Read-only <sigma|i> and its adjoint: spherical entries K go to Cartesian as U^H K U.
+_U = spherical_to_cartesian()
+_U_H = _U.conj().T
+_U.setflags(write=False)
+_U_H.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -184,10 +194,12 @@ def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
 
 
 def _separation(rvec) -> np.ndarray:
-    rvec = np.asarray(rvec, dtype=float)
+    """A checked float copy of the 3-vector ``rvec``, the one a KernelMatrix stores."""
+    rvec = np.array(rvec, dtype=float)
     if rvec.shape != (3,):
         raise ValueError(f"separation must be a 3-vector, got shape {rvec.shape}")
-    if not np.all(np.isfinite(rvec)):
+    x, y, z = rvec
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"separation must be finite, got {rvec}")
     return rvec
 
@@ -215,6 +227,15 @@ def _aligned_table(j: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=256)
+def _helicity_columns(j: int, helicities: tuple) -> np.ndarray:
+    """Read-only C[l, m] = sum over ``helicities`` of T[l, m, j - lam], T = ``_aligned_table(j)``.
+    The bound of 256 holds every helicity set a benchmark run uses."""
+    coeff = _aligned_table(j)[:, :, [j - lam for lam in helicities]].sum(axis=2)
+    coeff.setflags(write=False)
+    return coeff
+
+
 def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float,
                       s: float) -> np.ndarray:
     """Kernel matrix in the spherical label basis at separation ``rvec``.
@@ -222,15 +243,14 @@ def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float,
     The standard rotation's last Jz phase commutes with the aligned diagonal.
     """
     x, y, z = rvec
-    coeff = _aligned_table(j)[:, :, [j - lam for lam in helicities]].sum(axis=2)
-    diag = _radial_integrals(2 * j, math.hypot(x, y, z), a, s) @ coeff
+    diag = _radial_integrals(2 * j, math.hypot(x, y, z), a, s) @ _helicity_columns(j, helicities)
     if not (x or y or z):
         return np.diag(diag)
     phi = math.atan2(y, x)
     if z < 0.0:  # d_mm'(pi - b) = (-1)^(j+m) d_m,-m'(b) keeps a tilt off -z exact
         diag, phi = diag[::-1], phi - math.pi
-    d = small_d_matrix(j, math.atan2(math.hypot(x, y), abs(z)))
-    phase = np.exp(-1j * phi * np.arange(j, -j - 1, -1))
+    d = _small_d(j, math.atan2(math.hypot(x, y), abs(z)))
+    phase = np.exp(-1j * phi * _magnetic_numbers(j))
     return phase[:, None] * ((d * diag) @ d.T) * phase.conj()
 
 
@@ -243,6 +263,15 @@ def _radial_power(family: StateFamily) -> float:
     return 1.0 - 2.0 * family.weight_exponent
 
 
+def _family_kernel(family: StateFamily, rvec: np.ndarray, a: float, s: float) -> np.ndarray:
+    """Kernel entries of a 3-label family in its own label basis; the caller checks
+    ``rvec`` and ``a`` and passes the family's radial power ``s``."""
+    entries = _spherical_kernel(1, family.helicities, rvec, a, s)
+    if family.label_basis == "cartesian":
+        entries = _U_H @ entries @ _U
+    return entries
+
+
 def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     """Full label-by-label equal-time overlap matrix at spatial separation rvec.
 
@@ -253,11 +282,7 @@ def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     a = require_regulator_width(a)
     s = _radial_power(family)
     rvec = _separation(rvec)
-    entries = _spherical_kernel(1, family.helicities, rvec, a, s)
-    if family.label_basis == "cartesian":
-        u = spherical_to_cartesian()
-        entries = u.conj().T @ entries @ u
-    return KernelMatrix(rvec.copy(), entries, family.kind, a, family.labels)
+    return KernelMatrix(rvec, _family_kernel(family, rvec, a, s), family.kind, a, family.labels)
 
 
 def transverse_kernel(rvec, a: float) -> np.ndarray:
@@ -267,9 +292,7 @@ def transverse_kernel(rvec, a: float) -> np.ndarray:
     and its large-separation limit is -(3 rhat rhat^T - I) / (4 pi r^3).
     """
     a = require_regulator_width(a)
-    entries = _spherical_kernel(1, (0,), _separation(rvec), a, 0.0)
-    u = spherical_to_cartesian()
-    entries = u.conj().T @ entries @ u
+    entries = _U_H @ _spherical_kernel(1, (0,), _separation(rvec), a, 0.0) @ _U
     scale = np.abs(entries).max()
     if scale > 0 and np.abs(entries.imag).max() > 1e-10 * scale:
         raise RuntimeError("transverse kernel acquired a non-negligible imaginary part")
@@ -296,7 +319,7 @@ def general_j_defect(j: int, helicities, rvec, a: float) -> KernelMatrix:
         entries = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
     else:
         entries = _spherical_kernel(j, missing, rvec, a, 0.0)
-    return KernelMatrix(rvec.copy(), entries, f"helicity-defect-j{j}", a, labels)
+    return KernelMatrix(rvec, entries, f"helicity-defect-j{j}", a, labels)
 
 
 def _require_overlap_compatible(s1: LocalizedState, s2: LocalizedState):
@@ -332,7 +355,7 @@ def qm_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
     if s1.family.kind == SCALAR:
         entries = _spherical_kernel(0, (0,), rvec, a, 0.0)
     else:
-        entries = overlap_kernel_matrix(s1.family, rvec, a).entries
+        entries = _family_kernel(s1.family, rvec, a, _radial_power(s1.family))
     return complex(s1.coefficients.conj() @ entries @ s2.coefficients)
 
 
@@ -500,10 +523,9 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     aligned = aligned.reshape(3, 3) / (2.0 * np.pi) ** 3
     rot = _oracle_rotation(rvec)
     if family.label_basis == "spherical":
-        u = spherical_to_cartesian()
-        rot = u @ rot @ u.conj().T
+        rot = _U @ rot @ _U_H
     entries = rot @ aligned @ rot.conj().T
-    return KernelMatrix(rvec.copy(), entries, family.kind, a, family.labels)
+    return KernelMatrix(rvec, entries, family.kind, a, family.labels)
 
 
 def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,

@@ -6,8 +6,11 @@ the little-group (Wigner) angle induced on helicity frames, and the unitary
 change of basis between spherical and Cartesian labels.
 
 D-matrices are built one way: the ZYZ Euler angles of R, Jz phases and
-``small_d_matrix`` (from the cached Jy eigensystem). The brute-force oracle in
-``overlap`` builds none, to stay independent: it reads the label rows off khat.
+``small_d_matrix``. The small-d matrix d^j(beta) is a trigonometric polynomial
+of degree j, evaluated as its Fourier series: one cos/sin pair of the
+multiples of beta and one real matrix product with coefficient matrices built
+once per spin from the Jy eigensystem. The brute-force oracle in ``overlap``
+builds none, to stay independent: it reads the label rows off khat.
 
 Conventions
 -----------
@@ -172,6 +175,42 @@ def _jy_eigensystem(j: int):
     return evals, vecs
 
 
+@lru_cache(maxsize=J_MAX + 1)
+def _magnetic_numbers(j: int) -> np.ndarray:
+    """Read-only m = +j, ..., -j, the order of D-matrix rows and columns."""
+    m = np.arange(j, -j - 1, -1)
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=J_MAX + 1)
+def _fourier_basis(j: int):
+    """Read-only (lam, F) with d^j(beta) = t(beta) @ F, F of shape (2j+1, (2j+1)^2),
+    t = (cos(lam beta), sin(lam[1:] beta)) and lam = 0, ..., j.
+
+    exp(-i beta Jy) = sum_k e^(-i beta e_k) P_k over the projectors of the Jy
+    eigenvalues e_k = k - j (ascending), so the +-lam pair gives
+    cos(lam beta) Re(P_+ + P_-) + sin(lam beta) Im(P_+ - P_-). d_mm' is even in
+    beta for even m - m' and odd otherwise; the other parity is set to exact zeros,
+    so that d_m,m+1 ~ beta keeps its relative precision near beta = 0 whatever
+    the eigensolver's rounding.
+    """
+    _, vecs = _jy_eigensystem(j)
+    proj = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]  # P_k[m, n]
+    up, down = proj[j:], proj[j::-1]
+    cos, sin = (up + down).real, (up - down).imag[1:]
+    cos[0] /= 2.0
+    m = _magnetic_numbers(j)
+    odd = (m[:, None] - m) % 2 == 1
+    cos[:, odd] = 0.0
+    sin[:, ~odd] = 0.0
+    lam = np.arange(j + 1.0)
+    basis = np.concatenate((cos, sin)).reshape(2 * j + 1, -1)
+    lam.setflags(write=False)
+    basis.setflags(write=False)
+    return lam, basis
+
+
 def _validated_spin(j) -> int:
     if j != int(j) or j < 0:
         raise ValueError(
@@ -205,22 +244,32 @@ def wigner_D(j: int, R) -> np.ndarray:
         gamma = math.atan2(R[1, 0] - R[0, 1], R[0, 0] + R[1, 1]) - alpha
     else:
         gamma = alpha - math.atan2(-(R[1, 0] + R[0, 1]), R[1, 1] - R[0, 0])
-    m = np.arange(j, -j - 1, -1)
-    return np.exp(-1j * alpha * m)[:, None] * small_d_matrix(j, beta) * np.exp(-1j * gamma * m)
+    m = _magnetic_numbers(j)
+    return np.exp(-1j * alpha * m)[:, None] * _small_d(j, beta) * np.exp(-1j * gamma * m)
 
 
 def small_d_matrix(j: int, beta) -> np.ndarray:
     """Reduced rotation matrix d^(j)(beta) = exp(-i beta Jy), vectorized in beta.
 
     Returns a real array of shape ``beta.shape + (2j+1, 2j+1)`` with the same
-    descending-m index ordering as :func:`wigner_D`.
+    descending-m index ordering as :func:`wigner_D`. Raises ValueError for a
+    non-finite angle.
     """
     j = _validated_spin(j)
-    evals, vecs = _jy_eigensystem(j)
     beta = np.asarray(beta, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(beta, evals))
-    d = np.einsum("ab,...b,cb->...ac", vecs, phases, vecs.conj())
-    return d.real
+    if not np.isfinite(beta).all():
+        raise ValueError("rotation angle beta must be finite")
+    return _small_d(j, beta)
+
+
+def _small_d(j: int, beta) -> np.ndarray:
+    """:func:`small_d_matrix` for a valid spin and finite ``beta``, unchecked."""
+    lam, basis = _fourier_basis(j)
+    x = np.multiply.outer(beta, lam)
+    t = np.empty(x.shape[:-1] + (2 * j + 1,))
+    np.cos(x, out=t[..., : j + 1])
+    np.sin(x[..., 1:], out=t[..., j + 1 :])
+    return (t @ basis).reshape(x.shape[:-1] + (2 * j + 1, 2 * j + 1))
 
 
 def wigner_angle(R, direction: Direction, tol: float = 1e-12) -> float:

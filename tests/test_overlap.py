@@ -14,6 +14,7 @@ from photonloc.overlap import (
     KernelMatrix,
     QuadratureSpec,
     _aligned_table,
+    _helicity_columns,
     _oracle_angular_grid,
     _oracle_gauss_legendre,
     _oracle_label_sums,
@@ -404,11 +405,16 @@ class TestBruteForceAgreement:
             raise AssertionError("the oracle reached a production-path function")
 
         for module, name in ((photonloc.overlap, "small_d_matrix"),
+                             (photonloc.overlap, "_small_d"),
+                             (photonloc.overlap, "_magnetic_numbers"),
                              (photonloc.overlap, "_aligned_table"),
+                             (photonloc.overlap, "_helicity_columns"),
                              (photonloc.overlap, "_radial_integrals"),
                              (photonloc.overlap, "_radial_constants"),
                              (np.polynomial.legendre, "leggauss"),
                              (photonloc.rotations, "small_d_matrix"),
+                             (photonloc.rotations, "_small_d"),
+                             (photonloc.rotations, "_fourier_basis"),
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
             monkeypatch.setattr(module, name, forbidden)
@@ -871,6 +877,19 @@ class TestKernelEngine:
             _aligned_table(J_MAX + 1)
         assert _aligned_table.cache_info().currsize <= J_MAX + 1
 
+    def test_helicity_columns_are_read_only_bounded_column_sums(self):
+        for j in range(1, 4):
+            table = _aligned_table(j)
+            for mask in range(1, 2 ** (2 * j + 1)):
+                helicities = tuple(lam for b, lam in enumerate(range(-j, j + 1)) if mask >> b & 1)
+                columns = _helicity_columns(j, helicities)
+                expected = sum(table[:, :, j - lam] for lam in helicities)
+                assert np.abs(columns - expected).max() <= 1e-15
+                with pytest.raises(ValueError, match="read-only"):
+                    columns[0, 0] = 0.0
+        info = _helicity_columns.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
     @pytest.mark.parametrize("pole", [1.0, -1.0])
     def test_tilt_off_a_pole_survives_in_the_off_diagonal_entries(self, pole):
         family = StateFamily.of(CARTESIAN_PHOTON)
@@ -882,6 +901,15 @@ class TestKernelEngine:
             assert xz != 0.0 and np.all(spin10 != 0.0)
             ratios.append(np.concatenate(([xz], spin10)) / t)
         np.testing.assert_allclose(ratios[1:], [ratios[0]] * 2, rtol=1e-9)
+
+
+def test_kernel_matrix_keeps_its_own_copy_of_the_separation():
+    rvec = np.array([0.4, -0.2, 0.9])
+    kernels = (overlap_kernel_matrix(StateFamily.of(CARTESIAN_PHOTON), rvec, 1.0),
+               general_j_defect(2, (-1, 1), rvec, 1.0))
+    rvec[:] = 7.0
+    for kernel in kernels:
+        np.testing.assert_array_equal(kernel.separation, [0.4, -0.2, 0.9])
 
 
 def test_kernel_matrix_records_its_configuration():

@@ -1,3 +1,7 @@
+import math
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,6 +9,7 @@ from scipy.linalg import expm
 from photonloc.rotations import (
     J_MAX,
     Direction,
+    _fourier_basis,
     angular_momentum_generators,
     require_rotation_matrix,
     rotation_from_axis_angle,
@@ -180,6 +185,47 @@ class TestWignerD:
                     small_d_matrix(j, beta), wigner_D(j, rotation_y(beta)).real,
                     atol=1e-13,
                 )
+
+    def test_small_d_matrix_matches_wigner_factorial_sum(self):
+        # Wigner's explicit sum in 40-digit arithmetic, an independent reference at every spin
+        rng = np.random.default_rng(43)
+        betas = np.concatenate((rng.uniform(0.0, np.pi, 4), [0.0, np.pi, 1e-12, np.pi - 1e-12]))
+        fact = [math.factorial(n) for n in range(2 * J_MAX + 1)]
+        with mp.workdps(40):
+            for b, beta in enumerate(betas):
+                c, s = mp.cos(mp.mpf(beta) / 2), mp.sin(mp.mpf(beta) / 2)
+                cpow = [c**n for n in range(2 * J_MAX + 1)]
+                spow = [s**n for n in range(2 * J_MAX + 1)]
+                for j in range(J_MAX + 1):
+                    got = small_d_matrix(j, betas)[b]
+                    for p, m1 in enumerate(range(j, -j - 1, -1)):
+                        for q, m2 in enumerate(range(j, -j - 1, -1)):
+                            ref = mp.sqrt(fact[j + m1] * fact[j - m1] * fact[j + m2] * fact[j - m2])
+                            ref *= mp.fsum(
+                                (-1) ** (m1 - m2 + k) * cpow[2 * j + m2 - m1 - 2 * k]
+                                * spow[m1 - m2 + 2 * k]
+                                / (fact[j + m2 - k] * fact[k] * fact[m1 - m2 + k] * fact[j - m1 - k])
+                                for k in range(max(0, m2 - m1), min(j + m2, j - m1) + 1))
+                            assert abs(got[p, q] - float(ref)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_small_d_matrix_rejects_a_non_finite_angle(self, bad):
+        for beta in (bad, np.array([0.3, bad, 1.2])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="finite"):
+                    small_d_matrix(1, beta)
+            assert caught == []
+
+    def test_fourier_basis_is_read_only_and_bounded(self):
+        for j in range(J_MAX + 1):
+            lam, basis = _fourier_basis(j)
+            assert basis.shape == (2 * j + 1, (2 * j + 1) ** 2)
+            for arr in (lam, basis):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        info = _fourier_basis.cache_info()
+        assert info.maxsize == J_MAX + 1 and info.currsize <= J_MAX + 1
 
     def test_generator_commutator(self):
         jx, jy, jz = angular_momentum_generators(2)
