@@ -21,13 +21,14 @@ order. Each radial integral then has a closed form (Gradshteyn-Ryzhik
 with x = r/a, b = (l+3+s)/2 and c = l+3/2. The Legendre coefficients are
 cached per spin, one column per helicity, and their sum over a helicity set
 once per (spin, set) in a bounded cache. With theta and phi read off r by
-atan2, the aligned diagonal is rotated back by d(theta) and Jz phases,
-e^(-i phi m) d(theta) diag d(theta)^T e^(i phi m'), with no rotation matrix,
-so a tilt off either pole keeps its precision; d(theta) is the Fourier series
-of ``rotations``, evaluated unchecked because the angle comes from atan2. A
-call checks and copies its separation once, and the Cartesian families
-conjugate by module-level constants U, U^H. No production step has a node
-count or a tolerance. ``scipy.special`` (1F1, Gamma, Legendre) serves only
+atan2, the aligned diagonal is rotated back as A diag A^H with
+A = B e^(-i phi m) d(theta), with no rotation matrix, so a tilt off either
+pole keeps its precision. d(theta) is the Fourier series of ``rotations``,
+evaluated unchecked because the angle comes from atan2; B is the change of
+label basis, the identity for spherical labels and the module-level constant
+U^H for Cartesian ones, so no conjugation follows the rotation. A call checks
+and copies its separation once. No production step has a node count or a
+tolerance. ``scipy.special`` (1F1, Gamma, Legendre) serves only
 this closed form and is imported where it runs, so a process that never
 evaluates a production kernel never loads it.
 
@@ -78,7 +79,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polarization import validate_helicities
-from .rotations import _magnetic_numbers, _small_d, small_d_matrix, spherical_to_cartesian
+from .rotations import J_MAX, _magnetic_numbers, _small_d, small_d_matrix, spherical_to_cartesian
 from .states import (
     RADIATION_GAUGE,
     SCALAR,
@@ -154,7 +155,7 @@ def gaussian_delta(r: float, a: float) -> float:
 @lru_cache(maxsize=None)
 def _radial_constants(lmax: int, s: float):
     """Separation-independent parts of the closed form for l = 0..lmax, read-only:
-    (l, orders with b == c, the other orders, their b and c, the prefactor
+    (the first order with b != c, l, b and c from that order on, the prefactor
     sqrt(pi) 2^-(l+2) Gamma(b) / Gamma(c)). Keyed on lmax = 2j <= 20 and
     s in {0, -1}: at most 42 entries."""
     from scipy.special import gammaln
@@ -162,12 +163,12 @@ def _radial_constants(lmax: int, s: float):
     l = np.arange(lmax + 1)
     b, c = (l + 3.0 + s) / 2.0, l + 1.5
     # b == c only at l = s = 0, where 1F1 is exactly exp(-z) and scipy's series costs O(z)
-    same, rest = np.flatnonzero(b == c), np.flatnonzero(b != c)
+    start = int(b[0] == c[0])
     prefactor = np.sqrt(np.pi) * 2.0 ** -(l + 2.0) * np.exp(gammaln(b) - gammaln(c))
-    out = (l, same, rest, b[rest], c[rest], prefactor)
-    for arr in out:
+    arrays = (l, b[start:], c[start:], prefactor)
+    for arr in arrays:
         arr.setflags(write=False)
-    return out
+    return (start,) + arrays
 
 
 def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
@@ -179,18 +180,21 @@ def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
     """
     from scipy.special import hyp1f1
 
-    l, same, rest, b, c, prefactor = _radial_constants(lmax, s)
+    start, l, b, c, prefactor = _radial_constants(lmax, s)
     x = r / a
     z = x * x / 4.0
     hyp = np.empty(lmax + 1)
-    hyp[same] = np.exp(-z)
-    hyp[rest] = rest_hyp = hyp1f1(b, c, -z)
+    hyp[:start] = math.exp(-z)
+    rest = hyp1f1(b, c, -z, out=hyp[start:])
     # 1F1(b; c; -z) > 0 for c > b > 0, so a value below the normal range has underflowed
-    if not rest_hyp.min(initial=np.inf) >= _TINY:
+    if not min(rest.tolist(), default=math.inf) >= _TINY:
         raise ValueError(
             f"separation r/a = {x:.3g} is beyond the double range of Legendre orders to {lmax}"
         )
-    return prefactor * x**l * a ** -(3.0 + s) * hyp
+    out = prefactor * x**l
+    out *= a ** -(3.0 + s)
+    out *= hyp
+    return out
 
 
 def _separation(rvec) -> np.ndarray:
@@ -198,7 +202,7 @@ def _separation(rvec) -> np.ndarray:
     rvec = np.array(rvec, dtype=float)
     if rvec.shape != (3,):
         raise ValueError(f"separation must be a 3-vector, got shape {rvec.shape}")
-    x, y, z = rvec
+    x, y, z = rvec.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"separation must be finite, got {rvec}")
     return rvec
@@ -206,8 +210,9 @@ def _separation(rvec) -> np.ndarray:
 
 def _state_separation(s1: LocalizedState, s2: LocalizedState) -> np.ndarray:
     """Spatial separation x1 - x2 of two states' anchors, checked finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
-        return _separation(s1.x[1:] - s2.x[1:])
+    _, x1, y1, z1 = s1.x.tolist()
+    _, x2, y2, z2 = s2.x.tolist()
+    return _separation((x1 - x2, y1 - y2, z1 - z2))  # an overflow gives inf, which is rejected
 
 
 @lru_cache(maxsize=None)
@@ -236,22 +241,31 @@ def _helicity_columns(j: int, helicities: tuple) -> np.ndarray:
     return coeff
 
 
-def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float,
-                      s: float) -> np.ndarray:
-    """Kernel matrix in the spherical label basis at separation ``rvec``.
+def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float, s: float,
+                      basis: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix at separation ``rvec`` in the spherical label basis, or in the
+    basis B K B^H when ``basis`` gives the change of basis B (``_U_H`` for Cartesian
+    labels).
 
-    The standard rotation's last Jz phase commutes with the aligned diagonal.
+    With A = B e^(-i phi Jz) d(theta), the kernel is A diag A^H: the standard
+    rotation's last Jz phase commutes with the aligned diagonal.
     """
-    x, y, z = rvec
+    x, y, z = rvec.tolist()
     diag = _radial_integrals(2 * j, math.hypot(x, y, z), a, s) @ _helicity_columns(j, helicities)
     if not (x or y or z):
-        return np.diag(diag)
-    phi = math.atan2(y, x)
-    if z < 0.0:  # d_mm'(pi - b) = (-1)^(j+m) d_m,-m'(b) keeps a tilt off -z exact
-        diag, phi = diag[::-1], phi - math.pi
-    d = _small_d(j, math.atan2(math.hypot(x, y), abs(z)))
-    phase = np.exp(-1j * phi * _magnetic_numbers(j))
-    return phase[:, None] * ((d * diag) @ d.T) * phase.conj()
+        if basis is None:
+            return np.diag(diag)
+        A = basis
+    else:
+        phi = math.atan2(y, x)
+        if z < 0.0:  # d_mm'(pi - b) = (-1)^(j+m) d_m,-m'(b) keeps a tilt off -z exact
+            diag, phi = diag[::-1], phi - math.pi
+        d = _small_d(j, math.atan2(math.hypot(x, y), abs(z)))
+        phase = np.exp(-1j * phi * _magnetic_numbers(j))
+        A = d * phase[:, None]
+        if basis is not None:
+            A = basis @ A
+    return (A * diag) @ A.conj().T
 
 
 def _radial_power(family: StateFamily) -> float:
@@ -266,10 +280,8 @@ def _radial_power(family: StateFamily) -> float:
 def _family_kernel(family: StateFamily, rvec: np.ndarray, a: float, s: float) -> np.ndarray:
     """Kernel entries of a 3-label family in its own label basis; the caller checks
     ``rvec`` and ``a`` and passes the family's radial power ``s``."""
-    entries = _spherical_kernel(1, family.helicities, rvec, a, s)
-    if family.label_basis == "cartesian":
-        entries = _U_H @ entries @ _U
-    return entries
+    basis = _U_H if family.label_basis == "cartesian" else None
+    return _spherical_kernel(1, family.helicities, rvec, a, s, basis)
 
 
 def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
@@ -292,7 +304,7 @@ def transverse_kernel(rvec, a: float) -> np.ndarray:
     and its large-separation limit is -(3 rhat rhat^T - I) / (4 pi r^3).
     """
     a = require_regulator_width(a)
-    entries = _U_H @ _spherical_kernel(1, (0,), _separation(rvec), a, 0.0) @ _U
+    entries = _spherical_kernel(1, (0,), _separation(rvec), a, 0.0, _U_H)
     scale = np.abs(entries).max()
     if scale > 0 and np.abs(entries.imag).max() > 1e-10 * scale:
         raise RuntimeError("transverse kernel acquired a non-negligible imaginary part")
@@ -307,8 +319,8 @@ def general_j_defect(j: int, helicities, rvec, a: float) -> KernelMatrix:
     of the helicity sum over the *missing* helicities. It vanishes for the
     full set and is nonzero for every incomplete one.
     """
-    if j != int(j) or j < 1:
-        raise ValueError(f"spin must be a positive integer, got {j}")
+    if j != int(j) or not 1 <= j <= J_MAX:  # before the helicities, whose range it sets
+        raise ValueError(f"spin must be a positive integer at most {J_MAX}, got {j}")
     j = int(j)
     a = require_regulator_width(a)
     present = validate_helicities(helicities, j)
@@ -356,7 +368,7 @@ def qm_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
         entries = _spherical_kernel(0, (0,), rvec, a, 0.0)
     else:
         entries = _family_kernel(s1.family, rvec, a, _radial_power(s1.family))
-    return complex(s1.coefficients.conj() @ entries @ s2.coefficients)
+    return complex(np.vdot(s1.coefficients, entries @ s2.coefficients))
 
 
 def alt_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
@@ -374,7 +386,7 @@ def alt_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
                 "the alternative pairing is defined for radiation-gauge states only"
             )
     _require_overlap_compatible(s1, s2)
-    rnorm = float(np.linalg.norm(_state_separation(s1, s2)))
+    rnorm = math.hypot(*_state_separation(s1, s2).tolist())
     return complex(2.0 * gaussian_delta(rnorm, s1.regulator_width))
 
 

@@ -7,10 +7,11 @@ change of basis between spherical and Cartesian labels.
 
 D-matrices are built one way: the ZYZ Euler angles of R, Jz phases and
 ``small_d_matrix``. The small-d matrix d^j(beta) is a trigonometric polynomial
-of degree j, evaluated as its Fourier series: one cos/sin pair of the
-multiples of beta and one real matrix product with coefficient matrices built
-once per spin from the Jy eigensystem. The brute-force oracle in ``overlap``
-builds none, to stay independent: it reads the label rows off khat.
+of degree j, evaluated as its Fourier series: one complex exponential
+exp(i lam beta), lam = 0..j, read as its cos/sin pairs, and one real matrix
+product with coefficient matrices built once per spin from the Jy
+eigensystem. The brute-force oracle in ``overlap`` builds none, to stay
+independent: it reads the label rows off khat.
 
 Conventions
 -----------
@@ -185,8 +186,9 @@ def _magnetic_numbers(j: int) -> np.ndarray:
 
 @lru_cache(maxsize=J_MAX + 1)
 def _fourier_basis(j: int):
-    """Read-only (lam, F) with d^j(beta) = t(beta) @ F, F of shape (2j+1, (2j+1)^2),
-    t = (cos(lam beta), sin(lam[1:] beta)) and lam = 0, ..., j.
+    """Read-only (i lam, F) with d^j(beta) = t(beta) @ F, F of shape (2j+2, (2j+1)^2),
+    t = exp(i lam beta) viewed as real pairs (cos(lam beta), sin(lam beta)) and
+    lam = 0, ..., j; the row of sin(0) is zero.
 
     exp(-i beta Jy) = sum_k e^(-i beta e_k) P_k over the projectors of the Jy
     eigenvalues e_k = k - j (ascending), so the +-lam pair gives
@@ -198,17 +200,17 @@ def _fourier_basis(j: int):
     _, vecs = _jy_eigensystem(j)
     proj = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]  # P_k[m, n]
     up, down = proj[j:], proj[j::-1]
-    cos, sin = (up + down).real, (up - down).imag[1:]
+    cos, sin = (up + down).real, (up - down).imag
     cos[0] /= 2.0
     m = _magnetic_numbers(j)
     odd = (m[:, None] - m) % 2 == 1
     cos[:, odd] = 0.0
     sin[:, ~odd] = 0.0
-    lam = np.arange(j + 1.0)
-    basis = np.concatenate((cos, sin)).reshape(2 * j + 1, -1)
-    lam.setflags(write=False)
+    ilam = 1j * np.arange(j + 1.0)
+    basis = np.stack((cos, sin), axis=1).reshape(2 * j + 2, -1)
+    ilam.setflags(write=False)
     basis.setflags(write=False)
-    return lam, basis
+    return ilam, basis
 
 
 def _validated_spin(j) -> int:
@@ -264,12 +266,9 @@ def small_d_matrix(j: int, beta) -> np.ndarray:
 
 def _small_d(j: int, beta) -> np.ndarray:
     """:func:`small_d_matrix` for a valid spin and finite ``beta``, unchecked."""
-    lam, basis = _fourier_basis(j)
-    x = np.multiply.outer(beta, lam)
-    t = np.empty(x.shape[:-1] + (2 * j + 1,))
-    np.cos(x, out=t[..., : j + 1])
-    np.sin(x[..., 1:], out=t[..., j + 1 :])
-    return (t @ basis).reshape(x.shape[:-1] + (2 * j + 1, 2 * j + 1))
+    ilam, basis = _fourier_basis(j)
+    t = np.exp(np.multiply.outer(beta, ilam))
+    return (t.view(float) @ basis).reshape(t.shape[:-1] + (2 * j + 1, 2 * j + 1))
 
 
 def wigner_angle(R, direction: Direction, tol: float = 1e-12) -> float:

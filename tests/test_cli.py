@@ -223,6 +223,12 @@ class TestDefectCommand:
         assert code == 0
         assert all(float(r["re"]) == 0.0 and float(r["im"]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("helicities", [",".join(map(str, range(-11, 12))), "-1,1"])
+    def test_spin_above_the_maximum_is_usage_error(self, capsys, helicities):
+        assert main(["defect-j", "--j", "11", "--helicities", helicities]) == 2
+        captured = capsys.readouterr()
+        assert "at most 10" in captured.err and captured.out == ""
+
 
 class TestCheckSuites:
     @pytest.mark.parametrize("suite", ["covariance", "gauge", "translation", "alt-product"])

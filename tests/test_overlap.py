@@ -22,6 +22,7 @@ from photonloc.overlap import (
     _oracle_radial_grid,
     _oracle_rotation,
     _radial_integrals,
+    _radial_power,
     _spherical_kernel,
     alt_overlap,
     brute_force_kernel_matrix,
@@ -826,6 +827,11 @@ class TestGeneralDefect:
         with pytest.raises(ValueError, match="range"):
             general_j_defect(2, (-3, 3), np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("helicities", [range(-11, 12), (-1, 1)])
+    def test_spin_above_the_maximum_rejected_before_the_helicities(self, helicities):
+        with pytest.raises(ValueError, match=f"at most {J_MAX}"):
+            general_j_defect(J_MAX + 1, helicities, np.array([0.3, 0.0, 1.0]), 1.0)
+
 
 class TestKernelEngine:
     DIRECTIONS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (1.0, -0.0, 0.0),
@@ -848,6 +854,25 @@ class TestKernelEngine:
                     expected = rotated_diagonal_kernel(columns, helicities, rvec, a, s)
                     got = _spherical_kernel(j, helicities, rvec, a, s)
                     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_cartesian_labels_conjugate_the_spherical_kernel(self):
+        # the change of basis folded into the rotation against U^H K U after it
+        U = spherical_to_cartesian()
+        rng = np.random.default_rng(47)
+        directions = self.DIRECTIONS + list(rng.normal(size=(4, 3)))
+        separations = [np.zeros(3), np.array([-0.0, 0.0, -0.0])]
+        separations += [rng.uniform(0.3, 3.0) * np.asarray(d) for d in directions]
+        for rvec in separations:
+            a = rng.uniform(0.5, 2.0)
+            expected = (U.conj().T @ _spherical_kernel(1, (0,), rvec, a, 0.0) @ U).real
+            got = transverse_kernel(rvec, a)
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+            for kind in (CARTESIAN3, CARTESIAN_PHOTON, RADIATION_GAUGE):
+                family = StateFamily.of(kind)
+                s = _radial_power(family)
+                expected = U.conj().T @ _spherical_kernel(1, family.helicities, rvec, a, s) @ U
+                got = overlap_kernel_matrix(family, rvec, a).entries
+                assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_table_matches_a_finer_legendre_projection(self):
         rng = np.random.default_rng(37)
@@ -901,6 +926,64 @@ class TestKernelEngine:
             assert xz != 0.0 and np.all(spin10 != 0.0)
             ratios.append(np.concatenate(([xz], spin10)) / t)
         np.testing.assert_allclose(ratios[1:], [ratios[0]] * 2, rtol=1e-9)
+
+
+def _draw_unit_vector(data, label):
+    unit = st.floats(-1.0, 1.0)
+    v = np.array(data.draw(st.tuples(unit, unit, unit), label=label))
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0])
+
+
+def _draw_rotation(data):
+    angle = data.draw(st.floats(-np.pi, np.pi), label="angle")
+    return rotation_from_axis_angle(_draw_unit_vector(data, "axis"), angle)
+
+
+def _draw_separation(data):
+    """(rvec, a): r/a log-uniform in [1e-2, 1e3] along a drawn direction."""
+    a = data.draw(st.floats(0.1, 10.0), label="a")
+    r_over_a = 10.0 ** data.draw(st.floats(-2.0, 3.0), label="log10 r/a")
+    return r_over_a * a * _draw_unit_vector(data, "direction"), a
+
+
+def _kernel_scale(K, rvec, a, s):
+    """max(|K|, 1 / (4 pi max(r, a)^(3+s))): the Legendre terms of a kernel are of
+    the dipole size r^-(3+s) at large r, so a kernel that cancels far below it (the
+    Gaussian of a full helicity set) rounds at this floor, not at |K|."""
+    floor = 1.0 / (4.0 * np.pi * max(np.linalg.norm(rvec), a) ** (3.0 + s))
+    return max(np.abs(K).max(), floor)
+
+
+class TestKernelProperties:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_defect_is_rotation_covariant_and_hermitian(self, data):
+        j = data.draw(st.integers(1, J_MAX), label="j")
+        mask = data.draw(st.lists(st.booleans(), min_size=2 * j + 1, max_size=2 * j + 1)
+                         .filter(lambda m: 0 < sum(m) < len(m)), label="mask")
+        helicities = tuple(lam for lam, keep in zip(range(-j, j + 1), mask) if keep)
+        rvec, a = _draw_separation(data)
+        R = _draw_rotation(data)
+        K = general_j_defect(j, helicities, rvec, a).entries
+        scale = _kernel_scale(K, rvec, a, 0.0)
+        D = wigner_D(j, R)
+        rotated = general_j_defect(j, helicities, R @ rvec, a).entries
+        assert np.abs(rotated - D @ K @ D.conj().T).max() <= 1e-12 * scale
+        flipped = general_j_defect(j, helicities, -rvec, a).entries
+        assert np.abs(flipped - K.conj().T).max() <= 1e-12 * scale
+
+    @settings(max_examples=250)
+    @given(data=st.data())
+    def test_every_family_kernel_is_rotation_covariant(self, data):
+        family = StateFamily.of(data.draw(st.sampled_from(THREE_LABEL_KINDS), label="kind"))
+        rvec, a = _draw_separation(data)
+        R = _draw_rotation(data)
+        M = R if family.label_basis == "cartesian" else wigner_D(1, R)
+        K = overlap_kernel_matrix(family, rvec, a).entries
+        rotated = overlap_kernel_matrix(family, R @ rvec, a).entries
+        scale = _kernel_scale(K, rvec, a, _radial_power(family))
+        assert np.abs(rotated - M @ K @ M.conj().T).max() <= 1e-12 * scale
 
 
 def test_kernel_matrix_keeps_its_own_copy_of_the_separation():

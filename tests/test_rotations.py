@@ -219,9 +219,9 @@ class TestWignerD:
 
     def test_fourier_basis_is_read_only_and_bounded(self):
         for j in range(J_MAX + 1):
-            lam, basis = _fourier_basis(j)
-            assert basis.shape == (2 * j + 1, (2 * j + 1) ** 2)
-            for arr in (lam, basis):
+            ilam, basis = _fourier_basis(j)
+            assert basis.shape == (2 * j + 2, (2 * j + 1) ** 2)
+            for arr in (ilam, basis):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
         info = _fourier_basis.cache_info()
