@@ -10,7 +10,6 @@ closed-form kernels and a brute-force quadrature oracle.
 from .rotations import (
     J_MAX,
     Direction,
-    angular_momentum_generators,
     require_rotation_matrix,
     rotation_from_axis_angle,
     rotation_y,
@@ -21,21 +20,8 @@ from .rotations import (
     wigner_D,
     wigner_angle,
 )
-from .polarization import (
-    AXES,
-    PolarizationVector,
-    field_strength,
-    gauge_transform,
-    helicity_sum_matrix,
-    longitudinal_projector,
-    minkowski_dot,
-    polarization_vector,
-    transverse_helicity_sum_closed_form,
-    transverse_outer_product,
-    validate_helicities,
-    wave_four_vector,
-)
 from .states import (
+    AXES,
     CARTESIAN3,
     CARTESIAN_PHOTON,
     FAMILY_KINDS,
@@ -49,6 +35,17 @@ from .states import (
     momentum_amplitude,
     rotate_state,
     translate_state,
+)
+from .polarization import (
+    field_strength,
+    helicity_sum_matrix,
+    longitudinal_projector,
+    minkowski_dot,
+    polarization_vectors,
+    transverse_helicity_sum_closed_form,
+    transverse_outer_product,
+    validate_helicities,
+    wave_four_vector,
 )
 from .overlap import (
     KernelMatrix,

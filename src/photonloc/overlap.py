@@ -156,9 +156,10 @@ def gaussian_delta(r: float, a: float) -> float:
 def _radial_constants(lmax: int, s: float):
     """Separation-independent parts of the closed form for l = 0..lmax, read-only:
     (the first order with b != c, l, b and c from that order on, the prefactor
-    sqrt(pi) 2^-(l+2) Gamma(b) / Gamma(c)). Keyed on lmax = 2j <= 20 and
-    s in {0, -1}: at most 42 entries."""
-    from scipy.special import gammaln
+    sqrt(pi) 2^-(l+2) Gamma(b) / Gamma(c), and scipy's ``hyp1f1``, bound here so
+    the warm path imports nothing). Keyed on lmax = 2j <= 20 and s in {0, -1}:
+    at most 42 entries."""
+    from scipy.special import gammaln, hyp1f1
 
     l = np.arange(lmax + 1)
     b, c = (l + 3.0 + s) / 2.0, l + 1.5
@@ -168,7 +169,7 @@ def _radial_constants(lmax: int, s: float):
     arrays = (l, b[start:], c[start:], prefactor)
     for arr in arrays:
         arr.setflags(write=False)
-    return (start,) + arrays
+    return (start,) + arrays + (hyp1f1,)
 
 
 def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
@@ -178,9 +179,7 @@ def _radial_integrals(lmax: int, r: float, a: float, s: float) -> np.ndarray:
     where 1F1 leaves the double range: r/a beyond ~2e14 at lmax = 20
     (spin 10), ~3e46 at lmax = 2.
     """
-    from scipy.special import hyp1f1
-
-    start, l, b, c, prefactor = _radial_constants(lmax, s)
+    start, l, b, c, prefactor, hyp1f1 = _radial_constants(lmax, s)
     x = r / a
     z = x * x / 4.0
     hyp = np.empty(lmax + 1)

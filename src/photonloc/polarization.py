@@ -1,13 +1,16 @@
 """Polarization vectors, gauge shifts, and helicity-sum matrices.
 
-Radiation-gauge polarization vectors are obtained by applying the standard
-rotation for the momentum direction to their z-axis values; helicity-sum
-matrices measure how much of the spin-j completeness relation survives when
-the helicity spectrum is restricted (the obstruction to building three
-mutually orthogonal localized states for the photon).
+Radiation-gauge polarization vectors are read off the label rows the states
+carry, eps^i(khat, lambda) = conj C_i(khat, lambda) for the Cartesian unit
+label i (:func:`photonloc.states._label_rows`), so the frame these checks
+judge is the frame every state, kernel and oracle uses. Helicity-sum matrices
+measure how much of the spin-j completeness relation survives when the
+helicity spectrum is restricted (the obstruction to building three mutually
+orthogonal localized states for the photon).
 
 Four-vectors use (t, x, y, z) component ordering with metric (+, -, -, -),
-so the light-like momentum is k = omega * (1, khat).
+so the light-like momentum is k = omega * (1, khat); arrays of four-vectors
+hold the components on their last axis. A gauge shift is eps + g * k.
 
 Helicity sets are plain sequences of integers; :func:`validate_helicities`
 normalizes them to a sorted tuple.
@@ -15,75 +18,44 @@ normalizes them to a sorted tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .rotations import (
-    Direction,
-    _validated_spin,
-    spherical_to_cartesian,
-    standard_rotation,
-    wigner_D,
-)
+from .rotations import Direction, _validated_spin, standard_rotation, wigner_D
+from .states import CARTESIAN3, StateFamily, _label_rows
 
-#: Cartesian axis labels, in index order.
-AXES = ("x", "y", "z")
-
-# z-axis conjugate polarization vectors eps*(z_hat, lambda); row order
-# lambda = (+1, 0, -1) coincides with the spherical<->Cartesian unitary.
-_EPS_STAR_Z = spherical_to_cartesian()
+_UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class PolarizationVector:
-    """Four-component polarization vector for a definite helicity.
-
-    ``components`` stores eps^mu in (t, x, y, z) ordering. For the physical
-    transverse helicities (lambda = +-1) in the radiation gauge the time
-    component vanishes, the spatial part is orthogonal to the momentum
-    direction, and eps . eps* = 1. The lambda = 0 member is the longitudinal
-    unit vector along khat, used only by the hypothetical full-helicity
-    constructions.
-    """
-
-    components: np.ndarray
-    helicity: int
-    direction: Direction
-    gauge_tag: str = "radiation"
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return self.components[1:]
-
-    @property
-    def conjugate(self) -> np.ndarray:
-        """Complex-conjugate four-vector eps*^mu."""
-        return self.components.conj()
+def _unit_directions(khat) -> np.ndarray:
+    """``khat`` as a float array of shape (M, 3) whose rows are finite unit vectors."""
+    khat = np.asarray(khat, dtype=float)
+    if khat.ndim != 2 or khat.shape[1] != 3:
+        raise ValueError(f"directions must have shape (M, 3), got {khat.shape}")
+    if not np.all(np.isfinite(khat)):
+        raise ValueError("directions must be finite")
+    if not np.all(np.abs(np.sqrt(np.sum(khat * khat, axis=1)) - 1.0) <= _UNIT_TOL):
+        raise ValueError(f"directions must be unit vectors to {_UNIT_TOL}")
+    return khat
 
 
-def minkowski_dot(u, v) -> complex:
-    """Lorentz product u . v = u0 v0 - u_vec . v_vec (no conjugation)."""
+def minkowski_dot(u, v):
+    """Lorentz products u . v = u0 v0 - u_vec . v_vec over the last axis (no conjugation)."""
     u = np.asarray(u)
     v = np.asarray(v)
-    return u[0] * v[0] - u[1:] @ v[1:]
+    # stacked 1 x 3 by 3 x 1 products: each sums as the 1-D ``@`` of one pair does
+    return u[..., 0] * v[..., 0] - (u[..., None, 1:] @ v[..., 1:, None])[..., 0, 0]
 
 
-def wave_four_vector(omega: float, direction: Direction) -> np.ndarray:
-    """Light-like momentum four-vector omega * (1, khat)."""
-    k = np.empty(4)
-    k[0] = omega
-    k[1:] = omega * direction.unit_vector
-    return k
-
-
-def axis_index(axis) -> int:
-    """Map an axis label ('x'|'y'|'z', or 0|1|2) to its index."""
-    if axis in AXES:
-        return AXES.index(axis)
-    if axis in (0, 1, 2):
-        return int(axis)
-    raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+def wave_four_vector(omega, khat) -> np.ndarray:
+    """Light-like momenta omega * (1, khat), shape (M, 4), at unit directions ``khat``
+    of shape (M, 3); ``omega`` is one energy or one per direction, finite and positive."""
+    khat = _unit_directions(khat)
+    omega = np.asarray(omega, dtype=float)
+    if not np.all((omega > 0.0) & (omega < np.inf)):
+        raise ValueError(f"energy must be finite and positive, got {omega}")
+    k = np.ones((khat.shape[0], 4))
+    k[:, 1:] = khat
+    return omega[..., None] * k
 
 
 def validate_helicities(helicities, j: int) -> tuple:
@@ -101,51 +73,32 @@ def validate_helicities(helicities, j: int) -> tuple:
     return values
 
 
-def polarization_vector(direction: Direction, helicity: int) -> PolarizationVector:
-    """Radiation-gauge polarization vector for the given momentum direction.
+def polarization_vectors(khat) -> np.ndarray:
+    """Radiation-gauge polarization four-vectors at unit directions ``khat``, shape (M, 3).
 
-    The spatial part is the standard rotation applied to the z-axis vector of
-    the same helicity; the time component is zero.
+    Returns shape (M, 3, 4): ``[:, lam + 1]`` is eps^mu(khat, lam) for
+    lam = -1, 0, +1, with time component 0 and eps^i = conj C_i(khat, lam).
+    For lam = +-1 the spatial part is orthogonal to khat and eps . eps* = 1; the
+    lam = 0 member is khat itself, used only by the hypothetical full-helicity
+    constructions.
     """
-    if helicity not in (-1, 0, 1):
-        raise ValueError(f"helicity must be -1, 0 or +1, got {helicity}")
-    eps_star_z = _EPS_STAR_Z[1 - helicity]  # rows ordered (+1, 0, -1)
-    spatial = standard_rotation(direction) @ eps_star_z.conj()
-    components = np.zeros(4, dtype=complex)
-    components[1:] = spatial
-    return PolarizationVector(components, helicity, direction, "radiation")
+    khat = _unit_directions(khat)
+    family = StateFamily.of(CARTESIAN3)  # helicities (-1, 0, 1): row column lam + 1
+    eps = np.zeros((khat.shape[0], 3, 4), dtype=complex)
+    for i, unit in enumerate(np.eye(3)):
+        eps[:, :, 1 + i] = _label_rows(family, unit, khat).conj()
+    return eps
 
 
-def gauge_transform(
-    pol: PolarizationVector, omega: float, g: complex
-) -> PolarizationVector:
-    """Shift a polarization vector by g * k^mu with k = omega * (1, khat).
+def field_strength(k, eps) -> np.ndarray:
+    """Momentum-space field-strength tensors k^mu eps^nu - k^nu eps^mu, shape (..., 4, 4).
 
-    Leaves the momentum-space field strength unchanged and, because k is
-    light-like, preserves the Lorentz condition k . eps = 0 whenever the
-    input satisfied it.
+    ``k`` and ``eps`` hold four-vectors on their last axis. Antisymmetric;
+    identically zero when eps is proportional to k (a pure gauge).
     """
-    if omega <= 0:
-        raise ValueError(f"energy must be positive, got {omega}")
-    k = wave_four_vector(omega, pol.direction)
-    return PolarizationVector(
-        pol.components + g * k, pol.helicity, pol.direction, "transformed"
-    )
-
-
-def field_strength(
-    omega: float, direction: Direction, pol: PolarizationVector
-) -> np.ndarray:
-    """Momentum-space field-strength tensor k^mu eps^nu - k^nu eps^mu.
-
-    Antisymmetric complex 4x4 matrix; identically zero when eps is
-    proportional to k (a pure gauge).
-    """
-    if omega <= 0:
-        raise ValueError(f"energy must be positive, got {omega}")
-    k = wave_four_vector(omega, direction).astype(complex)
-    eps = pol.components
-    return np.outer(k, eps) - np.outer(eps, k)
+    k = np.asarray(k)
+    eps = np.asarray(eps)
+    return k[..., :, None] * eps[..., None, :] - eps[..., :, None] * k[..., None, :]
 
 
 def helicity_sum_matrix(direction: Direction, helicities, j: int = 1) -> np.ndarray:
@@ -186,15 +139,11 @@ def transverse_helicity_sum_closed_form(direction: Direction) -> np.ndarray:
     return np.eye(3, dtype=complex) - longitudinal_projector(direction)
 
 
-def transverse_outer_product(direction: Direction, i1, i2) -> complex:
-    """Transverse projector entry sum_{lambda=+-1} eps^{i1} eps*^{i2}.
+def transverse_outer_product(khat) -> np.ndarray:
+    """Transverse projectors sum_{lambda=+-1} eps^{i1} eps*^{i2}, shape (M, 3, 3), at
+    unit directions ``khat`` of shape (M, 3).
 
     Equals delta_{i1 i2} - khat_{i1} khat_{i2} for every direction.
     """
-    a1 = axis_index(i1)
-    a2 = axis_index(i2)
-    total = 0.0 + 0.0j
-    for lam in (-1, 1):
-        eps = polarization_vector(direction, lam).spatial
-        total += eps[a1] * np.conj(eps[a2])
-    return complex(total)
+    eps = polarization_vectors(khat)[:, ::2, 1:]  # lam = -1, +1; spatial parts
+    return np.sum(eps[..., :, None] * eps[..., None, :].conj(), axis=1)

@@ -161,13 +161,6 @@ def _generators(j: int):
     return jx, jy, jz
 
 
-def angular_momentum_generators(j: int):
-    """Return (Jx, Jy, Jz) for integer spin j in the descending-m basis."""
-    j = _validated_spin(j)
-    jx, jy, jz = _generators(j)
-    return jx.copy(), jy.copy(), jz.copy()
-
-
 @lru_cache(maxsize=None)
 def _jy_eigensystem(j: int):
     """Eigenvalues and eigenvectors of the spin-j Jy, read-only."""

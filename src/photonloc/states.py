@@ -12,7 +12,8 @@ the components of khat), k.x = omega*t - k_vec.x_vec, and a > 0 a Gaussian
 regulator width that makes all overlaps finite while commuting with rotations.
 With k.x = |k| u(khat), u = t - khat.x_vec, the amplitude is a product of three
 separable factors: an envelope in |k|, the anchor phase exp(+-i |k| u) and the
-label rows C(khat, lambda). A state is stored as its family, anchor point,
+label rows C(khat, lambda), the package's one helicity frame: the polarization
+vectors are read off them. A state is stored as its family, anchor point,
 regulator width, and a complex coefficient vector over the family's labels (a
 unit vector at construction, mixed by rotations).
 
@@ -38,7 +39,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .polarization import AXES, axis_index
 from .rotations import require_rotation_matrix, spherical_to_cartesian, wigner_D
 
 SCALAR = "scalar"
@@ -68,6 +68,18 @@ _CANONICAL = {
 }
 
 _SPHERICAL_LABELS = (1, 0, -1)  # descending, matching D-matrix ordering
+
+#: Cartesian axis labels, in index order.
+AXES = ("x", "y", "z")
+
+
+def axis_index(axis) -> int:
+    """Map an axis label ('x'|'y'|'z', or 0|1|2) to its index."""
+    if axis in AXES:
+        return AXES.index(axis)
+    if axis in (0, 1, 2):
+        return int(axis)
+    raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +208,12 @@ def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray)
     up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
     transverse = khat[:, 0] + 1j * khat[:, 1]
     w = transverse * np.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
-    rho = np.hypot(khat[:, 0], khat[:, 1])  # e2 below is e^{2 i phi}
-    e2 = np.divide(transverse, rho, out=np.ones_like(transverse), where=rho > 0.0) ** 2
+    # e^{i phi} by real divisions: a complex one scales by 1/rho, which overflows for a
+    # subnormal rho
+    rho = np.hypot(khat[:, 0], khat[:, 1])
+    cos_phi = np.divide(khat[:, 0], rho, out=np.ones_like(rho), where=rho > 0.0)
+    sin_phi = np.divide(khat[:, 1], rho, out=np.zeros_like(rho), where=rho > 0.0)
+    e2 = (cos_phi + 1j * sin_phi) ** 2  # e^{2 i phi}
     rows = np.empty((khat.shape[0], len(family.helicities)), dtype=complex)
     for i, lam in enumerate(family.helicities):
         if lam == 1:

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import inspect
+
 import photonloc.checks as checks
+import photonloc.polarization as polarization
+import photonloc.states as states
 from photonloc.cli import main
 from photonloc.rotations import Direction
 from photonloc.states import StateFamily
@@ -62,6 +66,39 @@ def test_a_failing_row_makes_check_exit_1(monkeypatch, capsys, residual):
     assert main(["check", "gauge", "--format", "json"]) == 1
     table = json.loads(capsys.readouterr().out)
     assert [row["status"] for row in table] == ["PASS", "PASS", "FAIL", "PASS", "PASS", "PASS"]
+
+
+def _label_rows_without_the_e2_conjugate():
+    """``states._label_rows`` with e^{2 i phi} for e^{-2 i phi} in its lam = +1 row."""
+    source = inspect.getsource(states._label_rows)
+    target = "(down * bm) * e2.conj()"
+    assert source.count(target) == 1
+    namespace = dict(vars(states))
+    exec(source.replace(target, "(down * bm) * e2"), namespace)
+    return namespace["_label_rows"]
+
+
+def _label_rows_with_a_longitudinal_part(family, coefficients, khat):
+    """``states._label_rows`` with khat / 2 added to the lam = +1 polarization vector."""
+    rows = states._label_rows(family, coefficients, khat)
+    rows[:, family.helicities.index(1)] += 0.5 * (khat @ coefficients)
+    return rows
+
+
+@pytest.mark.parametrize("corrupted", ["conjugate", "longitudinal"])
+def test_a_corrupted_helicity_frame_fails_both_polarization_suites(monkeypatch, capsys, corrupted):
+    # the polarization vectors are read off the states' label rows, so a frame the
+    # states would carry with a wrong lam = +1 row fails the suites that judge it
+    mutated = (_label_rows_without_the_e2_conjugate() if corrupted == "conjugate"
+               else _label_rows_with_a_longitudinal_part)
+    monkeypatch.setattr(polarization, "_label_rows", mutated)
+    failing = {}
+    for suite in ("gauge", "alt-product"):
+        assert main(["check", suite, "--format", "json"]) == 1
+        table = json.loads(capsys.readouterr().out)
+        failing[suite] = {row["check"] for row in table if row["status"] == "FAIL"}
+    assert "transversality" in failing["gauge"]
+    assert failing["alt-product"] == {"unsummed-integrand-transverse-projector"}
 
 
 @pytest.mark.parametrize("command", [["mmatrix", "--theta", "1"],

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonloc.polarization import (
-    AXES,
-    axis_index,
     field_strength,
-    gauge_transform,
     helicity_sum_matrix,
     longitudinal_projector,
     minkowski_dot,
-    polarization_vector,
+    polarization_vectors,
     transverse_helicity_sum_closed_form,
     transverse_outer_product,
     validate_helicities,
@@ -19,111 +18,131 @@ from photonloc.rotations import Direction, standard_rotation, spherical_to_carte
 
 RT2 = np.sqrt(2.0)
 Z_DIR = Direction(0.0, 0.0)
-X_DIR = Direction(np.pi / 2, 0.0)
+Z_HAT = np.array([[0.0, 0.0, 1.0]])
+X_HAT = np.array([[1.0, 0.0, 0.0]])
 
 
 def random_direction(rng):
     return Direction(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
 
 
-class TestPolarizationVector:
+def random_khat(rng, m):
+    return np.array([random_direction(rng).unit_vector for _ in range(m)])
+
+
+def reference_polarization(direction: Direction, lam: int) -> np.ndarray:
+    """Independent frame: the standard rotation applied to the z-axis vector
+    eps(z_hat, lam), whose conjugate is the spherical<->Cartesian row of lam."""
+    return standard_rotation(direction) @ spherical_to_cartesian()[1 - lam].conj()
+
+
+#: polar angles on and 1e-9 off both poles, or anywhere in [0, pi]
+POLAR = st.one_of(st.sampled_from([0.0, 1e-9, np.pi - 1e-9, np.pi]), st.floats(0.0, np.pi))
+
+
+class TestPolarizationVectors:
     def test_z_axis_conjugate_components(self):
-        np.testing.assert_allclose(
-            polarization_vector(Z_DIR, +1).conjugate[1:],
-            [-1 / RT2, 1j / RT2, 0.0],
-            atol=1e-15,
-        )
-        np.testing.assert_allclose(
-            polarization_vector(Z_DIR, 0).conjugate[1:], [0.0, 0.0, 1.0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            polarization_vector(Z_DIR, -1).conjugate[1:],
-            [1 / RT2, 1j / RT2, 0.0],
-            atol=1e-15,
-        )
+        eps_star = polarization_vectors(Z_HAT)[0, :, 1:].conj()
+        np.testing.assert_allclose(eps_star[2], [-1 / RT2, 1j / RT2, 0.0], atol=1e-15)
+        np.testing.assert_allclose(eps_star[1], [0.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(eps_star[0], [1 / RT2, 1j / RT2, 0.0], atol=1e-15)
 
     def test_x_axis_zero_helicity_is_x_unit_vector(self):
-        # rotating the longitudinal z-axis vector must give khat itself
-        pol = polarization_vector(X_DIR, 0)
-        np.testing.assert_allclose(pol.conjugate[1:], [1.0, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(
-            pol.spatial, standard_rotation(X_DIR) @ [0.0, 0.0, 1.0], atol=1e-15
-        )
+        np.testing.assert_allclose(polarization_vectors(X_HAT)[0, 1, 1:], [1.0, 0.0, 0.0],
+                                   atol=1e-15)
 
-    def test_time_component_vanishes_in_radiation_gauge(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            pol = polarization_vector(random_direction(rng), 1)
-            assert pol.components[0] == 0.0
-            assert pol.gauge_tag == "radiation"
+    def test_exact_south_pole_uses_the_canonical_frame(self):
+        # khat = -z exactly has no azimuth: the frame is R_y(pi) of the z-axis one
+        got = polarization_vectors([[0.0, 0.0, -1.0]])[0, :, 1:]
+        for lam in (-1, 0, 1):
+            expected = reference_polarization(Direction(np.pi, 0.0), lam)
+            np.testing.assert_allclose(got[lam + 1], expected, rtol=0, atol=1e-15)
 
-    def test_invalid_helicity_rejected(self):
-        with pytest.raises(ValueError, match="helicity"):
-            polarization_vector(Z_DIR, 2)
+    @settings(max_examples=200)
+    @given(angles=st.lists(st.tuples(POLAR, st.floats(0.0, 2 * np.pi)), min_size=1,
+                           max_size=8))
+    def test_match_the_standard_rotation_reference(self, angles):
+        directions = [Direction(theta, phi) for theta, phi in angles]
+        got = polarization_vectors([d.unit_vector for d in directions])
+        assert got.shape == (len(directions), 3, 4)
+        assert not got[..., 0].any()
+        for eps, direction in zip(got, directions):
+            for lam in (-1, 0, 1):
+                expected = reference_polarization(direction, lam)
+                assert np.abs(eps[lam + 1, 1:] - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("khat, message", [
+        ([0.0, 0.0, 1.0], "shape"),
+        ([[0.0, 0.0, 1.0, 0.0]], "shape"),
+        ([[0.0, np.nan, 1.0]], "finite"),
+        ([[0.0, 0.0, np.inf]], "finite"),
+        ([[0.0, 0.0, 1.0 + 1e-9]], "unit"),
+        ([[0.6, 0.0, 0.0]], "unit"),
+    ])
+    def test_invalid_directions_rejected(self, khat, message):
+        with pytest.raises(ValueError, match=message):
+            polarization_vectors(khat)
 
     def test_transversality_and_orthonormal_triad(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            d = random_direction(rng)
-            khat = d.unit_vector
-            pols = {lam: polarization_vector(d, lam) for lam in (-1, 0, 1)}
-            for lam in (-1, 1):
-                assert abs(khat @ pols[lam].spatial) < 1e-12
-            for lam1 in (-1, 0, 1):
-                for lam2 in (-1, 0, 1):
-                    inner = pols[lam1].spatial @ pols[lam2].spatial.conj()
-                    expected = 1.0 if lam1 == lam2 else 0.0
-                    assert abs(inner - expected) < 1e-12
+        khat = random_khat(np.random.default_rng(1), 30)
+        spatial = polarization_vectors(khat)[..., 1:]
+        assert np.abs(np.einsum("mi,mli->ml", khat, spatial[:, ::2])).max() < 1e-12
+        gram = np.einsum("mai,mbi->mab", spatial, spatial.conj())
+        assert np.abs(gram - np.eye(3)).max() < 1e-12
 
     def test_lorentz_condition_for_transverse_helicities(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            d = random_direction(rng)
-            omega = rng.uniform(0.1, 5.0)
-            k4 = wave_four_vector(omega, d)
-            for lam in (-1, 1):
-                assert abs(minkowski_dot(k4, polarization_vector(d, lam).components)) < 1e-12
+        khat = random_khat(rng, 20)
+        k = wave_four_vector(rng.uniform(0.1, 5.0, size=20), khat)
+        eps = polarization_vectors(khat)[:, ::2]
+        assert np.abs(minkowski_dot(k[:, None], eps)).max() < 1e-12
 
 
-class TestGaugeTransform:
-    def test_zero_shift_is_identity(self):
-        pol = polarization_vector(X_DIR, 1)
-        shifted = gauge_transform(pol, 2.0, 0.0)
-        np.testing.assert_allclose(shifted.components, pol.components, atol=1e-16)
+class TestWaveFourVector:
+    def test_light_like_with_energy_first(self):
+        rng = np.random.default_rng(3)
+        khat = random_khat(rng, 10)
+        omega = rng.uniform(0.1, 5.0, size=10)
+        k = wave_four_vector(omega, khat)
+        np.testing.assert_array_equal(k[:, 0], omega)
+        np.testing.assert_allclose(k[:, 1:], omega[:, None] * khat, rtol=1e-15)
+        assert np.abs(minkowski_dot(k, k)).max() < 1e-12
+        np.testing.assert_array_equal(wave_four_vector(2.0, khat), wave_four_vector([2.0] * 10, khat))
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf])
+    def test_energy_must_be_finite_and_positive(self, omega):
+        with pytest.raises(ValueError, match="finite and positive"):
+            wave_four_vector(omega, Z_HAT)
+        with pytest.raises(ValueError, match="finite and positive"):
+            wave_four_vector([1.0, omega], np.vstack([Z_HAT, X_HAT]))
+
+    def test_directions_validated(self):
+        with pytest.raises(ValueError, match="unit"):
+            wave_four_vector(1.0, 2.0 * Z_HAT)
+
+
+class TestGaugeShift:
     def test_longitudinal_shift_example(self):
-        shifted = gauge_transform(polarization_vector(Z_DIR, 0), 1.0, 1.0)
-        np.testing.assert_allclose(shifted.components, [1.0, 0.0, 0.0, 2.0], atol=1e-15)
-        assert shifted.gauge_tag == "transformed"
+        shifted = polarization_vectors(Z_HAT)[0, 1] + 1.0 * wave_four_vector(1.0, Z_HAT)[0]
+        np.testing.assert_allclose(shifted, [1.0, 0.0, 0.0, 2.0], atol=1e-15)
 
     def test_preserves_lorentz_condition(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            d = random_direction(rng)
-            omega = rng.uniform(0.1, 4.0)
-            g = complex(rng.normal(), rng.normal())
-            shifted = gauge_transform(polarization_vector(d, -1), omega, g)
-            k4 = wave_four_vector(omega, d)
-            assert abs(minkowski_dot(k4, shifted.components)) < 1e-12
-
-    def test_nonpositive_energy_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            gauge_transform(polarization_vector(Z_DIR, 1), 0.0, 1.0)
+        khat = random_khat(rng, 20)
+        k = wave_four_vector(rng.uniform(0.1, 4.0, size=20), khat)
+        g = rng.normal(size=20) + 1j * rng.normal(size=20)
+        shifted = polarization_vectors(khat)[:, 0] + g[:, None] * k
+        assert np.abs(minkowski_dot(k, shifted)).max() < 1e-12
 
 
 class TestFieldStrength:
     def test_pure_gauge_polarization_gives_zero(self):
-        from photonloc.polarization import PolarizationVector
-
-        omega = 1.3
-        k4 = wave_four_vector(omega, X_DIR).astype(complex)
-        pure_gauge = PolarizationVector(k4, 1, X_DIR, "transformed")
-        np.testing.assert_allclose(
-            field_strength(omega, X_DIR, pure_gauge), np.zeros((4, 4)), atol=1e-15
-        )
+        k = wave_four_vector(1.3, X_HAT)
+        np.testing.assert_allclose(field_strength(k, (0.4 - 2j) * k), np.zeros((1, 4, 4)),
+                                   atol=1e-15)
 
     def test_radiation_gauge_structure_along_z(self):
-        f = field_strength(1.0, Z_DIR, polarization_vector(Z_DIR, 1))
+        f = field_strength(wave_four_vector(1.0, Z_HAT), polarization_vectors(Z_HAT)[:, 2])[0]
         nonzero = np.abs(f) > 1e-14
         expected = np.zeros((4, 4), dtype=bool)
         for time_or_z in (0, 3):
@@ -132,25 +151,19 @@ class TestFieldStrength:
         assert (nonzero == expected).all()
 
     def test_antisymmetric(self):
-        rng = np.random.default_rng(4)
-        d = random_direction(rng)
-        f = field_strength(0.7, d, polarization_vector(d, -1))
-        np.testing.assert_allclose(f, -f.T, atol=1e-15)
+        khat = random_khat(np.random.default_rng(4), 5)
+        f = field_strength(wave_four_vector(0.7, khat), polarization_vectors(khat)[:, 0])
+        np.testing.assert_allclose(f, -np.swapaxes(f, -1, -2), atol=1e-15)
 
     def test_invariant_under_gauge_shift(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            d = random_direction(rng)
-            omega = rng.uniform(0.2, 3.0)
-            g = complex(rng.normal(), rng.normal())
-            pol = polarization_vector(d, 1)
-            f0 = field_strength(omega, d, pol)
-            f1 = field_strength(omega, d, gauge_transform(pol, omega, g))
-            assert np.abs(f1 - f0).max() < 1e-12
-
-    def test_nonpositive_energy_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            field_strength(-1.0, Z_DIR, polarization_vector(Z_DIR, 1))
+        khat = random_khat(rng, 20)
+        k = wave_four_vector(rng.uniform(0.2, 3.0, size=20), khat)
+        g = rng.normal(size=20) + 1j * rng.normal(size=20)
+        eps = polarization_vectors(khat)[:, 2]
+        f0 = field_strength(k, eps)
+        f1 = field_strength(k, eps + g[:, None] * k)
+        assert np.abs(f1 - f0).max() < 1e-12
 
 
 class TestHelicitySum:
@@ -239,38 +252,23 @@ class TestInverseFrameCoefficients:
             d = random_direction(rng)
             r0 = standard_rotation(d)
             inverse = wigner_D(1, r0).conj().T
+            eps_star = polarization_vectors([d.unit_vector])[0, :, 1:].conj()
             for row, lam in enumerate((1, 0, -1)):
                 lhs = inverse[row] @ u
                 rhs = r0 @ u[row]
                 assert np.abs(lhs - rhs).max() < 1e-12
-                expected = polarization_vector(d, lam).conjugate[1:]
-                assert np.abs(lhs - expected).max() < 1e-12
+                assert np.abs(lhs - eps_star[lam + 1]).max() < 1e-12
 
 
 class TestTransverseOuterProduct:
     def test_z_axis_values(self):
-        assert abs(transverse_outer_product(Z_DIR, "z", "z")) < 1e-15
-        assert abs(transverse_outer_product(Z_DIR, "x", "x") - 1.0) < 1e-15
+        np.testing.assert_allclose(transverse_outer_product(Z_HAT), [np.diag([1.0, 1.0, 0.0])],
+                                   atol=1e-15)
 
     def test_matches_transverse_projector_everywhere(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            d = random_direction(rng)
-            khat = d.unit_vector
-            for i1 in range(3):
-                for i2 in range(3):
-                    value = transverse_outer_product(d, AXES[i1], AXES[i2])
-                    expected = (i1 == i2) - khat[i1] * khat[i2]
-                    assert abs(value - expected) < 1e-13
-
-    def test_bad_axis_rejected(self):
-        with pytest.raises(ValueError, match="axis"):
-            transverse_outer_product(Z_DIR, "w", "x")
-
-
-def test_axis_index_accepts_names_and_positions():
-    assert axis_index("y") == 1
-    assert axis_index(2) == 2
+        khat = random_khat(np.random.default_rng(11), 30)
+        expected = np.eye(3) - khat[:, :, None] * khat[:, None, :]
+        assert np.abs(transverse_outer_product(khat) - expected).max() < 1e-13
 
 
 def test_validate_helicities_normalizes_and_rejects():

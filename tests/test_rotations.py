@@ -10,7 +10,7 @@ from photonloc.rotations import (
     J_MAX,
     Direction,
     _fourier_basis,
-    angular_momentum_generators,
+    _generators,
     require_rotation_matrix,
     rotation_from_axis_angle,
     rotation_y,
@@ -145,7 +145,7 @@ class TestWignerD:
         rng = np.random.default_rng(13)
         betas = (0.0, 1e-12, 1e-8, np.pi / 2, np.pi - 1e-8, np.pi)
         for j in range(J_MAX + 1):
-            jx, jy, jz = angular_momentum_generators(j)
+            jx, jy, jz = _generators(j)
             cases = []
             for beta in betas:
                 for alpha, gamma in rng.uniform(-np.pi, np.pi, size=(4, 2)):
@@ -228,7 +228,7 @@ class TestWignerD:
         assert info.maxsize == J_MAX + 1 and info.currsize <= J_MAX + 1
 
     def test_generator_commutator(self):
-        jx, jy, jz = angular_momentum_generators(2)
+        jx, jy, jz = _generators(2)
         np.testing.assert_allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-13)
 
     def test_unsupported_spin_rejected(self):

@@ -3,6 +3,7 @@ import pytest
 
 from photonloc.rotations import Direction, rotation_from_axis_angle, wigner_angle, wigner_D
 from photonloc.states import (
+    AXES,
     CARTESIAN3,
     CARTESIAN_PHOTON,
     FAMILY_KINDS,
@@ -11,6 +12,7 @@ from photonloc.states import (
     SPHERICAL3,
     SPHERICAL_PHOTON,
     StateFamily,
+    axis_index,
     make_localized_state,
     momentum_amplitude,
     rotate_state,
@@ -169,19 +171,35 @@ class TestMomentumAmplitude:
                     assert abs(momentum_amplitude(state, k, lam) - expected) < 1e-14
 
     def test_cartesian_coefficients_match_polarization_vectors(self):
-        from photonloc.polarization import polarization_vector
+        # the independent frame: the standard rotation of the z-axis conjugate
+        # polarization vectors eps*(z_hat, lam), the spherical<->Cartesian rows
+        from photonloc.rotations import spherical_to_cartesian, standard_rotation
 
         a = 1.0
         for k in coefficient_test_momenta(10):
             omega = np.linalg.norm(k)
-            d = direction_of(k)
+            r0 = standard_rotation(direction_of(k))
             prefactor = (2 * np.pi) ** -1.5 * omega**-0.5 * np.exp(-0.5 * omega**2)
             for axis_pos, axis in enumerate(("x", "y", "z")):
                 state = make_localized_state(StateFamily.of(CARTESIAN3), ORIGIN, axis, a)
                 for lam in (-1, 0, 1):
-                    eps_star = polarization_vector(d, lam).conjugate[1 + axis_pos]
+                    eps_star = (r0 @ spherical_to_cartesian()[1 - lam])[axis_pos]
                     expected = prefactor * eps_star
                     assert abs(momentum_amplitude(state, k, lam) - expected) < 1e-14
+
+    @pytest.mark.parametrize("transverse", [[1e-310, 0.0], [3e-320, -4e-320]])
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_subnormal_tilt_off_a_pole_keeps_its_azimuth(self, transverse, z):
+        # a complex division by the subnormal |k_perp| would scale by its overflowing
+        # reciprocal and return NaN; the label rows depend on khat only through the
+        # azimuth here, so they equal those of the 1e-12 tilt with the same azimuth
+        tilt = np.array(transverse) / np.hypot(*transverse) * 1e-12
+        for axis in ("x", "y"):
+            state = make_localized_state(StateFamily.of(CARTESIAN3), ORIGIN, axis, 1.0)
+            for lam in (-1, 0, 1):
+                got = momentum_amplitude(state, np.array([*transverse, z]), lam)
+                near = momentum_amplitude(state, np.array([*tilt, z]), lam)
+                assert abs(got - near) < 1e-13
 
     @pytest.mark.parametrize("frequency, sign", [("positive", 1.0), ("negative", -1.0)])
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -403,3 +421,9 @@ class TestTranslateState:
         shift = (1.0 if frequency == "positive" else -1.0) * x
         with pytest.raises(ValueError, match=rf"translated anchor x \{sign} a must be finite"):
             translate_state(state, shift)
+
+
+def test_axis_index_accepts_names_and_positions():
+    assert axis_index("y") == 1
+    assert axis_index(2) == 2
+    assert [AXES[axis_index(axis)] for axis in AXES] == list(AXES)
