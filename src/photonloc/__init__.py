@@ -9,11 +9,8 @@ closed-form kernels and a brute-force quadrature oracle.
 
 from .rotations import (
     J_MAX,
-    Direction,
     require_rotation_matrix,
     rotation_from_axis_angle,
-    rotation_y,
-    rotation_z,
     small_d_matrix,
     spherical_to_cartesian,
     standard_rotation,

@@ -25,10 +25,10 @@ from .polarization import (
     polarization_vectors,
     transverse_helicity_sum_closed_form,
     transverse_outer_product,
+    validate_helicities,
     wave_four_vector,
 )
 from .rotations import (
-    Direction,
     rotation_from_axis_angle,
     spherical_to_cartesian,
     standard_rotation,
@@ -82,13 +82,14 @@ _entrywise_abs = np.vectorize(abs, otypes=[float])
 # --- closed-form and oracle comparisons ---------------------------------------
 
 
-def helicity_sum_residual(direction: Direction, helicities: tuple, j: int):
-    """(helicity-sum matrix, closed form, |difference| per entry). The closed form
-    exists for the transverse spin-1 set only; otherwise the last two are None."""
-    matrix = helicity_sum_matrix(direction, helicities, j=j)
-    if j != 1 or tuple(sorted(helicities)) != (-1, 1):
+def helicity_sum_residual(khat, helicities, j: int):
+    """(helicity-sum matrix, closed form, |difference| per entry) at the unit vector
+    ``khat``. The closed form exists for the transverse spin-1 set {-1, 1} only, however
+    often its members are listed; otherwise the last two are None."""
+    matrix = helicity_sum_matrix(khat, helicities, j=j)
+    if j != 1 or validate_helicities(helicities, j) != (-1, 1):
         return matrix, None, None
-    closed = transverse_helicity_sum_closed_form(direction)
+    closed = transverse_helicity_sum_closed_form(khat)
     return matrix, closed, _entrywise_abs(matrix - closed)
 
 
@@ -112,8 +113,9 @@ def _random_rotation(rng):
     return rotation_from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
 
 
-def _random_direction(rng) -> Direction:
-    return Direction(np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi))
+def _random_direction(rng) -> np.ndarray:
+    theta, phi = np.arccos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * np.pi)
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
 def covariance(seed: int = 0) -> list:
@@ -129,7 +131,7 @@ def covariance(seed: int = 0) -> list:
             R = _random_rotation(rng)
             k = rng.normal(size=3) * rng.uniform(0.3, 2.0)
             lam = int(rng.choice([-1, 1]))
-            w = wigner_angle(R, Direction.from_vector(k))
+            w = wigner_angle(R, k / np.linalg.norm(k))
             lhs = momentum_amplitude(rotate_state(state, R), R @ k, lam)
             rhs = np.exp(-1j * lam * w) * momentum_amplitude(state, k, lam)
             diff = max(diff, abs(lhs - rhs))
@@ -157,11 +159,10 @@ def covariance(seed: int = 0) -> list:
     z = np.array([0.0, 0.0, 1.0])
     for _ in range(100):
         R = _random_rotation(rng)
-        direction = _random_direction(rng)
-        rotated = Direction.from_vector(R @ direction.unit_vector)
-        composed = standard_rotation(rotated).T @ R @ standard_rotation(direction)
+        khat = _random_direction(rng)
+        composed = standard_rotation(R @ khat).T @ R @ standard_rotation(khat)
         fix = max(fix, np.abs(composed @ z - z).max())
-        w = wigner_angle(R, direction)
+        w = wigner_angle(R, khat)
         rebuild = max(rebuild, np.abs(rotation_from_axis_angle(z, w) - composed).max())
     rows.append(_row("little-group-fixes-z", fix, 1e-12))
     rows.append(_row("little-group-angle-reconstruction", rebuild, 1e-12))
@@ -170,11 +171,10 @@ def covariance(seed: int = 0) -> list:
 
 def gauge(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
-    directions = [Direction(0.0, 0.0), Direction(np.pi, 0.0), Direction(np.pi / 2, 0.0)]
-    directions += [_random_direction(rng) for _ in range(50)]
-    khat = np.array([direction.unit_vector for direction in directions])
+    poles_and_x = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
+    khat = np.array(poles_and_x + [_random_direction(rng) for _ in range(50)])
     # one energy and one gauge parameter per direction, drawn in that order
-    draws = [(rng.uniform(0.2, 4.0), complex(rng.normal(), rng.normal())) for _ in directions]
+    draws = [(rng.uniform(0.2, 4.0), complex(rng.normal(), rng.normal())) for _ in khat]
     omega, g = map(np.array, zip(*draws))
 
     k = wave_four_vector(omega, khat)[:, None]  # (M, 1, 4) against the (M, 2, 4) below
@@ -256,7 +256,7 @@ def alt_product(seed: int = 0) -> list:
         resid = max(resid, abs(value - expected) / expected)
     rows.append(_row("separation-matches-twice-gaussian", resid, 1e-12))
 
-    khat = np.array([_random_direction(rng).unit_vector for _ in range(30)])
+    khat = np.array([_random_direction(rng) for _ in range(30)])
     expected = np.eye(3) - khat[:, :, None] * khat[:, None, :]
     resid = _entrywise_abs(transverse_outer_product(khat) - expected).max()
     rows.append(_row("unsummed-integrand-transverse-projector", resid, 1e-13))

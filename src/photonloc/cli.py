@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import checks
 from .overlap import QuadratureSpec, general_j_defect
-from .rotations import Direction
 from .states import FAMILY_KINDS, SCALAR, StateFamily, require_regulator_width
 
 EXIT_OK = 0
@@ -66,7 +66,7 @@ def _parse_separations(args):
     direction = np.asarray(_parse_list(args.direction), dtype=float)
     if direction.shape != (3,) or not np.isfinite(direction).all() or not direction.any():
         raise ValueError("--direction needs three finite comma-separated components, not all zero")
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / math.hypot(*direction)
     r_list = _parse_list(args.r_list)
     if not r_list:
         raise ValueError("--r-list must contain at least one separation")
@@ -103,8 +103,14 @@ def _exit_status(judged) -> int:
 
 
 def _cmd_mmatrix(args) -> int:
+    if not 0.0 <= args.theta <= math.pi:
+        raise ValueError(f"polar angle must lie in [0, pi], got {args.theta}")
+    if not math.isfinite(args.phi):
+        raise ValueError(f"azimuth must be finite, got {args.phi}")
+    st = math.sin(args.theta)
+    khat = (st * math.cos(args.phi), st * math.sin(args.phi), math.cos(args.theta))
     matrix, closed, residual = checks.helicity_sum_residual(
-        Direction(args.theta, args.phi), _parse_list(args.helicities, int), args.j
+        khat, _parse_list(args.helicities, int), args.j
     )
     closed_re, closed_im = (None, None) if closed is None else (closed.real, closed.imag)
     rows = _pair_rows(

@@ -20,13 +20,14 @@ order. Each radial integral then has a closed form (Gradshteyn-Ryzhik
 
 with x = r/a, b = (l+3+s)/2 and c = l+3/2. The Legendre coefficients are
 cached per spin, one column per helicity, and their sum over a helicity set
-once per (spin, set) in a bounded cache. With theta and phi read off r by
-atan2, the aligned diagonal is rotated back as A diag A^H with
-A = B e^(-i phi m) d(theta), with no rotation matrix, so a tilt off either
-pole keeps its precision. d(theta) is the Fourier series of ``rotations``,
-evaluated unchecked because the angle comes from atan2; B is the change of
-label basis, the identity for spherical labels and the module-level constant
-U^H for Cartesian ones, so no conjugation follows the rotation. A call checks
+once per (spin, set) in a bounded cache. The aligned diagonal is rotated
+back by ``rotations._rotated_diagonal``, the helicity sums' rotation too: with
+theta and phi read off r by atan2, A diag A^H with A = B e^(-i phi m) d(theta),
+with no rotation matrix, so a tilt off either pole keeps its precision.
+d(theta) is the Fourier series of ``rotations``, evaluated unchecked because
+the angle comes from atan2; B is the change of label basis, the identity for
+spherical labels and the module-level constant U^H for Cartesian ones, so no
+conjugation follows the rotation. A call checks
 and copies its separation once. No production step has a node count or a
 tolerance. ``scipy.special`` (1F1, Gamma, Legendre) serves only
 this closed form and is imported where it runs, so a process that never
@@ -79,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polarization import validate_helicities
-from .rotations import J_MAX, _magnetic_numbers, _small_d, small_d_matrix, spherical_to_cartesian
+from .rotations import J_MAX, _rotated_diagonal, small_d_matrix, spherical_to_cartesian
 from .states import (
     RADIATION_GAUGE,
     SCALAR,
@@ -244,27 +245,11 @@ def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float, s: 
                       basis: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix at separation ``rvec`` in the spherical label basis, or in the
     basis B K B^H when ``basis`` gives the change of basis B (``_U_H`` for Cartesian
-    labels).
-
-    With A = B e^(-i phi Jz) d(theta), the kernel is A diag A^H: the standard
-    rotation's last Jz phase commutes with the aligned diagonal.
+    labels): the aligned radial diagonal rotated to ``rvec`` by :func:`_rotated_diagonal`.
     """
-    x, y, z = rvec.tolist()
-    diag = _radial_integrals(2 * j, math.hypot(x, y, z), a, s) @ _helicity_columns(j, helicities)
-    if not (x or y or z):
-        if basis is None:
-            return np.diag(diag)
-        A = basis
-    else:
-        phi = math.atan2(y, x)
-        if z < 0.0:  # d_mm'(pi - b) = (-1)^(j+m) d_m,-m'(b) keeps a tilt off -z exact
-            diag, phi = diag[::-1], phi - math.pi
-        d = _small_d(j, math.atan2(math.hypot(x, y), abs(z)))
-        phase = np.exp(-1j * phi * _magnetic_numbers(j))
-        A = d * phase[:, None]
-        if basis is not None:
-            A = basis @ A
-    return (A * diag) @ A.conj().T
+    v = rvec.tolist()
+    diag = _radial_integrals(2 * j, math.hypot(*v), a, s) @ _helicity_columns(j, helicities)
+    return _rotated_diagonal(j, v, diag, basis)
 
 
 def _radial_power(family: StateFamily) -> float:

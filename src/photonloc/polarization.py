@@ -6,7 +6,8 @@ label i (:func:`photonloc.states._label_rows`), so the frame these checks
 judge is the frame every state, kernel and oracle uses. Helicity-sum matrices
 measure how much of the spin-j completeness relation survives when the
 helicity spectrum is restricted (the obstruction to building three mutually
-orthogonal localized states for the photon).
+orthogonal localized states for the photon); they rotate the aligned helicity
+indicator as the kernel rotates its radial diagonal, with no D-matrix.
 
 Four-vectors use (t, x, y, z) component ordering with metric (+, -, -, -),
 so the light-like momentum is k = omega * (1, khat); arrays of four-vectors
@@ -20,22 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rotations import Direction, _validated_spin, standard_rotation, wigner_D
+from .rotations import _rotated_diagonal, _unit_directions, _validated_spin
 from .states import CARTESIAN3, StateFamily, _label_rows
-
-_UNIT_TOL = 1e-12
-
-
-def _unit_directions(khat) -> np.ndarray:
-    """``khat`` as a float array of shape (M, 3) whose rows are finite unit vectors."""
-    khat = np.asarray(khat, dtype=float)
-    if khat.ndim != 2 or khat.shape[1] != 3:
-        raise ValueError(f"directions must have shape (M, 3), got {khat.shape}")
-    if not np.all(np.isfinite(khat)):
-        raise ValueError("directions must be finite")
-    if not np.all(np.abs(np.sqrt(np.sum(khat * khat, axis=1)) - 1.0) <= _UNIT_TOL):
-        raise ValueError(f"directions must be unit vectors to {_UNIT_TOL}")
-    return khat
 
 
 def minkowski_dot(u, v):
@@ -101,42 +88,44 @@ def field_strength(k, eps) -> np.ndarray:
     return k[..., :, None] * eps[..., None, :] - eps[..., :, None] * k[..., None, :]
 
 
-def helicity_sum_matrix(direction: Direction, helicities, j: int = 1) -> np.ndarray:
+def helicity_sum_matrix(khat, helicities, j: int = 1) -> np.ndarray:
     """Sum over a helicity subset of the standard-rotation projector columns.
 
     Returns the (2j+1) x (2j+1) Hermitian matrix
 
-        sum_{lambda in set} D_{s1, lambda} conj(D_{s2, lambda}),
+        sum_{lambda in set} D_{s1, lambda} conj(D_{s2, lambda}) = D P D^H,
 
-    with D the spin-j D-matrix of the standard rotation for ``direction`` and
-    rows/columns ordered sigma = +j..-j. The full helicity set gives the
+    with D the spin-j D-matrix of the standard rotation to the unit vector ``khat``,
+    P the aligned indicator diagonal of the set and rows/columns ordered
+    sigma = +j..-j. Computed as the rotated diagonal of ``rotations``, in which the
+    phase e^(i phi lambda) of D's columns cancels. The full helicity set gives the
     identity (completeness); dropping helicities leaves the identity minus a
     projector of rank equal to the number dropped.
     """
     j = _validated_spin(j)  # before the helicities, whose range it sets
     values = validate_helicities(helicities, j)
-    D = wigner_D(j, standard_rotation(direction))
-    cols = D[:, [j - lam for lam in values]]
-    return cols @ cols.conj().T
+    diag = np.zeros(2 * j + 1)
+    diag[[j - lam for lam in values]] = 1.0
+    return _rotated_diagonal(j, _unit_directions([khat])[0].tolist(), diag)
 
 
-def longitudinal_projector(direction: Direction) -> np.ndarray:
+def longitudinal_projector(khat) -> np.ndarray:
     """Closed-form rank-1 projector onto the missing zero-helicity content.
 
     This is the matrix subtracted from the identity by the transverse
-    (lambda = +-1) helicity sum at spin 1; rows/columns ordered
-    sigma = (+1, 0, -1). Built directly from trigonometric entries, so it is
-    independent of the D-matrix construction.
+    (lambda = +-1) helicity sum at spin 1, at the unit vector ``khat``;
+    rows/columns ordered sigma = (+1, 0, -1). It is v v^H with
+    v = (-(x - i y), sqrt(2) z, x + i y) / sqrt(2), the spherical components of
+    khat, so it is independent of the D-matrix construction.
     """
-    st, ct = np.sin(direction.theta), np.cos(direction.theta)
-    phase = np.exp(-1j * direction.phi)
-    v = np.array([-st / np.sqrt(2.0) * phase, ct, st / np.sqrt(2.0) / phase])
+    x, y, z = _unit_directions([khat])[0].tolist()
+    v = np.array([-(x - 1j * y), np.sqrt(2.0) * z, x + 1j * y]) / np.sqrt(2.0)
     return np.outer(v, v.conj())
 
 
-def transverse_helicity_sum_closed_form(direction: Direction) -> np.ndarray:
+def transverse_helicity_sum_closed_form(khat) -> np.ndarray:
     """Closed form of the spin-1 helicity sum restricted to lambda = +-1."""
-    return np.eye(3, dtype=complex) - longitudinal_projector(direction)
+    return np.eye(3, dtype=complex) - longitudinal_projector(khat)
 
 
 def transverse_outer_product(khat) -> np.ndarray:

@@ -5,13 +5,20 @@ z-axis into a given momentum direction, Wigner D-matrices for integer spin,
 the little-group (Wigner) angle induced on helicity frames, and the unitary
 change of basis between spherical and Cartesian labels.
 
+A direction is a unit 3-vector khat, checked by ``_unit_directions``; its
+polar angles are read off its components, with azimuth 0 on the poles.
+
 D-matrices are built one way: the ZYZ Euler angles of R, Jz phases and
 ``small_d_matrix``. The small-d matrix d^j(beta) is a trigonometric polynomial
 of degree j, evaluated as its Fourier series: one complex exponential
 exp(i lam beta), lam = 0..j, read as its cos/sin pairs, and one real matrix
 product with coefficient matrices built once per spin from the Jy
-eigensystem. The brute-force oracle in ``overlap`` builds none, to stay
-independent: it reads the label rows off khat.
+eigensystem. A diagonal in the frame aligned with a direction (the kernels'
+radial diagonal, a helicity indicator) is rotated one way too, by
+``_rotated_diagonal``: A diag A^H with A = e^(-i phi Jz) d(theta), since the
+standard rotation's last Jz phase commutes with the diagonal. The
+brute-force oracle in ``overlap`` builds neither, to stay independent: it
+reads the label rows off khat.
 
 Conventions
 -----------
@@ -25,7 +32,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,72 +40,20 @@ import numpy as np
 J_MAX = 10
 
 _ROTATION_TOL = 1e-9
-_POLE_TOL = 1e-15
+_UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A point on the unit sphere identifying a momentum direction.
-
-    Parameters
-    ----------
-    theta : float
-        Polar angle in [0, pi], radians.
-    phi : float
-        Finite azimuthal angle, radians; stored reduced to [0, 2*pi). At the
-        poles (theta = 0 or pi) the azimuth is canonicalized to 0.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        theta = float(self.theta)
-        phi = float(self.phi)
-        if -_POLE_TOL <= theta < 0.0:
-            theta = 0.0
-        if np.pi < theta <= np.pi + _POLE_TOL:
-            theta = np.pi
-        if not 0.0 <= theta <= np.pi:
-            raise ValueError(f"polar angle must lie in [0, pi], got {theta}")
-        if not math.isfinite(phi):
-            raise ValueError(f"azimuth must be finite, got {phi}")
-        phi = phi % (2.0 * np.pi)
-        if theta in (0.0, np.pi):
-            phi = 0.0
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        """Direction of a nonzero 3-vector, theta = atan2(hypot(v_x, v_y), v_z).
-
-        Keeps a tilt off either pole, and the direction of a vector whose norm underflows.
-        """
-        v = np.asarray(v, dtype=float)
-        if not np.any(v):
-            raise ValueError("direction of the zero vector is undefined")
-        theta = math.atan2(math.hypot(v[0], v[1]), v[2])
-        return cls(theta, math.atan2(v[1], v[0]))
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        st = np.sin(self.theta)
-        return np.array(
-            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)]
-        )
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about the z-axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about the y-axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _unit_directions(khat) -> np.ndarray:
+    """``khat`` as a float array of shape (M, 3) whose rows are finite unit vectors; one
+    direction is checked as ``_unit_directions([khat])[0]``."""
+    khat = np.asarray(khat, dtype=float)
+    if khat.ndim != 2 or khat.shape[1] != 3:
+        raise ValueError(f"directions must have shape (M, 3), got {khat.shape}")
+    if not np.all(np.isfinite(khat)):
+        raise ValueError("directions must be finite")
+    if not np.all(np.abs(np.sqrt(np.sum(khat * khat, axis=1)) - 1.0) <= _UNIT_TOL):
+        raise ValueError(f"directions must be unit vectors to {_UNIT_TOL}")
+    return khat
 
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
@@ -117,32 +71,37 @@ def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     return c * np.eye(3) + s * k + (1.0 - c) * np.outer(u, u)
 
 
-def require_rotation_matrix(R, tol: float = _ROTATION_TOL) -> np.ndarray:
+def require_rotation_matrix(R) -> np.ndarray:
     """Validate that R is a proper orthogonal 3x3 matrix; returns it as float array."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {R.shape}")
     if not np.all(np.isfinite(R)):
         raise ValueError("rotation matrix entries must be finite")
-    if np.abs(R.T @ R - np.eye(3)).max() > tol:
+    if np.abs(R.T @ R - np.eye(3)).max() > _ROTATION_TOL:
         raise ValueError("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(R) - 1.0) > tol:
+    if abs(np.linalg.det(R) - 1.0) > _ROTATION_TOL:
         raise ValueError("matrix determinant differs from +1; not a proper rotation")
     return R
 
 
-def standard_rotation(direction: Direction) -> np.ndarray:
-    """The rotation R_z(phi) R_y(theta) R_z(-phi) carrying z-hat to ``direction``.
+def standard_rotation(khat) -> np.ndarray:
+    """The rotation carrying z-hat to the unit vector ``khat``, by theta about
+    (-sin phi, cos phi, 0): R_z(phi) R_y(theta) R_z(-phi), the helicity frame at khat.
 
-    Fixes the helicity frame for every momentum direction. With the canonical
-    pole convention (phi = 0) this is the identity at theta = 0 and R_y(pi)
-    at theta = pi.
+    Built from the components, cos(theta) = z and sin(theta) e^(i phi) = x + i y, with
+    cos(phi), sin(phi) the real quotients by rho = hypot(x, y), and phi = 0 on the poles
+    as in :func:`photonloc.states._label_rows`: the identity at +z, R_y(pi) at -z.
     """
-    return (
-        rotation_z(direction.phi)
-        @ rotation_y(direction.theta)
-        @ rotation_z(-direction.phi)
-    )
+    x, y, z = _unit_directions([khat])[0].tolist()
+    rho = math.hypot(x, y)
+    c, s = (x / rho, y / rho) if rho > 0.0 else (1.0, 0.0)
+    v = 1.0 - z  # Rodrigues: z I + rho [n]_x + (1 - z) n n^T, n = (-s, c, 0)
+    return np.array([
+        [z + v * s * s, -v * s * c, x],
+        [-v * s * c, z + v * c * c, y],
+        [-x, -y, z],
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -264,28 +223,51 @@ def _small_d(j: int, beta) -> np.ndarray:
     return (t.view(float) @ basis).reshape(t.shape[:-1] + (2 * j + 1, 2 * j + 1))
 
 
-def wigner_angle(R, direction: Direction, tol: float = 1e-12) -> float:
+def _rotated_diagonal(j: int, v, diag: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """A diag A^H with A = B e^(-i phi Jz) d(theta), for (theta, phi) the polar angles of
+    the three floats ``v`` = (x, y, z) and B the change of basis ``basis`` (default I);
+    B diag B^H at v = 0. ``diag`` is indexed m = +j..-j.
+
+    This is D diag D^H for D the spin-j D-matrix of the standard rotation to v: its last
+    Jz phase commutes with the diagonal.
+    """
+    x, y, z = v
+    if not (x or y or z):
+        if basis is None:
+            return np.diag(diag)
+        A = basis
+    else:
+        phi = math.atan2(y, x)
+        if z < 0.0:  # d_mm'(pi - b) = (-1)^(j+m) d_m,-m'(b) keeps a tilt off -z exact
+            diag, phi = diag[::-1], phi - math.pi
+        d = _small_d(j, math.atan2(math.hypot(x, y), abs(z)))
+        phase = np.exp(-1j * phi * _magnetic_numbers(j))
+        A = d * phase[:, None]
+        if basis is not None:
+            A = basis @ A
+    return (A * diag) @ A.conj().T
+
+
+def wigner_angle(R, khat) -> float:
     """Angle of the little-group rotation induced on the helicity frame.
 
-    Composing the inverse standard rotation at the rotated direction with R
-    and the standard rotation at ``direction`` yields a rotation that fixes
-    the z-axis; the returned angle w, reduced to (-pi, pi], reproduces that
+    Composing the inverse standard rotation at the rotated direction R khat with R
+    and the standard rotation at the unit vector ``khat`` yields a rotation that
+    fixes the z-axis; the returned angle w, reduced to (-pi, pi], reproduces that
     composition as a rotation about z.
 
     Raises
     ------
     RuntimeError
-        If the composed matrix fails to fix the z-axis within ``tol``.
+        If the composed matrix fails to fix the z-axis within 1e-12.
     """
     R = require_rotation_matrix(R)
-    rotated = Direction.from_vector(R @ direction.unit_vector)
-    composed = standard_rotation(rotated).T @ R @ standard_rotation(direction)
+    khat = _unit_directions([khat])[0]
+    rotated = R @ khat  # renormalized: R is orthogonal only to the validation tolerance
+    composed = standard_rotation(rotated / math.hypot(*rotated)).T @ R @ standard_rotation(khat)
     z = np.array([0.0, 0.0, 1.0])
-    defect = max(
-        np.abs(composed @ z - z).max(),
-        np.abs(composed.T @ z - z).max(),
-    )
-    if defect > tol:
+    defect = max(np.abs(composed[:, 2] - z).max(), np.abs(composed[2] - z).max())
+    if defect > 1e-12:
         raise RuntimeError(
             f"composed frame rotation does not fix the z-axis (defect {defect:.3e})"
         )

@@ -9,7 +9,6 @@ import photonloc.checks as checks
 import photonloc.polarization as polarization
 import photonloc.states as states
 from photonloc.cli import main
-from photonloc.rotations import Direction
 from photonloc.states import StateFamily
 
 COLUMNS = ["check", "value", "residual", "tolerance", "status"]
@@ -112,11 +111,16 @@ def test_seed_is_a_usage_error_outside_check(command, capsys):
 
 
 def test_helicity_sum_residual_has_a_closed_form_for_the_transverse_set_only():
-    direction = Direction(0.8, 1.1)
-    matrix, closed, residual = checks.helicity_sum_residual(direction, (1, -1), 1)
+    khat = np.array([np.sin(0.8) * np.cos(1.1), np.sin(0.8) * np.sin(1.1), np.cos(0.8)])
+    matrix, closed, residual = checks.helicity_sum_residual(khat, (1, -1), 1)
     assert residual.shape == (3, 3) and residual.max() <= checks.MMATRIX_TOL
     assert residual[0, 1] == abs(matrix[0, 1] - closed[0, 1])
-    assert checks.helicity_sum_residual(direction, (-2, 0, 2), 2)[1:] == (None, None)
+    # a repeated helicity lists the same set, which is judged the same way
+    for got, want in zip(checks.helicity_sum_residual(khat, (1, -1, 1, -1), 1),
+                         (matrix, closed, residual)):
+        np.testing.assert_array_equal(got, want)
+    assert checks.helicity_sum_residual(khat, (-2, 0, 2), 2)[1:] == (None, None)
+    assert checks.helicity_sum_residual(khat, (1, 1), 1)[1:] == (None, None)
 
 
 def test_kernel_against_oracle_scales_by_the_dipole_floor():

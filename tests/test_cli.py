@@ -54,9 +54,22 @@ class TestMMatrix:
         # closed-form columns only apply to the transverse spin-1 case
         assert all(r["residual"] == "" for r in rows)
 
-    def test_bad_angle_is_usage_error(self, capsys):
-        assert main(["mmatrix", "--theta", "9.9"]) == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("theta", ["9.9", "-0.1", "3.1416", "nan", "inf"])
+    def test_bad_angle_is_usage_error(self, capsys, theta):
+        assert main(["mmatrix", "--theta", theta]) == 2
+        captured = capsys.readouterr()
+        assert "polar angle must lie in [0, pi]" in captured.err
+        assert captured.out == ""
+
+    def test_repeated_helicities_are_judged_as_their_set(self, capsys, monkeypatch):
+        argv = ["mmatrix", "--theta", "0.8", "--phi", "1.1"]
+        code, rows = run_csv(capsys, [*argv, "--helicities", "-1,1"])
+        assert code == 0 and all(r["residual"] != "" for r in rows)
+        assert run_csv(capsys, [*argv, "--helicities", "1,-1,1"]) == (code, rows)
+        # the closed form is compared, so a wrong one fails the command
+        monkeypatch.setattr(photonloc.checks, "transverse_helicity_sum_closed_form",
+                            lambda khat: np.zeros((3, 3), dtype=complex))
+        assert main([*argv, "--helicities", "1,-1,1"]) == 1
 
     @pytest.mark.parametrize("j", ["-1", "11"])
     def test_bad_spin_is_reported_before_the_helicities(self, capsys, j):
@@ -201,6 +214,23 @@ def test_bad_separations_are_usage_errors(capsys, command, flag, value, message)
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("direction", ["1e200,1e200,0", "1e-200,1e-200,0", "1e308,-1e308,1e308"])
+def test_direction_normalizes_without_overflow_or_underflow(capsys, direction):
+    # |direction| overflows or underflows, its unit vector does not
+    argv = ["defect-j", "--j", "1", "--r-list", "0,5"]
+    code, rows = run_csv(capsys, [*argv, "--direction", direction])
+    scale = float(direction.split(",")[0])
+    unit = ",".join(str(float(c) / scale) for c in direction.split(","))
+    assert (code, capsys.readouterr().err) == (0, "")
+    ref_code, ref_rows = run_csv(capsys, [*argv, "--direction", unit])
+    assert ref_code == 0 and len(rows) == len(ref_rows) == 18
+    for row, ref in zip(rows, ref_rows):
+        for col in ("re", "im", "frobenius"):
+            assert abs(float(row[col]) - float(ref[col])) <= 1e-15 * float(ref["frobenius"])
+    at_five = [float(r["re"]) for r in rows if r["r_over_a"] == "5"]
+    assert at_five != [float(r["re"]) for r in rows if r["r_over_a"] == "0"]
 
 
 class TestDefectCommand:

@@ -35,7 +35,6 @@ from photonloc.overlap import (
 )
 from photonloc.rotations import (
     J_MAX,
-    Direction,
     rotation_from_axis_angle,
     small_d_matrix,
     spherical_to_cartesian,
@@ -114,7 +113,7 @@ def rotated_diagonal_kernel(columns, helicities, rvec, a, s):
     j = (len(columns) - 1) // 2
     coeff = sum(columns[lam] for lam in helicities)
     diag = _radial_integrals(2 * j, np.linalg.norm(rvec), a, s) @ coeff
-    D = wigner_D(j, standard_rotation(Direction.from_vector(rvec)))
+    D = wigner_D(j, standard_rotation(rvec / np.linalg.norm(rvec)))
     return D @ np.diag(diag) @ D.conj().T
 
 
@@ -406,16 +405,17 @@ class TestBruteForceAgreement:
             raise AssertionError("the oracle reached a production-path function")
 
         for module, name in ((photonloc.overlap, "small_d_matrix"),
-                             (photonloc.overlap, "_small_d"),
-                             (photonloc.overlap, "_magnetic_numbers"),
                              (photonloc.overlap, "_aligned_table"),
                              (photonloc.overlap, "_helicity_columns"),
+                             (photonloc.overlap, "_rotated_diagonal"),
                              (photonloc.overlap, "_radial_integrals"),
                              (photonloc.overlap, "_radial_constants"),
                              (np.polynomial.legendre, "leggauss"),
                              (photonloc.rotations, "small_d_matrix"),
                              (photonloc.rotations, "_small_d"),
+                             (photonloc.rotations, "_magnetic_numbers"),
                              (photonloc.rotations, "_fourier_basis"),
+                             (photonloc.rotations, "_rotated_diagonal"),
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
             monkeypatch.setattr(module, name, forbidden)
@@ -470,7 +470,7 @@ class TestOracleTable:
         assert abs(weights.sum() - 4.0 * np.pi) < 1e-13
         expected = np.zeros((nmu * nphi, 3, 3), dtype=complex)
         for n, vec in enumerate(khat):
-            D = wigner_D(1, standard_rotation(Direction.from_vector(vec)))
+            D = wigner_D(1, standard_rotation(vec))
             if family.label_basis == "cartesian":
                 D = spherical_to_cartesian().conj().T @ D
             cols = D[:, [1 - lam for lam in family.helicities]]

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonloc.polarization
+import photonloc.rotations
 from photonloc.polarization import (
     field_strength,
     helicity_sum_matrix,
@@ -14,30 +16,53 @@ from photonloc.polarization import (
     validate_helicities,
     wave_four_vector,
 )
-from photonloc.rotations import Direction, standard_rotation, spherical_to_cartesian, wigner_D
+from photonloc.rotations import J_MAX, standard_rotation, spherical_to_cartesian, wigner_D
 
 RT2 = np.sqrt(2.0)
-Z_DIR = Direction(0.0, 0.0)
+Z = np.array([0.0, 0.0, 1.0])
 Z_HAT = np.array([[0.0, 0.0, 1.0]])
 X_HAT = np.array([[1.0, 0.0, 0.0]])
 
 
+def unit_vector(theta, phi):
+    st = np.sin(theta)
+    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+
+
 def random_direction(rng):
-    return Direction(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
+    return unit_vector(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
 
 
 def random_khat(rng, m):
-    return np.array([random_direction(rng).unit_vector for _ in range(m)])
+    return np.array([random_direction(rng) for _ in range(m)])
 
 
-def reference_polarization(direction: Direction, lam: int) -> np.ndarray:
+def reference_polarization(khat, lam: int) -> np.ndarray:
     """Independent frame: the standard rotation applied to the z-axis vector
     eps(z_hat, lam), whose conjugate is the spherical<->Cartesian row of lam."""
-    return standard_rotation(direction) @ spherical_to_cartesian()[1 - lam].conj()
+    return standard_rotation(khat) @ spherical_to_cartesian()[1 - lam].conj()
 
 
 #: polar angles on and 1e-9 off both poles, or anywhere in [0, pi]
 POLAR = st.one_of(st.sampled_from([0.0, 1e-9, np.pi - 1e-9, np.pi]), st.floats(0.0, np.pi))
+
+
+@st.composite
+def directions(draw):
+    """Unit vectors on either pole (every sign of zero), 1e-9 or a subnormal 1e-310
+    off it, or anywhere on the sphere."""
+    phi = draw(st.floats(-np.pi, np.pi))
+    where = draw(st.sampled_from(["north", "south", "anywhere"]))
+    if where == "anywhere":
+        return unit_vector(draw(st.floats(0.0, np.pi)), phi)
+    tilt = draw(st.sampled_from([0.0, -0.0, 1e-9, 1e-310]))
+    return np.array([tilt * np.cos(phi), tilt * np.sin(phi), 1.0 if where == "north" else -1.0])
+
+
+@st.composite
+def spins_and_helicity_sets(draw):
+    j = draw(st.integers(0, J_MAX))
+    return j, draw(st.lists(st.integers(-j, j), min_size=1, max_size=2 * j + 3))
 
 
 class TestPolarizationVectors:
@@ -55,18 +80,18 @@ class TestPolarizationVectors:
         # khat = -z exactly has no azimuth: the frame is R_y(pi) of the z-axis one
         got = polarization_vectors([[0.0, 0.0, -1.0]])[0, :, 1:]
         for lam in (-1, 0, 1):
-            expected = reference_polarization(Direction(np.pi, 0.0), lam)
+            expected = reference_polarization(-Z, lam)
             np.testing.assert_allclose(got[lam + 1], expected, rtol=0, atol=1e-15)
 
     @settings(max_examples=200)
     @given(angles=st.lists(st.tuples(POLAR, st.floats(0.0, 2 * np.pi)), min_size=1,
                            max_size=8))
     def test_match_the_standard_rotation_reference(self, angles):
-        directions = [Direction(theta, phi) for theta, phi in angles]
-        got = polarization_vectors([d.unit_vector for d in directions])
-        assert got.shape == (len(directions), 3, 4)
+        khat = np.array([unit_vector(theta, phi) for theta, phi in angles])
+        got = polarization_vectors(khat)
+        assert got.shape == (len(khat), 3, 4)
         assert not got[..., 0].any()
-        for eps, direction in zip(got, directions):
+        for eps, direction in zip(got, khat):
             for lam in (-1, 0, 1):
                 expected = reference_polarization(direction, lam)
                 assert np.abs(eps[lam + 1, 1:] - expected).max() <= 1e-15
@@ -177,19 +202,19 @@ class TestHelicitySum:
             )
 
     def test_transverse_set_at_equator(self):
-        got = helicity_sum_matrix(Direction(np.pi / 2, 0.0), (-1, 1))
+        got = helicity_sum_matrix([1.0, 0.0, 0.0], (-1, 1))
         expected = np.array([[0.5, 0, 0.5], [0, 1, 0], [0.5, 0, 0.5]])
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_transverse_set_at_pole(self):
-        got = helicity_sum_matrix(Z_DIR, (-1, 1))
+        got = helicity_sum_matrix(Z, (-1, 1))
         np.testing.assert_allclose(got, np.diag([1.0, 0.0, 1.0]), atol=1e-14)
 
     def test_matches_closed_form_on_angle_grid(self):
         worst = 0.0
         for theta in np.linspace(0.0, np.pi, 20):
             for phi in np.linspace(0.0, 2 * np.pi, 20, endpoint=False):
-                d = Direction(theta, phi)
+                d = unit_vector(theta, phi)
                 diff = np.abs(
                     helicity_sum_matrix(d, (-1, 1))
                     - transverse_helicity_sum_closed_form(d)
@@ -206,9 +231,34 @@ class TestHelicitySum:
 
     def test_out_of_range_helicity_rejected(self):
         with pytest.raises(ValueError, match="range"):
-            helicity_sum_matrix(Z_DIR, (-2, 2), j=1)
+            helicity_sum_matrix(Z, (-2, 2), j=1)
         with pytest.raises(ValueError, match="non-empty"):
-            helicity_sum_matrix(Z_DIR, (), j=1)
+            helicity_sum_matrix(Z, (), j=1)
+        with pytest.raises(ValueError, match="unit"):
+            helicity_sum_matrix([0.0, 0.0, 0.5], (-1, 1))
+
+    @settings(max_examples=300)
+    @given(khat=directions(), spin_and_set=spins_and_helicity_sets())
+    def test_is_the_d_matrix_conjugated_indicator(self, khat, spin_and_set):
+        # D P D^H with D the spin-j D-matrix of the standard rotation, P the indicator
+        j, helicities = spin_and_set
+        P = np.diag([1.0 if m in helicities else 0.0 for m in range(j, -j - 1, -1)])
+        D = wigner_D(j, standard_rotation(khat))
+        got = helicity_sum_matrix(khat, helicities, j)
+        assert np.abs(got - D @ P @ D.conj().T).max() <= 1e-14
+
+    def test_reaches_no_d_matrix_or_standard_rotation(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached a D-matrix or the standard rotation")
+
+        for module in (photonloc.rotations, photonloc.polarization):
+            for name in ("wigner_D", "standard_rotation"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        rng = np.random.default_rng(12)
+        for khat in [Z, -Z] + [random_direction(rng) for _ in range(5)]:
+            helicity_sum_matrix(khat, (-2, 1), j=3)
+            longitudinal_projector(khat)
+            transverse_helicity_sum_closed_form(khat)
 
 
 class TestLongitudinalProjector:
@@ -227,9 +277,7 @@ class TestLongitudinalProjector:
         total = np.zeros((3, 3), dtype=complex)
         for m_node, weight in zip(mu, w):
             for phi in phis:
-                total += weight * longitudinal_projector(
-                    Direction(np.arccos(m_node), phi)
-                )
+                total += weight * longitudinal_projector(unit_vector(np.arccos(m_node), phi))
         total *= (2 * np.pi / 32) / (4 * np.pi)
         np.testing.assert_allclose(total, np.eye(3) / 3.0, atol=1e-10)
 
@@ -252,7 +300,7 @@ class TestInverseFrameCoefficients:
             d = random_direction(rng)
             r0 = standard_rotation(d)
             inverse = wigner_D(1, r0).conj().T
-            eps_star = polarization_vectors([d.unit_vector])[0, :, 1:].conj()
+            eps_star = polarization_vectors([d])[0, :, 1:].conj()
             for row, lam in enumerate((1, 0, -1)):
                 lhs = inverse[row] @ u
                 rhs = r0 @ u[row]

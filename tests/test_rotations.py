@@ -8,13 +8,11 @@ from scipy.linalg import expm
 
 from photonloc.rotations import (
     J_MAX,
-    Direction,
     _fourier_basis,
     _generators,
+    _unit_directions,
     require_rotation_matrix,
     rotation_from_axis_angle,
-    rotation_y,
-    rotation_z,
     small_d_matrix,
     spherical_to_cartesian,
     standard_rotation,
@@ -22,7 +20,21 @@ from photonloc.rotations import (
     wigner_angle,
 )
 
+Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def rotation_z(angle):
+    return rotation_from_axis_angle(Z, angle)
+
+
+def rotation_y(angle):
+    return rotation_from_axis_angle(Y, angle)
+
+
+def unit_vector(theta, phi):
+    st = np.sin(theta)
+    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
 def random_rotation(rng):
@@ -30,7 +42,13 @@ def random_rotation(rng):
 
 
 def random_direction(rng):
-    return Direction(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
+    return unit_vector(np.arccos(rng.uniform(-1, 1)), rng.uniform(0, 2 * np.pi))
+
+
+def reference_standard_rotation(khat):
+    """R_z(phi) R_y(theta) R_z(-phi) at the polar angles of khat, phi = 0 on the poles."""
+    theta, phi = math.atan2(math.hypot(khat[0], khat[1]), khat[2]), math.atan2(khat[1], khat[0])
+    return rotation_z(phi) @ rotation_y(theta) @ rotation_z(-phi)
 
 
 class TestAxisAngle:
@@ -57,71 +75,71 @@ class TestAxisAngle:
             rotation_from_axis_angle([0.0, 0.0, 0.0], 1.0)
 
 
-class TestDirection:
-    def test_phi_wraps_to_standard_interval(self):
-        d = Direction(1.0, 2 * np.pi + 0.3)
-        assert abs(d.phi - 0.3) < 1e-12
+class TestUnitDirections:
+    def test_returns_float_unit_vectors_unchanged(self):
+        khat = [[0, 0, 1], [-0.0, 0.0, -1.0], [0.6, -0.8, 0.0]]
+        np.testing.assert_array_equal(_unit_directions(khat), np.array(khat, dtype=float))
 
-    def test_pole_azimuth_canonicalized(self):
-        assert Direction(0.0, 1.7).phi == 0.0
-        assert Direction(np.pi, -2.0).phi == 0.0
+    @pytest.mark.parametrize("khat, message", [
+        ([0.0, 0.0, 1.0], r"shape \(M, 3\)"),
+        ([[[0.0, 0.0, 1.0]]], "shape"),
+        ([[0.0, 1.0]], "shape"),
+        ([[0.0, np.nan, 1.0]], "finite"),
+        ([[np.inf, 0.0, 0.0]], "finite"),
+        ([[0.0, 0.0, 0.0]], "unit"),
+        ([[-0.0, 0.0, -0.0]], "unit"),
+        ([[1e-170, 0.0, 0.0]], "unit"),
+        ([[0.0, 0.0, 1.0 + 1e-9]], "unit"),
+    ])
+    def test_invalid_directions_rejected(self, khat, message):
+        with pytest.raises(ValueError, match=message):
+            _unit_directions(khat)
 
-    def test_theta_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="polar angle"):
-            Direction(3.5, 0.0)
-
-    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
-    def test_non_finite_azimuth_rejected(self, phi):
-        for theta in (0.0, 0.5):
-            with pytest.raises(ValueError, match="azimuth must be finite"):
-                Direction(theta, phi)
-
-    def test_from_vector_round_trip(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            v = rng.normal(size=3)
-            d = Direction.from_vector(v)
-            np.testing.assert_allclose(d.unit_vector, v / np.linalg.norm(v), atol=1e-14)
-
-    def test_from_zero_vector_rejected(self):
-        for v in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
-            with pytest.raises(ValueError, match="undefined"):
-                Direction.from_vector(v)
-
-    @pytest.mark.parametrize("tilt", [1e-12, 1e-9, 1e-6])
-    def test_from_vector_keeps_a_tilt_off_either_pole(self, tilt):
-        north = Direction.from_vector([tilt, 0.0, 1.0])
-        south = Direction.from_vector([0.0, tilt, -1.0])
-        np.testing.assert_allclose(north.theta, np.arctan(tilt), rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(south.theta, np.pi - np.arctan(tilt), rtol=1e-15, atol=0.0)
-        assert (north.phi, south.phi) == (0.0, np.pi / 2)
-
-    def test_from_vector_whose_norm_underflows(self):
-        d = Direction.from_vector([1e-170, 0.0, 0.0])
-        assert (d.theta, d.phi) == (np.pi / 2, 0.0)
-
-    def test_unit_vector_has_unit_norm(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            d = random_direction(rng)
-            assert abs(np.linalg.norm(d.unit_vector) - 1.0) < 1e-15
+    @pytest.mark.parametrize("khat", [[0.0, 1.0], [[0.0, 0.0, 1.0]], 1.0, [0.0, 0.0, 0.5]])
+    def test_single_direction_consumers_reject_anything_but_one_unit_vector(self, khat):
+        for consume in (standard_rotation, lambda k: wigner_angle(np.eye(3), k)):
+            with pytest.raises(ValueError, match="directions must"):
+                consume(khat)
 
 
 class TestStandardRotation:
-    def test_north_pole_gives_identity(self):
-        np.testing.assert_allclose(standard_rotation(Direction(0.0, 0.0)), np.eye(3))
+    def test_poles_give_the_identity_and_r_y_of_pi(self):
+        for zero in (0.0, -0.0):
+            np.testing.assert_array_equal(standard_rotation([zero, zero, 1.0]), np.eye(3))
+            np.testing.assert_array_equal(standard_rotation([zero, -zero, -1.0]),
+                                          np.diag([-1.0, 1.0, -1.0]))
+        np.testing.assert_allclose(standard_rotation(-Z), rotation_y(np.pi), rtol=0, atol=1e-15)
 
     def test_equator_at_zero_azimuth_is_rotation_about_y(self):
-        R = standard_rotation(Direction(np.pi / 2, 0.0))
+        R = standard_rotation([1.0, 0.0, 0.0])
         np.testing.assert_allclose(R, rotation_y(np.pi / 2), atol=1e-15)
 
-    def test_carries_z_to_unit_vector_of_direction(self):
-        R = standard_rotation(Direction(np.pi / 2, np.pi / 2))
-        np.testing.assert_allclose(R @ Z, [0.0, 1.0, 0.0], atol=1e-14)
-        for theta in np.linspace(0.0, np.pi, 15):
-            for phi in np.linspace(0.0, 2 * np.pi, 15, endpoint=False):
-                d = Direction(theta, phi)
-                assert np.abs(standard_rotation(d) @ Z - d.unit_vector).max() < 1e-13
+    def test_matches_the_euler_reference_and_carries_z_to_khat(self):
+        rng = np.random.default_rng(4)
+        khats = [unit_vector(theta, phi) for theta in np.linspace(0.0, np.pi, 15)
+                 for phi in np.linspace(0.0, 2 * np.pi, 15, endpoint=False)]
+        for khat in khats + [random_direction(rng) for _ in range(50)]:
+            R = standard_rotation(khat)
+            np.testing.assert_array_equal(R @ Z, khat)
+            assert np.abs(R - reference_standard_rotation(khat)).max() <= 2e-15
+            assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-15
+
+    @pytest.mark.parametrize("tilt", [1e-9, 1e-300, 1e-310])
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_keeps_its_azimuth_on_a_tilt_off_either_pole(self, tilt, z):
+        # R_y(pi) conjugated by R_z(phi) depends on phi: a frame that dropped the
+        # azimuth of a subnormal tilt off -z would be off by O(1)
+        for phi in (0.4, 2.9, -1.7):
+            khat = np.array([tilt * np.cos(phi), tilt * np.sin(phi), z])
+            R = standard_rotation(khat)
+            np.testing.assert_array_equal(R @ Z, khat)
+            # a subnormal tilt carries ~44 bits: cos(phi), sin(phi) are that precise
+            tol = 1e-12 if tilt < np.finfo(float).tiny else 2e-15
+            assert np.abs(R - reference_standard_rotation(khat)).max() <= tol
+            if z < 0.0:  # R_y(pi) conjugated by R_z(phi) has 2 phi in its 2x2 block
+                azimuth = math.atan2(khat[1], khat[0])  # of the rounded components
+                assert abs(math.atan2(-(R[1, 0] + R[0, 1]), R[1, 1] - R[0, 0])
+                           - math.remainder(2 * azimuth, 2 * np.pi)) <= 1e-15
 
 
 class TestWignerD:
@@ -252,20 +270,20 @@ class TestWignerD:
         with pytest.raises(ValueError, match="finite"):
             wigner_D(1, R)
         with pytest.raises(ValueError, match="finite"):
-            wigner_angle(R, Direction(0.5, 0.2))
+            wigner_angle(R, unit_vector(0.5, 0.2))
 
 
 class TestWignerAngle:
     def test_rotation_about_z_at_north_pole_returns_its_angle(self):
         for alpha in (-2.5, -0.3, 0.0, 1.1, 3.0):
-            w = wigner_angle(rotation_z(alpha), Direction(0.0, 0.0))
+            w = wigner_angle(rotation_z(alpha), Z)
             assert abs(w - alpha) < 1e-14
 
     def test_rotation_about_y_at_north_pole_is_neutral(self):
-        assert abs(wigner_angle(rotation_y(0.9), Direction(0.0, 0.0))) < 1e-14
+        assert abs(wigner_angle(rotation_y(0.9), Z)) < 1e-14
 
     def test_angle_reduced_to_half_open_interval(self):
-        w = wigner_angle(rotation_z(np.pi), Direction(0.0, 0.0))
+        w = wigner_angle(rotation_z(np.pi), Z)
         assert -np.pi < w <= np.pi
 
     def test_reconstructs_composed_rotation(self):
@@ -273,8 +291,7 @@ class TestWignerAngle:
         for _ in range(25):
             R = random_rotation(rng)
             d = random_direction(rng)
-            rotated = Direction.from_vector(R @ d.unit_vector)
-            composed = standard_rotation(rotated).T @ R @ standard_rotation(d)
+            composed = standard_rotation(R @ d).T @ R @ standard_rotation(d)
             w = wigner_angle(R, d)
             assert np.abs(rotation_from_axis_angle(Z, w) - composed).max() < 1e-12
 
@@ -283,8 +300,7 @@ class TestWignerAngle:
         for _ in range(100):
             R = random_rotation(rng)
             d = random_direction(rng)
-            rotated = Direction.from_vector(R @ d.unit_vector)
-            composed = standard_rotation(rotated).T @ R @ standard_rotation(d)
+            composed = standard_rotation(R @ d).T @ R @ standard_rotation(d)
             assert abs(composed[2, 2] - 1.0) < 1e-12
 
     def test_inconsistent_near_rotation_raises(self):
