@@ -12,12 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .overlap import (
-    _radial_power,
-    alt_overlap,
-    brute_force_kernel_matrix,
-    overlap_kernel_matrix,
-)
+from .overlap import alt_overlap, brute_force_kernel_matrix, overlap_kernel_matrix
 from .polarization import (
     field_strength,
     helicity_sum_matrix,
@@ -101,7 +96,7 @@ def kernel_against_oracle(family: StateFamily, rvec, a: float, q=None, take_orac
     """
     oracle = brute_force_kernel_matrix(family, rvec, a, q).entries
     value = oracle if take_oracle else overlap_kernel_matrix(family, rvec, a).entries
-    floor = 1.0 / (4.0 * np.pi * max(np.linalg.norm(rvec), a) ** (3.0 + _radial_power(family)))
+    floor = 1.0 / (4.0 * np.pi * max(np.linalg.norm(rvec), a) ** (3.0 + family.radial_power))
     scale = max(np.abs(oracle).max(), floor)
     return value, oracle, _entrywise_abs(value - oracle) / scale
 

@@ -26,9 +26,9 @@ theta and phi read off r by atan2, A diag A^H with A = B e^(-i phi m) d(theta),
 with no rotation matrix, so a tilt off either pole keeps its precision.
 d(theta) is the Fourier series of ``rotations``, evaluated unchecked because
 the angle comes from atan2; B is the change of label basis, the identity for
-spherical labels and the module-level constant U^H for Cartesian ones, so no
-conjugation follows the rotation. A call checks
-and copies its separation once. No production step has a node count or a
+spherical labels and U^H, the adjoint of the read-only ``rotations`` constant
+U = <sigma|i>, for Cartesian ones, so no conjugation follows the rotation. A call
+checks and copies its separation once. No production step has a node count or a
 tolerance. ``scipy.special`` (1F1, Gamma, Legendre) serves only
 this closed form and is imported where it runs, so a process that never
 evaluates a production kernel never loads it.
@@ -80,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polarization import validate_helicities
-from .rotations import J_MAX, _rotated_diagonal, small_d_matrix, spherical_to_cartesian
+from .rotations import J_MAX, _SPH_TO_CART, _SPH_TO_CART_H, _rotated_diagonal, small_d_matrix
 from .states import (
     RADIATION_GAUGE,
     SCALAR,
@@ -107,12 +107,6 @@ _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
-
-#: Read-only <sigma|i> and its adjoint: spherical entries K go to Cartesian as U^H K U.
-_U = spherical_to_cartesian()
-_U_H = _U.conj().T
-_U.setflags(write=False)
-_U_H.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -150,6 +144,9 @@ class KernelMatrix:
 
 def gaussian_delta(r: float, a: float) -> float:
     """Gaussian-regulated three-dimensional delta, exp(-r^2/4a^2) / (8 pi^(3/2) a^3)."""
+    a = require_regulator_width(a)
+    if not math.isfinite(r):
+        raise ValueError(f"distance must be finite, got {r}")
     return np.exp(-r * r / (4.0 * a * a)) / (8.0 * np.pi**1.5 * a**3)
 
 
@@ -244,28 +241,24 @@ def _helicity_columns(j: int, helicities: tuple) -> np.ndarray:
 def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float, s: float,
                       basis: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix at separation ``rvec`` in the spherical label basis, or in the
-    basis B K B^H when ``basis`` gives the change of basis B (``_U_H`` for Cartesian
-    labels): the aligned radial diagonal rotated to ``rvec`` by :func:`_rotated_diagonal`.
+    basis B K B^H when ``basis`` gives the change of basis B (``_SPH_TO_CART_H`` for
+    Cartesian labels): the aligned radial diagonal rotated to ``rvec`` by
+    :func:`_rotated_diagonal`.
     """
     v = rvec.tolist()
     diag = _radial_integrals(2 * j, math.hypot(*v), a, s) @ _helicity_columns(j, helicities)
     return _rotated_diagonal(j, v, diag, basis)
 
 
-def _radial_power(family: StateFamily) -> float:
-    """The radial measure power s = 1 - 2p of a 3-label family of weight exponent p."""
+def _require_label_triplet(family: StateFamily):
     if family.kind == SCALAR:
-        raise ValueError(
-            "the scalar family has a single label; use qm_overlap on scalar states"
-        )
-    return 1.0 - 2.0 * family.weight_exponent
+        raise ValueError("the scalar family has a single label; use qm_overlap on scalar states")
 
 
-def _family_kernel(family: StateFamily, rvec: np.ndarray, a: float, s: float) -> np.ndarray:
-    """Kernel entries of a 3-label family in its own label basis; the caller checks
-    ``rvec`` and ``a`` and passes the family's radial power ``s``."""
-    basis = _U_H if family.label_basis == "cartesian" else None
-    return _spherical_kernel(1, family.helicities, rvec, a, s, basis)
+def _family_kernel(family: StateFamily, rvec: np.ndarray, a: float) -> np.ndarray:
+    """Kernel entries of any family in its own label basis; the caller checks rvec and a."""
+    basis = _SPH_TO_CART_H if family.label_basis == "cartesian" else None
+    return _spherical_kernel(family.spin, family.helicities, rvec, a, family.radial_power, basis)
 
 
 def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
@@ -276,9 +269,9 @@ def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     non-local transverse tail.
     """
     a = require_regulator_width(a)
-    s = _radial_power(family)
+    _require_label_triplet(family)
     rvec = _separation(rvec)
-    return KernelMatrix(rvec, _family_kernel(family, rvec, a, s), family.kind, a, family.labels)
+    return KernelMatrix(rvec, _family_kernel(family, rvec, a), family.kind, a, family.labels)
 
 
 def transverse_kernel(rvec, a: float) -> np.ndarray:
@@ -288,7 +281,7 @@ def transverse_kernel(rvec, a: float) -> np.ndarray:
     and its large-separation limit is -(3 rhat rhat^T - I) / (4 pi r^3).
     """
     a = require_regulator_width(a)
-    entries = _spherical_kernel(1, (0,), _separation(rvec), a, 0.0, _U_H)
+    entries = _spherical_kernel(1, (0,), _separation(rvec), a, 0.0, _SPH_TO_CART_H)
     scale = np.abs(entries).max()
     if scale > 0 and np.abs(entries.imag).max() > 1e-10 * scale:
         raise RuntimeError("transverse kernel acquired a non-negligible imaginary part")
@@ -347,11 +340,7 @@ def qm_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
     """
     _require_overlap_compatible(s1, s2)
     rvec = _state_separation(s1, s2)
-    a = s1.regulator_width
-    if s1.family.kind == SCALAR:
-        entries = _spherical_kernel(0, (0,), rvec, a, 0.0)
-    else:
-        entries = _family_kernel(s1.family, rvec, a, _radial_power(s1.family))
+    entries = _family_kernel(s1.family, rvec, s1.regulator_width)
     return complex(np.vdot(s1.coefficients, entries @ s2.coefficients))
 
 
@@ -504,22 +493,22 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     helicities and azimuth first (``_oracle_label_sums``), then over cos(theta)
     at each radial node, then over k. The result is rotated back with the plain
     3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families through
-    ``spherical_to_cartesian()``. This assumes only that the measure is
+    <sigma|i>. This assumes only that the measure is
     rotation invariant. ``q`` None sizes the grid from k_max r.
     """
     a = require_regulator_width(a)
-    s = _radial_power(family)
+    _require_label_triplet(family)
     rvec = _separation(rvec)
     r = math.hypot(*rvec)
     nmu, nphi, nk = _oracle_node_counts(q, r, a)
     G = _oracle_label_sums(family.kind, nmu, nphi)  # azimuth first
     k, wk = _oracle_radial_grid(nk, a)
-    wrad = wk * k ** (2.0 + s) * np.exp(-a * a * k * k)
+    wrad = wk * k ** (2.0 + family.radial_power) * np.exp(-a * a * k * k)
     aligned = _oracle_polar_radial_sum(G, k, wrad, r * _oracle_gauss_legendre(nmu)[0])
     aligned = aligned.reshape(3, 3) / (2.0 * np.pi) ** 3
     rot = _oracle_rotation(rvec)
     if family.label_basis == "spherical":
-        rot = _U @ rot @ _U_H
+        rot = _SPH_TO_CART @ rot @ _SPH_TO_CART_H
     entries = rot @ aligned @ rot.conj().T
     return KernelMatrix(rvec, entries, family.kind, a, family.labels)
 

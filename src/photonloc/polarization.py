@@ -38,6 +38,8 @@ def wave_four_vector(omega, khat) -> np.ndarray:
     of shape (M, 3); ``omega`` is one energy or one per direction, finite and positive."""
     khat = _unit_directions(khat)
     omega = np.asarray(omega, dtype=float)
+    if omega.shape not in ((), khat.shape[:1]):
+        raise ValueError(f"energy must be one value or one per direction, got shape {omega.shape}")
     if not np.all((omega > 0.0) & (omega < np.inf)):
         raise ValueError(f"energy must be finite and positive, got {omega}")
     k = np.ones((khat.shape[0], 4))
@@ -49,9 +51,13 @@ def validate_helicities(helicities, j: int) -> tuple:
     """Normalize a helicity set to a sorted tuple of integers within [-j, j]."""
     values = set()
     for h in helicities:
-        if h != int(h):
+        try:
+            value = int(h)
+        except (ValueError, OverflowError):  # NaN, infinities
+            value = None
+        if h != value:
             raise ValueError(f"helicities must be integers, got {h}")
-        values.add(int(h))
+        values.add(value)
     if not values:
         raise ValueError("helicity set must be non-empty")
     values = tuple(sorted(values))

@@ -41,6 +41,7 @@ J_MAX = 10
 
 _ROTATION_TOL = 1e-9
 _UNIT_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def _unit_directions(khat) -> np.ndarray:
@@ -59,13 +60,22 @@ def _unit_directions(khat) -> np.ndarray:
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Proper orthogonal matrix rotating by ``angle`` about ``axis``.
 
-    The axis is normalized internally; a zero axis raises ``ValueError``.
+    A finite angle and a finite nonzero axis of shape (3,), else ``ValueError``; an axis
+    whose squared norm leaves the normal range is first rescaled by its largest entry.
     """
     axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
+    if axis.shape != (3,):
+        raise ValueError(f"rotation axis must have shape (3,), got {axis.shape}")
+    if not (np.isfinite(axis).all() and math.isfinite(angle)):
+        raise ValueError(f"rotation axis and angle must be finite, got {axis} and {angle}")
+    if not axis.any():
         raise ValueError("rotation axis must have nonzero norm")
-    u = axis / norm
+    with np.errstate(over="ignore", under="ignore"):  # out of range: rescaled below
+        sq = axis.dot(axis)
+    if not _TINY <= sq < math.inf:
+        axis = axis / np.abs(axis).max()
+        sq = axis.dot(axis)
+    u = axis / np.sqrt(sq)
     k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
     c, s = np.cos(angle), np.sin(angle)
     return c * np.eye(3) + s * k + (1.0 - c) * np.outer(u, u)
@@ -277,7 +287,9 @@ def wigner_angle(R, khat) -> float:
     return w
 
 
-# Unitary <sigma|i>: rows sigma = (+1, 0, -1), columns i = (x, y, z).
+#: Read-only unitary <sigma|i>, rows sigma = (+1, 0, -1), columns i = (x, y, z), and its
+#: adjoint: Cartesian components b go to spherical ones as U b, spherical entries K to
+#: Cartesian ones as U^H K U.
 _SPH_TO_CART = np.array(
     [
         [-1.0, 1.0j, 0.0],
@@ -286,10 +298,13 @@ _SPH_TO_CART = np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2.0)
+_SPH_TO_CART_H = _SPH_TO_CART.conj().T
+_SPH_TO_CART.setflags(write=False)
+_SPH_TO_CART_H.setflags(write=False)
 
 
 def spherical_to_cartesian() -> np.ndarray:
-    """Unitary matrix mapping Cartesian axis labels to spherical labels.
+    """Unitary matrix mapping Cartesian axis labels to spherical labels, a writable copy.
 
     Rows are indexed by sigma = (+1, 0, -1) and columns by (x, y, z).
     Conjugating the spin-1 D-matrix by this unitary returns the plain 3x3

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rotations import require_rotation_matrix, spherical_to_cartesian, wigner_D
+from .rotations import _SPH_TO_CART, require_rotation_matrix, wigner_D
 
 SCALAR = "scalar"
 SPHERICAL3 = "spherical3"
@@ -57,7 +57,7 @@ FAMILY_KINDS = (
     RADIATION_GAUGE,
 )
 
-#: kind -> (weight exponent p, helicity set, label basis)
+#: The one description of a family: kind -> (weight exponent p, helicity set, label basis).
 _CANONICAL = {
     SCALAR: (0.5, (0,), "scalar"),
     SPHERICAL3: (0.5, (-1, 0, 1), "spherical"),
@@ -67,24 +67,16 @@ _CANONICAL = {
     RADIATION_GAUGE: (1.0, (-1, 1), "cartesian"),
 }
 
-_SPHERICAL_LABELS = (1, 0, -1)  # descending, matching D-matrix ordering
-
 #: Cartesian axis labels, in index order.
 AXES = ("x", "y", "z")
 
-
-def axis_index(axis) -> int:
-    """Map an axis label ('x'|'y'|'z', or 0|1|2) to its index."""
-    if axis in AXES:
-        return AXES.index(axis)
-    if axis in (0, 1, 2):
-        return int(axis)
-    raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+#: label basis -> labels, spherical ones descending as the D-matrix rows.
+_LABELS = {"scalar": (0,), "spherical": (1, 0, -1), "cartesian": AXES}
 
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Amplitude family: kind and frequency sign; the kind fixes weight, helicities, labels."""
+    """Amplitude family: kind and frequency sign; the kind fixes every other property."""
 
     kind: str
     frequency_sign: str = "positive"
@@ -114,25 +106,24 @@ class StateFamily:
 
     @property
     def labels(self) -> tuple:
-        if self.label_basis == "scalar":
-            return (0,)
-        if self.label_basis == "spherical":
-            return _SPHERICAL_LABELS
-        return AXES
+        return _LABELS[self.label_basis]
+
+    @property
+    def spin(self) -> int:
+        """The spin j of the 2j + 1 labels."""
+        return len(_LABELS[_CANONICAL[self.kind][2]]) // 2
+
+    @property
+    def radial_power(self) -> float:
+        """The power s = 1 - 2p of k in the overlap kernel's radial weight k^s e^(-a^2 k^2)."""
+        return 1.0 - 2.0 * _CANONICAL[self.kind][0]
 
 
 def label_index(family: StateFamily, label) -> int:
     """Position of a label in the family's coefficient vector."""
-    basis = family.label_basis
-    if basis == "scalar":
-        if label in (0, None):
-            return 0
-        raise ValueError(f"scalar family takes label 0, got {label!r}")
-    if basis == "spherical":
-        if label in _SPHERICAL_LABELS:
-            return _SPHERICAL_LABELS.index(label)
-        raise ValueError(f"spherical family takes labels {_SPHERICAL_LABELS}, got {label!r}")
-    return axis_index(label)
+    if label not in family.labels:
+        raise ValueError(f"{family.kind} family takes labels {family.labels}, got {label!r}")
+    return family.labels.index(label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +193,7 @@ def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray)
         return np.broadcast_to(coefficients, (khat.shape[0], 1))
     b = coefficients
     if family.label_basis == "cartesian":
-        b = spherical_to_cartesian() @ b
+        b = _SPH_TO_CART @ b
     bp, b0, bm = b
     c = khat[:, 2]  # cos(theta)
     up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
@@ -287,18 +278,15 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
 def rotate_state(state: LocalizedState, R) -> LocalizedState:
     """Apply a rotation: x_vec -> R x_vec and mix the label coefficients.
 
-    Spherical-label coefficients are multiplied by the spin-1 D-matrix,
-    Cartesian ones by R itself, exactly (no quadrature); the regulator is
-    rotation invariant and unchanged.
+    Spherical-label coefficients are multiplied by the family's D-matrix (1 for
+    the scalar family), Cartesian ones by R itself, exactly (no quadrature); the
+    regulator is rotation invariant and unchanged.
     """
     R = require_rotation_matrix(R)
-    basis = state.family.label_basis
-    if basis == "scalar":
-        mixed = state.coefficients
-    elif basis == "spherical":
-        mixed = wigner_D(1, R) @ state.coefficients
-    else:
+    if state.family.label_basis == "cartesian":
         mixed = R.astype(complex) @ state.coefficients
+    else:
+        mixed = wigner_D(state.family.spin, R) @ state.coefficients
     x = state.x.copy()
     with np.errstate(over="ignore"):  # an overflowed anchor is rejected below
         x[1:] = R @ x[1:]

@@ -22,7 +22,6 @@ from photonloc.overlap import (
     _oracle_radial_grid,
     _oracle_rotation,
     _radial_integrals,
-    _radial_power,
     _spherical_kernel,
     alt_overlap,
     brute_force_kernel_matrix,
@@ -183,8 +182,9 @@ class TestOverlapContracts:
             qm_overlap(s, s)
 
     def test_scalar_family_has_no_kernel_matrix(self):
-        with pytest.raises(ValueError, match="scalar"):
-            overlap_kernel_matrix(StateFamily.of(SCALAR), np.zeros(3), 1.0)
+        for kernel in (overlap_kernel_matrix, brute_force_kernel_matrix):
+            with pytest.raises(ValueError, match="scalar family has a single label"):
+                kernel(StateFamily.of(SCALAR), np.zeros(3), 1.0)
 
 
 
@@ -240,6 +240,14 @@ class TestInputBoundary:
                 for pairing in pairings:
                     with pytest.raises(ValueError, match="separation must be finite"):
                         pairing(s1, s2)
+
+    def test_gaussian_delta_rejects_bad_widths_and_distances(self):
+        for a in self.BAD_WIDTHS:
+            with pytest.raises(ValueError, match="finite and positive"):
+                gaussian_delta(0.0, a)
+        for r in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="distance must be finite"):
+                gaussian_delta(r, 1.0)
 
 
 class TestFullHelicityFamilies:
@@ -869,7 +877,7 @@ class TestKernelEngine:
             assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
             for kind in (CARTESIAN3, CARTESIAN_PHOTON, RADIATION_GAUGE):
                 family = StateFamily.of(kind)
-                s = _radial_power(family)
+                s = family.radial_power
                 expected = U.conj().T @ _spherical_kernel(1, family.helicities, rvec, a, s) @ U
                 got = overlap_kernel_matrix(family, rvec, a).entries
                 assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
@@ -982,7 +990,7 @@ class TestKernelProperties:
         M = R if family.label_basis == "cartesian" else wigner_D(1, R)
         K = overlap_kernel_matrix(family, rvec, a).entries
         rotated = overlap_kernel_matrix(family, R @ rvec, a).entries
-        scale = _kernel_scale(K, rvec, a, _radial_power(family))
+        scale = _kernel_scale(K, rvec, a, family.radial_power)
         assert np.abs(rotated - M @ K @ M.conj().T).max() <= 1e-12 * scale
 
 

@@ -140,6 +140,11 @@ class TestWaveFourVector:
             wave_four_vector(omega, Z_HAT)
         with pytest.raises(ValueError, match="finite and positive"):
             wave_four_vector([1.0, omega], np.vstack([Z_HAT, X_HAT]))
+        # one energy, or one per direction: a wrong count or shape is rejected first
+        for energies, khat in (([1.0, omega], Z_HAT), ([1.0, 2.0, omega], np.vstack([Z_HAT, X_HAT])),
+                               ([[1.0, omega]], np.vstack([Z_HAT, X_HAT]))):
+            with pytest.raises(ValueError, match="one per direction"):
+                wave_four_vector(energies, khat)
 
     def test_directions_validated(self):
         with pytest.raises(ValueError, match="unit"):
@@ -321,5 +326,6 @@ class TestTransverseOuterProduct:
 
 def test_validate_helicities_normalizes_and_rejects():
     assert validate_helicities([1, -1, 1], 1) == (-1, 1)
-    with pytest.raises(ValueError, match="integers"):
-        validate_helicities([0.5], 1)
+    for bad in (0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="integers"):
+            validate_helicities([bad], 1)

@@ -74,6 +74,28 @@ class TestAxisAngle:
         with pytest.raises(ValueError, match="nonzero"):
             rotation_from_axis_angle([0.0, 0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("axis, angle, message", [
+        ([1.0, 0.0], 0.4, "shape"),
+        ([[1.0, 0.0, 0.0]], 0.4, "shape"),
+        ([np.inf, 0.0, 0.0], 0.4, "finite"),
+        ([0.0, np.nan, 1.0], 0.4, "finite"),
+        ([1.0, 0.0, 0.0], np.nan, "finite"),
+        ([1.0, 0.0, 0.0], np.inf, "finite"),
+    ])
+    def test_bad_axis_or_angle_rejected(self, axis, angle, message):
+        with pytest.raises(ValueError, match=message):
+            rotation_from_axis_angle(axis, angle)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200, 1e-160, 1e-200, 1e-300])
+    def test_any_finite_axis_scale_gives_the_unit_axis_rotation(self, scale):
+        for unit in (Z, np.array([2.0, -1.0, 2.0]) / 3.0, np.array([0.8, 0.6, 0.0])):
+            R = rotation_from_axis_angle(scale * unit, 0.7)
+            assert np.abs(R - rotation_from_axis_angle(unit, 0.7)).max() <= 1e-15
+            assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-15
+        # the smallest subnormal axis
+        assert np.array_equal(rotation_from_axis_angle(5e-324 * Z, 0.7),
+                              rotation_from_axis_angle(Z, 0.7))
+
 
 class TestUnitDirections:
     def test_returns_float_unit_vectors_unchanged(self):

@@ -3,7 +3,6 @@ import pytest
 
 from photonloc.rotations import rotation_from_axis_angle, wigner_angle, wigner_D
 from photonloc.states import (
-    AXES,
     CARTESIAN3,
     CARTESIAN_PHOTON,
     FAMILY_KINDS,
@@ -12,7 +11,6 @@ from photonloc.states import (
     SPHERICAL3,
     SPHERICAL_PHOTON,
     StateFamily,
-    axis_index,
     make_localized_state,
     momentum_amplitude,
     rotate_state,
@@ -46,6 +44,14 @@ class TestStateFamily:
         assert StateFamily.of(CARTESIAN_PHOTON).weight_exponent == 0.5
         assert StateFamily.of(RADIATION_GAUGE).weight_exponent == 1.0
         assert StateFamily.of(RADIATION_GAUGE).helicities == (-1, 1)
+        # spin and radial power s = 1 - 2p are read off the labels and the weight
+        spins_and_powers = {SCALAR: (0, 0.0), SPHERICAL3: (1, 0.0), CARTESIAN3: (1, 0.0),
+                            SPHERICAL_PHOTON: (1, 0.0), CARTESIAN_PHOTON: (1, 0.0),
+                            RADIATION_GAUGE: (1, -1.0)}
+        for kind, (spin, power) in spins_and_powers.items():
+            family = StateFamily.of(kind)
+            assert (family.spin, family.radial_power) == (spin, power)
+            assert len(family.labels) == 2 * family.spin + 1
 
     def test_all_kinds_constructible(self):
         for kind in FAMILY_KINDS:
@@ -74,10 +80,12 @@ class TestMakeLocalizedState:
     def test_label_family_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             make_localized_state(StateFamily.of(SPHERICAL3), ORIGIN, "x", 1.0)
-        with pytest.raises(ValueError, match="axis"):
-            make_localized_state(StateFamily.of(CARTESIAN3), ORIGIN, 1.5, 1.0)
-        with pytest.raises(ValueError, match="label"):
-            make_localized_state(StateFamily.of(SCALAR), ORIGIN, 3, 1.0)
+        for label in (1.5, 0):  # axis positions are not labels
+            with pytest.raises(ValueError, match="labels"):
+                make_localized_state(StateFamily.of(CARTESIAN3), ORIGIN, label, 1.0)
+        for label in (3, None):
+            with pytest.raises(ValueError, match="label"):
+                make_localized_state(StateFamily.of(SCALAR), ORIGIN, label, 1.0)
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -416,9 +424,3 @@ class TestTranslateState:
         shift = (1.0 if frequency == "positive" else -1.0) * x
         with pytest.raises(ValueError, match=rf"translated anchor x \{sign} a must be finite"):
             translate_state(state, shift)
-
-
-def test_axis_index_accepts_names_and_positions():
-    assert axis_index("y") == 1
-    assert axis_index(2) == 2
-    assert [AXES[axis_index(axis)] for axis in AXES] == list(AXES)
