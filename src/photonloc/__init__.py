@@ -14,6 +14,7 @@ from .rotations import (
     small_d_matrix,
     spherical_to_cartesian,
     standard_rotation,
+    validate_helicities,
     wigner_D,
     wigner_angle,
 )
@@ -41,7 +42,6 @@ from .polarization import (
     polarization_vectors,
     transverse_helicity_sum_closed_form,
     transverse_outer_product,
-    validate_helicities,
     wave_four_vector,
 )
 from .overlap import (

@@ -2,7 +2,9 @@
 
 Production path
 ---------------
-For every family the equal-time overlap of two label states reduces to
+Every kernel is a family's, by the one path ``_family_kernel``: ``general_j_defect``
+takes the missing helicities, ``transverse_kernel`` the zero helicity in Cartesian
+labels. For every family the equal-time overlap of two label states reduces to
 
     K_{l1 l2}(r) = (2*pi)^-3 * integral d^3k  w(k) G_{l1 l2}(khat) e^{i k.r},
 
@@ -40,8 +42,9 @@ Oracle path
 polar axis is the separation r, so that the phase e^{i k.r} depends only on
 (k, cos theta). Without a :class:`QuadratureSpec` the grid sizes itself from
 k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes, rounded up to a
-multiple of 32, and eight azimuths, exact for the degree-2 label part; an
-explicit spec gives four times its counts. Both oracles take the label
+multiple of 32, and 8 ceil((2j + 1) / 8) azimuths, exact for the spin-j label
+part (eight to j = 3; the kernel oracle serves spin 1); an explicit spec gives
+four times its counts. Both oracles take the label
 dependence from the states' own label rows C(khat, lam), so the kernel oracle
 is by construction the overlap oracle of unit-label states. Both sum their
 phase in one loop, ``_oracle_polar_radial_sum``: e^{i k p(cos theta)} per
@@ -79,11 +82,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polarization import validate_helicities
-from .rotations import J_MAX, _SPH_TO_CART, _SPH_TO_CART_H, _rotated_diagonal, small_d_matrix
+from .rotations import _SPH_TO_CART, _SPH_TO_CART_H, _rotated_diagonal, _validated_spin
+from .rotations import small_d_matrix, validate_helicities
 from .states import (
     RADIATION_GAUGE,
-    SCALAR,
     LocalizedState,
     StateFamily,
     _amplitude_factors,
@@ -107,6 +109,7 @@ _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -238,38 +241,38 @@ def _helicity_columns(j: int, helicities: tuple) -> np.ndarray:
     return coeff
 
 
-def _spherical_kernel(j: int, helicities: tuple, rvec: np.ndarray, a: float, s: float,
-                      basis: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix at separation ``rvec`` in the spherical label basis, or in the
-    basis B K B^H when ``basis`` gives the change of basis B (``_SPH_TO_CART_H`` for
-    Cartesian labels): the aligned radial diagonal rotated to ``rvec`` by
-    :func:`_rotated_diagonal`.
-    """
+def _family_kernel(family: StateFamily, rvec: np.ndarray, a: float) -> np.ndarray:
+    """Kernel entries of any family in its own label basis; the caller checks rvec and a."""
+    j = family.spin
     v = rvec.tolist()
-    diag = _radial_integrals(2 * j, math.hypot(*v), a, s) @ _helicity_columns(j, helicities)
+    diag = (_radial_integrals(2 * j, math.hypot(*v), a, family.radial_power)
+            @ _helicity_columns(j, family.helicities))
+    basis = _SPH_TO_CART_H if family.label_basis == "cartesian" else None
     return _rotated_diagonal(j, v, diag, basis)
 
 
-def _require_label_triplet(family: StateFamily):
-    if family.kind == SCALAR:
-        raise ValueError("the scalar family has a single label; use qm_overlap on scalar states")
+_LONGITUDINAL = StateFamily(1, (0,), "cartesian")
 
 
-def _family_kernel(family: StateFamily, rvec: np.ndarray, a: float) -> np.ndarray:
-    """Kernel entries of any family in its own label basis; the caller checks rvec and a."""
-    basis = _SPH_TO_CART_H if family.label_basis == "cartesian" else None
-    return _spherical_kernel(family.spin, family.helicities, rvec, a, family.radial_power, basis)
+@lru_cache(maxsize=256)
+def _defect_family(j, helicities: tuple) -> StateFamily:
+    """The spin-j family of the helicities missing from ``helicities`` (the complete
+    family for a complete set); the bound of 256 holds every set a benchmark run uses."""
+    j = _validated_spin(j)  # before the helicities, whose range it sets
+    if j == 0:
+        raise ValueError("a defect needs a positive integer spin: spin 0 misses no helicity")
+    present = validate_helicities(helicities, j)
+    return StateFamily(j, tuple(lam for lam in range(-j, j + 1) if lam not in present) or present)
 
 
 def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     """Full label-by-label equal-time overlap matrix at spatial separation rvec.
 
-    Full-helicity families give the regulated delta times the identity;
-    photon families lose the longitudinal projector term, which survives as a
-    non-local transverse tail.
+    Full-helicity families give the regulated delta times the identity (the 1 x 1
+    delta for the scalar family); photon families lose the longitudinal projector
+    term, which survives as a non-local transverse tail.
     """
     a = require_regulator_width(a)
-    _require_label_triplet(family)
     rvec = _separation(rvec)
     return KernelMatrix(rvec, _family_kernel(family, rvec, a), family.kind, a, family.labels)
 
@@ -281,7 +284,7 @@ def transverse_kernel(rvec, a: float) -> np.ndarray:
     and its large-separation limit is -(3 rhat rhat^T - I) / (4 pi r^3).
     """
     a = require_regulator_width(a)
-    entries = _spherical_kernel(1, (0,), _separation(rvec), a, 0.0, _SPH_TO_CART_H)
+    entries = _family_kernel(_LONGITUDINAL, _separation(rvec), a)
     scale = np.abs(entries).max()
     if scale > 0 and np.abs(entries.imag).max() > 1e-10 * scale:
         raise RuntimeError("transverse kernel acquired a non-negligible imaginary part")
@@ -292,23 +295,17 @@ def general_j_defect(j: int, helicities, rvec, a: float) -> KernelMatrix:
     """Kernel of the completeness defect for a spin-j label set.
 
     ``helicities`` lists the helicities the particle actually carries; the
-    returned matrix is the Fourier transform, against the regulated measure,
-    of the helicity sum over the *missing* helicities. It vanishes for the
-    full set and is nonzero for every incomplete one.
+    returned matrix is the kernel of the family of the *missing* helicities:
+    the Fourier transform, against the regulated measure, of their helicity
+    sum. It vanishes for the full set and is nonzero for every incomplete one.
     """
-    if j != int(j) or not 1 <= j <= J_MAX:  # before the helicities, whose range it sets
-        raise ValueError(f"spin must be a positive integer at most {J_MAX}, got {j}")
-    j = int(j)
+    family = _defect_family(j, tuple(helicities))
     a = require_regulator_width(a)
-    present = validate_helicities(helicities, j)
-    missing = tuple(lam for lam in range(-j, j + 1) if lam not in present)
     rvec = _separation(rvec)
-    labels = tuple(range(j, -j - 1, -1))
-    if not missing:
-        entries = np.zeros((2 * j + 1, 2 * j + 1), dtype=complex)
-    else:
-        entries = _spherical_kernel(j, missing, rvec, a, 0.0)
-    return KernelMatrix(rvec, entries, f"helicity-defect-j{j}", a, labels)
+    n = len(family.labels)
+    missing = len(family.helicities) < n
+    entries = _family_kernel(family, rvec, a) if missing else np.zeros((n, n), dtype=complex)
+    return KernelMatrix(rvec, entries, family.kind, a, family.labels)
 
 
 def _require_overlap_compatible(s1: LocalizedState, s2: LocalizedState):
@@ -366,14 +363,14 @@ def alt_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
 # --- brute-force aligned-grid oracle -----------------------------------------
 
 
-def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float):
-    """(polar, azimuthal, radial) node counts of the oracle grid at separation r.
+def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float, j: int):
+    """(polar, azimuthal, radial) node counts of the oracle grid at separation r, spin j.
 
     An explicit spec gives four times its counts. Self-sized (``q`` None), the
     phase k r cos(theta) spans RADIAL_CUTOFF r / a radians over the grid, so the
     polar and radial counts follow k_max r / 2 with 64 nodes on top, rounded up
-    to a multiple of 32 (so that warm calls share tables); eight azimuthal nodes
-    are exact for the degree-2 label part.
+    to a multiple of 32 (so that warm calls share tables); 2j + 1 azimuths, rounded
+    up to a multiple of 8, are exact for the label part, of azimuthal degree 2j.
     """
     if q is not None:
         return 4 * q.n_theta, 4 * q.n_phi, 4 * q.n_radial
@@ -382,7 +379,7 @@ def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float):
                          f"range, r/a <= {_ORACLE_MAX_R_OVER_A:g}")
     n = math.ceil(RADIAL_CUTOFF * r / (2.0 * a)) + 64
     n = -(-n // 32) * 32
-    return n, 8, n
+    return n, 8 * -(-(2 * j + 1) // 8), n
 
 
 def _oracle_rotation(rvec: np.ndarray) -> np.ndarray:
@@ -452,12 +449,12 @@ def _oracle_angular_grid(nmu: int, nphi: int):
 
 
 @lru_cache(maxsize=16)
-def _oracle_label_sums(kind: str, nmu: int, nphi: int) -> np.ndarray:
+def _oracle_label_sums(family: StateFamily, nmu: int, nphi: int) -> np.ndarray:
     """Read-only G[(a, b), mu]: sum over helicities and azimuth of conj(C_a) C_b times
     the angular weight, C_a the label rows of the family's unit label a on the
     unrotated grid. The bound of 16 tables holds every key a benchmark round uses."""
     khat, weights = _oracle_angular_grid(nmu, nphi)
-    rows = np.stack([_label_rows(StateFamily(kind), b, khat) for b in np.eye(3, dtype=complex)])
+    rows = np.stack([_label_rows(family, b, khat) for b in np.eye(3, dtype=complex)])
     G = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights
     G = G.reshape(9, nmu, nphi).sum(axis=2)
     G.setflags(write=False)
@@ -494,14 +491,15 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     at each radial node, then over k. The result is rotated back with the plain
     3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families through
     <sigma|i>. This assumes only that the measure is
-    rotation invariant. ``q`` None sizes the grid from k_max r.
+    rotation invariant. Spin 1 only. ``q`` None sizes the grid from k_max r.
     """
     a = require_regulator_width(a)
-    _require_label_triplet(family)
+    if family.spin != 1:
+        raise ValueError(f"the kernel oracle serves spin-1 families only, got spin {family.spin}")
     rvec = _separation(rvec)
     r = math.hypot(*rvec)
-    nmu, nphi, nk = _oracle_node_counts(q, r, a)
-    G = _oracle_label_sums(family.kind, nmu, nphi)  # azimuth first
+    nmu, nphi, nk = _oracle_node_counts(q, r, a, 1)
+    G = _oracle_label_sums(family, nmu, nphi)  # azimuth first
     k, wk = _oracle_radial_grid(nk, a)
     wrad = wk * k ** (2.0 + family.radial_power) * np.exp(-a * a * k * k)
     aligned = _oracle_polar_radial_sum(G, k, wrad, r * _oracle_gauss_legendre(nmu)[0])
@@ -535,15 +533,16 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     a = s1.regulator_width
     rvec = _state_separation(s1, s2)
     r = math.hypot(*rvec)
-    nmu, nphi, nk = _oracle_node_counts(q, r, a)
+    nmu, nphi, nk = _oracle_node_counts(q, r, a, s1.family.spin)
     khat, wang = _oracle_angular_grid(nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     k, wk = _oracle_radial_grid(nk, a)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         env1, u1, rows1 = _amplitude_factors(s1, k, khat)
         env2, u2, rows2 = _amplitude_factors(s2, k, khat)
-        # each u carries a rounding error of a few eps (|t| + |x|_1)
-        bound = 64.0 * _EPS * (np.abs(s1.x).sum() + np.abs(s2.x).sum())
+        # each u carries a rounding error of a few eps (|t| + |x|_1), and of a few
+        # subnormal steps where the products khat_i x_i are subnormal
+        bound = 64.0 * (_EPS * (np.abs(s1.x).sum() + np.abs(s2.x).sum()) + _SUBNORMAL)
     if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
         raise ValueError("the anchor phase u = t - khat.x overflows: the anchors leave the "
                          "double range of the oracle")

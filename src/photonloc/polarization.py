@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rotations import _rotated_diagonal, _unit_directions, _validated_spin
+from .rotations import _rotated_diagonal, _unit_directions, _validated_spin, validate_helicities
 from .states import CARTESIAN3, StateFamily, _label_rows
 
 
@@ -45,25 +45,6 @@ def wave_four_vector(omega, khat) -> np.ndarray:
     k = np.ones((khat.shape[0], 4))
     k[:, 1:] = khat
     return omega[..., None] * k
-
-
-def validate_helicities(helicities, j: int) -> tuple:
-    """Normalize a helicity set to a sorted tuple of integers within [-j, j]."""
-    values = set()
-    for h in helicities:
-        try:
-            value = int(h)
-        except (ValueError, OverflowError):  # NaN, infinities
-            value = None
-        if h != value:
-            raise ValueError(f"helicities must be integers, got {h}")
-        values.add(value)
-    if not values:
-        raise ValueError("helicity set must be non-empty")
-    values = tuple(sorted(values))
-    if values[0] < -j or values[-1] > j:
-        raise ValueError(f"helicities {values} outside the spin-{j} range [-{j}, {j}]")
-    return values
 
 
 def polarization_vectors(khat) -> np.ndarray:

@@ -176,14 +176,29 @@ def _fourier_basis(j: int):
 
 
 def _validated_spin(j) -> int:
-    if j != int(j) or j < 0:
-        raise ValueError(
-            f"spin must be a non-negative integer (half-integer spins unsupported), got {j}"
-        )
-    j = int(j)
-    if j > J_MAX:
-        raise ValueError(f"spin j={j} exceeds the supported maximum {J_MAX}")
-    return j
+    if j != int(j) or not 0 <= j <= J_MAX:
+        raise ValueError(f"spin must be a non-negative integer at most {J_MAX} "
+                         f"(half-integer spins unsupported), got {j}")
+    return int(j)
+
+
+def validate_helicities(helicities, j: int) -> tuple:
+    """Normalize a helicity set to a sorted tuple of integers within [-j, j]."""
+    values = set()
+    for h in helicities:
+        try:
+            value = int(h)
+        except (ValueError, OverflowError):  # NaN, infinities
+            value = None
+        if h != value:
+            raise ValueError(f"helicities must be integers, got {h}")
+        values.add(value)
+    if not values:
+        raise ValueError("helicity set must be non-empty")
+    values = tuple(sorted(values))
+    if values[0] < -j or values[-1] > j:
+        raise ValueError(f"helicities {values} outside the spin-{j} range [-{j}, {j}]")
+    return values
 
 
 def wigner_D(j: int, R) -> np.ndarray:

@@ -7,7 +7,7 @@ eigenvectors whose amplitude factorizes as
                    * exp(+-i k.x) * exp(-a^2 |k|^2 / 2),
 
 where p is the family weight exponent, C the family's label coefficient (a
-conjugated spin-1 D-matrix element of the standard rotation to khat, read off
+conjugated spin-j D-matrix element of the standard rotation to khat, read off
 the components of khat), k.x = omega*t - k_vec.x_vec, and a > 0 a Gaussian
 regulator width that makes all overlaps finite while commuting with rotations.
 With k.x = |k| u(khat), u = t - khat.x_vec, the amplitude is a product of three
@@ -19,7 +19,10 @@ unit vector at construction, mixed by rotations).
 
 Families
 --------
-scalar            single zero-helicity label, weight omega^(-1/2)
+A family is (spin j <= 10, helicity set, label basis, weight p = 1/2 or 1, frequency
+sign), labelled sigma = +j..-j or, at spin 1, x, y, z. The named families:
+
+scalar            spin 0, single zero-helicity label, weight omega^(-1/2)
 spherical3        three spherical labels sigma, full helicity set, omega^(-1/2)
 cartesian3        three Cartesian labels, full helicity set, omega^(-1/2)
 spherical-photon  spherical labels, transverse helicities only, omega^(-1/2)
@@ -35,11 +38,14 @@ x + a. They are rejected by the overlap engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .rotations import _SPH_TO_CART, require_rotation_matrix, wigner_D
+from .rotations import _SPH_TO_CART, J_MAX, _validated_spin, require_rotation_matrix, wigner_D
+from .rotations import validate_helicities
 
 SCALAR = "scalar"
 SPHERICAL3 = "spherical3"
@@ -48,82 +54,61 @@ SPHERICAL_PHOTON = "spherical-photon"
 CARTESIAN_PHOTON = "cartesian-photon"
 RADIATION_GAUGE = "radiation-gauge"
 
-FAMILY_KINDS = (
-    SCALAR,
-    SPHERICAL3,
-    CARTESIAN3,
-    SPHERICAL_PHOTON,
-    CARTESIAN_PHOTON,
-    RADIATION_GAUGE,
-)
-
-#: The one description of a family: kind -> (weight exponent p, helicity set, label basis).
-_CANONICAL = {
-    SCALAR: (0.5, (0,), "scalar"),
-    SPHERICAL3: (0.5, (-1, 0, 1), "spherical"),
-    CARTESIAN3: (0.5, (-1, 0, 1), "cartesian"),
-    SPHERICAL_PHOTON: (0.5, (-1, 1), "spherical"),
-    CARTESIAN_PHOTON: (0.5, (-1, 1), "cartesian"),
-    RADIATION_GAUGE: (1.0, (-1, 1), "cartesian"),
+#: The named families: kind -> (spin, helicity set, label basis, weight exponent p).
+_NAMED = {
+    SCALAR: (0, (0,), "spherical", 0.5),
+    SPHERICAL3: (1, (-1, 0, 1), "spherical", 0.5),
+    CARTESIAN3: (1, (-1, 0, 1), "cartesian", 0.5),
+    SPHERICAL_PHOTON: (1, (-1, 1), "spherical", 0.5),
+    CARTESIAN_PHOTON: (1, (-1, 1), "cartesian", 0.5),
+    RADIATION_GAUGE: (1, (-1, 1), "cartesian", 1.0),
 }
+_KIND_OF = {row: kind for kind, row in _NAMED.items()}
+FAMILY_KINDS = tuple(_NAMED)
 
 #: Cartesian axis labels, in index order.
 AXES = ("x", "y", "z")
 
-#: label basis -> labels, spherical ones descending as the D-matrix rows.
-_LABELS = {"scalar": (0,), "spherical": (1, 0, -1), "cartesian": AXES}
-
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Amplitude family: kind and frequency sign; the kind fixes every other property."""
+    """Amplitude family, checked once: ``kind`` (the name of a named family, else the
+    tuple as a string) and ``labels`` are computed at construction."""
 
-    kind: str
+    spin: int
+    helicities: tuple
+    label_basis: str = "spherical"
+    weight_exponent: float = 0.5
     frequency_sign: str = "positive"
+    kind: str = field(init=False, repr=False, compare=False)
+    labels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _CANONICAL:
-            raise ValueError(f"unknown family kind {self.kind!r}; choose from {FAMILY_KINDS}")
+        spin = _validated_spin(self.spin)
+        helicities = validate_helicities(self.helicities, spin)
+        if not (self.label_basis == "spherical" or self.label_basis == "cartesian" and spin == 1):
+            raise ValueError(f"label basis must be 'spherical', or 'cartesian' at spin 1, got "
+                             f"{self.label_basis!r} at spin {spin}")
+        if self.weight_exponent not in (0.5, 1.0):
+            raise ValueError(f"weight exponent p must be 1/2 or 1, got {self.weight_exponent!r}")
         if self.frequency_sign not in ("positive", "negative"):
             raise ValueError("frequency_sign must be 'positive' or 'negative'")
+        row = (spin, helicities, self.label_basis, float(self.weight_exponent))
+        labels = AXES if self.label_basis == "cartesian" else tuple(range(spin, -spin - 1, -1))
+        self.__dict__.update(spin=spin, helicities=helicities, weight_exponent=row[3],
+                             labels=labels, kind=_KIND_OF.get(row, str(row)))
 
     @classmethod
     def of(cls, kind: str, frequency_sign: str = "positive") -> "StateFamily":
-        """Canonical family for a kind string."""
-        return cls(kind, frequency_sign)
-
-    @property
-    def weight_exponent(self) -> float:
-        return _CANONICAL[self.kind][0]
-
-    @property
-    def helicities(self) -> tuple:
-        return _CANONICAL[self.kind][1]
-
-    @property
-    def label_basis(self) -> str:
-        return _CANONICAL[self.kind][2]
-
-    @property
-    def labels(self) -> tuple:
-        return _LABELS[self.label_basis]
-
-    @property
-    def spin(self) -> int:
-        """The spin j of the 2j + 1 labels."""
-        return len(_LABELS[_CANONICAL[self.kind][2]]) // 2
+        """The named family ``kind``, one of :data:`FAMILY_KINDS`."""
+        if kind not in _NAMED:
+            raise ValueError(f"unknown family kind {kind!r}; choose from {FAMILY_KINDS}")
+        return cls(*_NAMED[kind], frequency_sign)
 
     @property
     def radial_power(self) -> float:
         """The power s = 1 - 2p of k in the overlap kernel's radial weight k^s e^(-a^2 k^2)."""
-        return 1.0 - 2.0 * _CANONICAL[self.kind][0]
-
-
-def label_index(family: StateFamily, label) -> int:
-    """Position of a label in the family's coefficient vector."""
-    if label not in family.labels:
-        raise ValueError(f"{family.kind} family takes labels {family.labels}, got {label!r}")
-    return family.labels.index(label)
+        return 1.0 - 2.0 * self.weight_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,43 +153,73 @@ def make_localized_state(family: StateFamily, x, label, a: float) -> LocalizedSt
     x : array-like, shape (4,)
         Finite anchor point (t, x, y, z) in natural units.
     label : int or str
-        sigma in {+1, 0, -1} for spherical label families, 'x'|'y'|'z' for
-        Cartesian ones, 0 for the scalar family.
+        sigma in {+j, ..., -j} for spherical label families, 'x'|'y'|'z' for
+        Cartesian ones.
     a : float
         Gaussian regulator width, finite and strictly positive.
     """
     a = require_regulator_width(a)
     x = require_finite_anchor(x)
-    idx = label_index(family, label)
+    if label not in family.labels:
+        raise ValueError(f"{family.kind} family takes labels {family.labels}, got {label!r}")
     coeff = np.zeros(len(family.labels), dtype=complex)
-    coeff[idx] = 1.0
+    coeff[family.labels.index(label)] = 1.0
     return LocalizedState(family, x, coeff, a)
+
+
+@lru_cache(maxsize=J_MAX + 1)
+def _wigner_sum_table(j: int) -> np.ndarray:
+    """Read-only P[b, sigma, lam], sigma and lam = +j..-j, of Wigner's factorial sum
+    d^j_{sigma lam} = sum_b P[b, sigma, lam] cos(theta/2)^(2j - b) sin(theta/2)^b."""
+    f = math.factorial
+    table = np.zeros((2 * j + 1,) * 3)
+    for i, m1 in enumerate(range(j, -j - 1, -1)):
+        for k, m2 in enumerate(range(j, -j - 1, -1)):
+            norm = math.sqrt(f(j + m1) * f(j - m1) * f(j + m2) * f(j - m2))
+            for s in range(max(0, m2 - m1), min(j + m2, j - m1) + 1):
+                den = f(j + m2 - s) * f(s) * f(m1 - m2 + s) * f(j - m1 - s)
+                table[m1 - m2 + 2 * s, i, k] = (-1) ** (m1 - m2 + s) * norm / den
+    table.setflags(write=False)
+    return table
 
 
 def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray) -> np.ndarray:
     """Label rows C(khat, lam) of ``coefficients``, shape (M, len(helicities)), at unit
     directions ``khat`` of shape (M, 3): the inverse-frame D-matrix elements
-    d^1_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the components of khat,
+    d^j_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the components of khat,
     cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x + i khat_y, with e^{i phi} = 1
     on the poles, contracted with the coefficients; Cartesian coefficients enter
-    through their spherical components <sigma|i>.
+    through their spherical components <sigma|i>. Spin 0 broadcasts its coefficient,
+    spin 1 is a closed form, higher spins are Wigner's sum :func:`_wigner_sum_table`.
     """
-    if family.label_basis == "scalar":
+    if family.spin == 0:
         return np.broadcast_to(coefficients, (khat.shape[0], 1))
     b = coefficients
     if family.label_basis == "cartesian":
         b = _SPH_TO_CART @ b
-    bp, b0, bm = b
     c = khat[:, 2]  # cos(theta)
-    up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-    transverse = khat[:, 0] + 1j * khat[:, 1]
-    w = transverse * np.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
     # e^{i phi} by real divisions: a complex one scales by 1/rho, which overflows for a
     # subnormal rho
     rho = np.hypot(khat[:, 0], khat[:, 1])
     cos_phi = np.divide(khat[:, 0], rho, out=np.ones_like(rho), where=rho > 0.0)
     sin_phi = np.divide(khat[:, 1], rho, out=np.zeros_like(rho), where=rho > 0.0)
-    e2 = (cos_phi + 1j * sin_phi) ** 2  # e^{2 i phi}
+    e = cos_phi + 1j * sin_phi  # e^{i phi}
+    if family.spin > 1:
+        # cos, sin of theta/2 from the larger of 1 +- c and rho / 2 = cos sin: no cancellation
+        j, helicities = family.spin, family.helicities
+        big = np.sqrt(0.5 * (1.0 + np.abs(c)))
+        cos_half, sin_half = np.where(c >= 0.0, (big, 0.5 * rho / big), (0.5 * rho / big, big))
+        powers = np.arange(2 * j + 1)
+        monomials = cos_half[:, None] ** powers[::-1] * sin_half[:, None] ** powers
+        table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]]
+        d = (monomials @ table.reshape(2 * j + 1, -1)).reshape(-1, 2 * j + 1, len(helicities))
+        rows = np.einsum("ns,nsl->nl", b * e[:, None] ** np.arange(j, -j - 1, -1), d)
+        return rows * e[:, None] ** -np.array(helicities)  # d e^{i (sigma - lam) phi}
+    bp, b0, bm = b
+    up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+    transverse = khat[:, 0] + 1j * khat[:, 1]
+    w = transverse * np.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
+    e2 = e**2  # e^{2 i phi}
     rows = np.empty((khat.shape[0], len(family.helicities)), dtype=complex)
     for i, lam in enumerate(family.helicities):
         if lam == 1:
@@ -278,8 +293,8 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
 def rotate_state(state: LocalizedState, R) -> LocalizedState:
     """Apply a rotation: x_vec -> R x_vec and mix the label coefficients.
 
-    Spherical-label coefficients are multiplied by the family's D-matrix (1 for
-    the scalar family), Cartesian ones by R itself, exactly (no quadrature); the
+    Spherical-label coefficients are multiplied by the family's spin-j D-matrix
+    (1 at spin 0), Cartesian ones by R itself, exactly (no quadrature); the
     regulator is rotation invariant and unchanged.
     """
     R = require_rotation_matrix(R)

@@ -21,8 +21,8 @@ from photonloc.overlap import (
     _oracle_node_counts,
     _oracle_radial_grid,
     _oracle_rotation,
+    _family_kernel,
     _radial_integrals,
-    _spherical_kernel,
     alt_overlap,
     brute_force_kernel_matrix,
     brute_force_overlap,
@@ -85,7 +85,7 @@ def helicity_loop_overlap(s1, s2, q):
     """The oracle overlap from one momentum_amplitude call per state, helicity and
     radial shell: a second contraction of brute_force_overlap's aligned grid."""
     a, rvec = s1.regulator_width, s1.x[1:] - s2.x[1:]
-    nmu, nphi, nk = _oracle_node_counts(q, np.linalg.norm(rvec), a)
+    nmu, nphi, nk = _oracle_node_counts(q, np.linalg.norm(rvec), a, s1.family.spin)
     khat, wang = _oracle_angular_grid(nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     k, wk = _oracle_radial_grid(nk, a)
@@ -182,9 +182,16 @@ class TestOverlapContracts:
             qm_overlap(s, s)
 
     def test_scalar_family_has_no_kernel_matrix(self):
-        for kernel in (overlap_kernel_matrix, brute_force_kernel_matrix):
-            with pytest.raises(ValueError, match="scalar family has a single label"):
-                kernel(StateFamily.of(SCALAR), np.zeros(3), 1.0)
+        # the scalar kernel is the 1 x 1 regulated delta; the kernel oracle serves spin 1
+        family = StateFamily.of(SCALAR)
+        for rvec in (np.zeros(3), 0.8 * RHAT):
+            kernel = overlap_kernel_matrix(family, rvec, 1.0)
+            expected = gaussian_delta(np.linalg.norm(rvec), 1.0)
+            assert kernel.entries.shape == (1, 1) and kernel.labels == (0,)
+            assert abs(kernel.entries[0, 0] - expected) <= 1e-15 * expected
+        for spin_family in (family, StateFamily(2, (-1, 1))):
+            with pytest.raises(ValueError, match="spin-1 families only"):
+                brute_force_kernel_matrix(spin_family, np.zeros(3), 1.0)
 
 
 
@@ -408,6 +415,13 @@ class TestBruteForceAgreement:
         with pytest.raises(ValueError, match="anchor phase u = t - khat.x overflows"):
             brute_force_overlap(s, s)
 
+    def test_oracle_takes_a_subnormal_separation(self):
+        # u2 - u1 rounds to subnormal steps there, which the rounding bound must admit
+        s1 = state_at(SCALAR, [0.0, 2.2e-311, 2.2e-311], 0)
+        s2 = state_at(SCALAR, [0.0, 0.0, 0.0], 0)
+        exact = gaussian_delta(0.0, 1.0)
+        assert abs(brute_force_overlap(s1, s2) - exact) <= 1e-13 * exact
+
     def test_oracle_calls_no_production_reduction(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached a production-path function")
@@ -423,6 +437,8 @@ class TestBruteForceAgreement:
                              (photonloc.rotations, "_small_d"),
                              (photonloc.rotations, "_magnetic_numbers"),
                              (photonloc.rotations, "_fourier_basis"),
+                             (photonloc.rotations, "_jy_eigensystem"),
+                             (photonloc.rotations, "_generators"),
                              (photonloc.rotations, "_rotated_diagonal"),
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
@@ -434,6 +450,12 @@ class TestBruteForceAgreement:
                 s2 = state_at(kind, [0.0, 0.3, 0.0], label)
                 brute_force_overlap(s1, s2, q)
                 brute_force_kernel_matrix(StateFamily.of(kind), [0.2, -0.4, 0.4], 1.0, q)
+            for j in (2, 10):
+                family = StateFamily(j, (-1, 1))
+                s1 = make_localized_state(family, [0.0, 0.2, -0.1, 0.4], j, 1.0)
+                s2 = make_localized_state(family, [0.0, 0.0, 0.3, 0.0], -1, 1.0)
+                mixed = np.exp(1j * np.arange(2 * j + 1)) / np.sqrt(2 * j + 1)
+                brute_force_overlap(replace(s1, coefficients=mixed), s2, q)
 
     def test_kernel_matrix_against_oracle(self):
         a = 1.0
@@ -484,12 +506,12 @@ class TestOracleTable:
             cols = D[:, [1 - lam for lam in family.helicities]]
             expected[n] = weights[n] * (cols @ cols.conj().T)
         expected = expected.reshape(nmu, nphi, 9).sum(axis=1).T
-        G = _oracle_label_sums(kind, nmu, nphi)
+        G = _oracle_label_sums(family, nmu, nphi)
         assert G.shape == (9, nmu)
         assert np.abs(G - expected).max() < 1e-14
 
     def test_cached_table_is_read_only(self):
-        G = _oracle_label_sums(SPHERICAL_PHOTON, 4 * Q.n_theta, 4 * Q.n_phi)
+        G = _oracle_label_sums(StateFamily.of(SPHERICAL_PHOTON), 4 * Q.n_theta, 4 * Q.n_phi)
         with pytest.raises(ValueError, match="read-only"):
             G[0] = 0.0
 
@@ -498,7 +520,7 @@ class TestOracleTable:
         _oracle_label_sums.cache_clear()
         start = time.perf_counter()
         for kind in THREE_LABEL_KINDS:
-            _oracle_label_sums(kind, 4 * q.n_theta, 4 * q.n_phi)
+            _oracle_label_sums(StateFamily.of(kind), 4 * q.n_theta, 4 * q.n_phi)
         assert time.perf_counter() - start < 1.0
 
 
@@ -570,15 +592,15 @@ class TestAlignedOracle:
         sized = brute_force_kernel_matrix(family, rvec, 1.0).entries
         default = brute_force_kernel_matrix(family, rvec, 1.0, QuadratureSpec()).entries
         starved = brute_force_kernel_matrix(family, rvec, 1.0, QuadratureSpec(4, 4, 4)).entries
-        assert _oracle_node_counts(None, 10.0, 1.0) == (128, 8, 128)
-        assert _oracle_node_counts(QuadratureSpec(), 10.0, 1.0) == (128, 128, 256)
+        assert _oracle_node_counts(None, 10.0, 1.0, 1) == (128, 8, 128)
+        assert _oracle_node_counts(QuadratureSpec(), 10.0, 1.0, 1) == (128, 128, 256)
         assert not np.array_equal(sized, default)
         assert dipole_floor_error(sized, exact, 10.0, 1.0, 0.0) < 1e-12
         assert dipole_floor_error(starved, exact, 10.0, 1.0, 0.0) > 1e-3
 
     def test_self_sized_range_is_bounded(self):
         family = StateFamily.of(SPHERICAL_PHOTON)
-        assert _oracle_node_counts(None, 1e3, 1.0) == (4320, 8, 4320)
+        assert _oracle_node_counts(None, 1e3, 1.0, 1) == (4320, 8, 4320)
         with pytest.raises(ValueError, match="beyond the self-sized oracle's range"):
             brute_force_kernel_matrix(family, [0.0, 0.0, 1.001e3], 1.0)
         s1 = state_at(SCALAR, [2e3, 0.0, 0.0], 0)
@@ -860,7 +882,8 @@ class TestKernelEngine:
                     a, s = rng.uniform(0.5, 2.0), rng.choice([0.0, -1.0])
                     rvec = rng.uniform(0.3, 3.0) * a * np.asarray(direction)
                     expected = rotated_diagonal_kernel(columns, helicities, rvec, a, s)
-                    got = _spherical_kernel(j, helicities, rvec, a, s)
+                    got = _family_kernel(StateFamily(j, helicities, "spherical", (1 - s) / 2),
+                                         rvec, a)
                     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_cartesian_labels_conjugate_the_spherical_kernel(self):
@@ -872,13 +895,15 @@ class TestKernelEngine:
         separations += [rng.uniform(0.3, 3.0) * np.asarray(d) for d in directions]
         for rvec in separations:
             a = rng.uniform(0.5, 2.0)
-            expected = (U.conj().T @ _spherical_kernel(1, (0,), rvec, a, 0.0) @ U).real
+            longitudinal = _family_kernel(StateFamily(1, (0,), "spherical", 0.5), rvec, a)
+            expected = (U.conj().T @ longitudinal @ U).real
             got = transverse_kernel(rvec, a)
             assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
             for kind in (CARTESIAN3, CARTESIAN_PHOTON, RADIATION_GAUGE):
                 family = StateFamily.of(kind)
                 s = family.radial_power
-                expected = U.conj().T @ _spherical_kernel(1, family.helicities, rvec, a, s) @ U
+                spherical = StateFamily(1, family.helicities, "spherical", (1 - s) / 2)
+                expected = U.conj().T @ _family_kernel(spherical, rvec, a) @ U
                 got = overlap_kernel_matrix(family, rvec, a).entries
                 assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
@@ -903,10 +928,10 @@ class TestKernelEngine:
                 helicities = [lam for b, lam in enumerate(range(-j, j + 1)) if mask >> b & 1]
                 general_j_defect(j, helicities, rvec, 1.0)
         for j in range(J_MAX + 1):
-            _spherical_kernel(j, (j,), rvec, 1.0, 0.0)
+            _family_kernel(StateFamily(j, (j,), "spherical", 0.5), rvec, 1.0)
             with pytest.raises(ValueError, match="read-only"):
                 _aligned_table(j)[0, 0, 0] = 0.0
-        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        with pytest.raises(ValueError, match=f"at most {J_MAX}"):
             _aligned_table(J_MAX + 1)
         assert _aligned_table.cache_info().currsize <= J_MAX + 1
 
@@ -948,6 +973,13 @@ def _draw_rotation(data):
     return rotation_from_axis_angle(_draw_unit_vector(data, "axis"), angle)
 
 
+def _draw_proper_subset(data, j):
+    """A nonempty proper subset of the spin-j helicities, as a sorted tuple."""
+    mask = data.draw(st.lists(st.booleans(), min_size=2 * j + 1, max_size=2 * j + 1)
+                     .filter(lambda m: 0 < sum(m) < len(m)), label="mask")
+    return tuple(lam for lam, keep in zip(range(-j, j + 1), mask) if keep)
+
+
 def _draw_separation(data):
     """(rvec, a): r/a log-uniform in [1e-2, 1e3] along a drawn direction."""
     a = data.draw(st.floats(0.1, 10.0), label="a")
@@ -968,9 +1000,7 @@ class TestKernelProperties:
     @given(data=st.data())
     def test_defect_is_rotation_covariant_and_hermitian(self, data):
         j = data.draw(st.integers(1, J_MAX), label="j")
-        mask = data.draw(st.lists(st.booleans(), min_size=2 * j + 1, max_size=2 * j + 1)
-                         .filter(lambda m: 0 < sum(m) < len(m)), label="mask")
-        helicities = tuple(lam for lam, keep in zip(range(-j, j + 1), mask) if keep)
+        helicities = _draw_proper_subset(data, j)
         rvec, a = _draw_separation(data)
         R = _draw_rotation(data)
         K = general_j_defect(j, helicities, rvec, a).entries
@@ -992,6 +1022,32 @@ class TestKernelProperties:
         rotated = overlap_kernel_matrix(family, R @ rvec, a).entries
         scale = _kernel_scale(K, rvec, a, family.radial_power)
         assert np.abs(rotated - M @ K @ M.conj().T).max() <= 1e-12 * scale
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_label_trace_of_every_incomplete_set_is_the_delta(self, data):
+        # sum_m |d^j_{m lam}|^2 = 1 leaves only the l = 0 order in the trace
+        j = data.draw(st.integers(1, J_MAX), label="j")
+        helicities = _draw_proper_subset(data, j)
+        rvec, a = _draw_separation(data)
+        K = overlap_kernel_matrix(StateFamily(j, helicities), rvec, a).entries
+        expected = len(helicities) * gaussian_delta(np.linalg.norm(rvec), a)
+        assert abs(np.trace(K) - expected) <= 1e-11 * _kernel_scale(K, rvec, a, 0.0)
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_oracle_overlap_of_spin_j_states_matches_production(self, data):
+        # the self-sized grid takes 8 ceil((2j + 1) / 8) azimuths: 8 are too few past j = 3
+        j = data.draw(st.integers(2, J_MAX), label="j")
+        family = StateFamily(j, _draw_proper_subset(data, j))
+        a = data.draw(st.floats(0.5, 2.0), label="a")
+        r_over_a = data.draw(st.floats(0.0, 8.0), label="r/a")
+        rvec = r_over_a * a * _draw_unit_vector(data, "direction")
+        labels = [data.draw(st.sampled_from(family.labels), label=f"label {i}") for i in (1, 2)]
+        s1 = make_localized_state(family, np.r_[0.0, rvec], labels[0], a)
+        s2 = make_localized_state(family, np.zeros(4), labels[1], a)
+        exact = qm_overlap(s1, s2)
+        assert dipole_floor_error(brute_force_overlap(s1, s2), exact, r_over_a * a, a, 0.0) <= 1e-13
 
 
 def test_kernel_matrix_keeps_its_own_copy_of_the_separation():

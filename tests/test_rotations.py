@@ -272,7 +272,7 @@ class TestWignerD:
         np.testing.assert_allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-13)
 
     def test_unsupported_spin_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match=f"at most {J_MAX}"):
             wigner_D(11, np.eye(3))
         with pytest.raises(ValueError, match="integer"):
             wigner_D(0.5, np.eye(3))

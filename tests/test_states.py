@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from photonloc.rotations import rotation_from_axis_angle, wigner_angle, wigner_D
+from photonloc.overlap import qm_overlap
+from photonloc.rotations import (
+    rotation_from_axis_angle,
+    standard_rotation,
+    wigner_angle,
+    wigner_D,
+)
 from photonloc.states import (
     CARTESIAN3,
     CARTESIAN_PHOTON,
@@ -11,6 +17,8 @@ from photonloc.states import (
     SPHERICAL3,
     SPHERICAL_PHOTON,
     StateFamily,
+    _label_rows,
+    _NAMED,
     make_localized_state,
     momentum_amplitude,
     rotate_state,
@@ -58,13 +66,28 @@ class TestStateFamily:
             family = StateFamily.of(kind)
             assert family.kind == kind
             assert family.frequency_sign == "positive"
-            assert StateFamily(kind) == family
+            assert StateFamily(*_NAMED[kind]) == family
+            assert (family.spin, family.helicities, family.label_basis,
+                    family.weight_exponent) == _NAMED[kind]
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             StateFamily.of("tensor")
         with pytest.raises(ValueError, match="frequency_sign"):
             StateFamily.of(SCALAR, "backwards")
+        for spin in (-1, 0.5, 11):
+            with pytest.raises(ValueError, match="non-negative integer at most 10"):
+                StateFamily(spin, (0,))
+        with pytest.raises(ValueError, match="outside the spin-2 range"):
+            StateFamily(2, (-3, 1))
+        with pytest.raises(ValueError, match="non-empty"):
+            StateFamily(2, ())
+        for spin, basis in ((1, "scalar"), (1, "helical"), (0, "cartesian"), (2, "cartesian")):
+            with pytest.raises(ValueError, match="label basis"):
+                StateFamily(spin, (0,), basis)
+        for weight in (0.0, 0.75, 2.0, np.nan):
+            with pytest.raises(ValueError, match="weight exponent"):
+                StateFamily(1, (-1, 1), "spherical", weight)
 
     def test_label_sets(self):
         assert StateFamily.of(SPHERICAL3).labels == (1, 0, -1)
@@ -349,6 +372,46 @@ class TestRotateState:
         R[2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             rotate_state(state, R)
+
+
+
+class TestSpinJStates:
+    @staticmethod
+    def directions():
+        """Random unit vectors, both poles, a 1e-9 tilt off -z and subnormal transverse
+        components next to both poles."""
+        rng = np.random.default_rng(71)
+        random = rng.normal(size=(6, 3))
+        tilt = [1e-9, 0.0, -np.sqrt(1.0 - 1e-18)]
+        special = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], tilt, [0.0, -0.0, -1.0],
+                   [3e-320, -4e-320, 1.0], [1e-310, 0.0, -1.0]]
+        return np.concatenate((random / np.linalg.norm(random, axis=1)[:, None], special))
+
+    def test_label_rows_are_the_conjugated_d_matrix_columns(self):
+        khat = self.directions()
+        for j in range(2, 11):
+            family = StateFamily(j, tuple(range(-j, j + 1)))
+            expected = np.stack([wigner_D(j, standard_rotation(v)).conj() for v in khat])
+            for i in range(2 * j + 1):
+                unit = np.zeros(2 * j + 1, dtype=complex)
+                unit[i] = 1.0
+                rows = _label_rows(family, unit, khat)  # columns lam = -j..j
+                assert np.abs(rows - expected[:, i, ::-1]).max() <= 1e-13
+
+    def test_overlap_is_rotation_invariant_at_every_spin(self):
+        rng = np.random.default_rng(73)
+        for j in range(2, 11):
+            helicities = tuple(lam for lam in range(-j, j + 1) if rng.uniform() < 0.5) or (j,)
+            family = StateFamily(j, helicities)
+            x1, x2 = np.r_[0.0, rng.normal(size=3)], np.r_[0.0, rng.normal(size=3)]
+            s1 = make_localized_state(family, x1, family.labels[rng.integers(2 * j + 1)], 0.7)
+            s2 = make_localized_state(family, x2, family.labels[rng.integers(2 * j + 1)], 0.7)
+            R = random_rotation(rng)
+            s1, s2 = rotate_state(s1, random_rotation(rng)), rotate_state(s2, R)
+            K = qm_overlap(s1, s2)
+            rotated = qm_overlap(rotate_state(s1, R), rotate_state(s2, R))
+            r = np.linalg.norm(x1 - x2)
+            assert abs(rotated - K) <= 1e-12 * max(abs(K), 1.0 / (4.0 * np.pi * max(r, 0.7) ** 3))
 
 
 class TestTranslateState:
