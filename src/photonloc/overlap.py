@@ -47,27 +47,27 @@ part (eight to j = 3; the kernel oracle serves spin 1); an explicit spec gives
 four times its counts. Both oracles take the label
 dependence from the states' own label rows C(khat, lam), so the kernel oracle
 is by construction the overlap oracle of unit-label states. Both sum their
-phase in one loop, ``_oracle_polar_radial_sum``: e^{i k p(cos theta)} per
-block of radial shells, summed over cos(theta) at each radial node, then over
-k. ``brute_force_kernel_matrix`` sums conj(C_a) C_b of the unit labels over
-helicities and azimuth into a table cached per family and grid, takes
-p = r cos(theta), and rotates the aligned result back with a plain 3x3
-rotation R, R z = rhat: K(r) = R K(|r| z) R^T, which assumes only a
-rotation-invariant measure. ``brute_force_overlap`` rotates the nodes,
+phase in one loop, ``_oracle_polar_radial_sum``: S(p) = sum_k w(k) e^{i k p}
+once per polar node p = r cos(theta), then contracted with the label table;
+the nodes are mirrored and w is real, so S(-p) = conj(S(p)) and only the upper
+half takes cos and sin. ``brute_force_kernel_matrix`` sums conj(C_a) C_b of
+the unit labels over helicities and azimuth into a table cached per grid and
+label structure (spin, helicities, basis), and rotates the aligned result back
+with a plain 3x3 rotation R, R z = rhat: K(r) = R K(|r| z) R^T, which assumes
+only a rotation-invariant measure. ``brute_force_overlap`` rotates the nodes,
 khat' = R khat, and sums the states' amplitudes in their separable form
 c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam): the helicity contraction
 of the rows once per direction node, summed over azimuth, and the envelopes E
-once per radial node. The anchor phases meet as e^{i k (u2 - u1)} with
-u = t - khat.x, and at equal times u2 - u1 = khat'.(x1 - x2) depends on
-cos(theta) alone, so p is the states' own u2 - u1 per polar node; a spread of
-u2 - u1 over azimuth or a departure from r cos(theta) beyond rounding raises,
-and so do anchors whose rounding in u would hide the separation. The two
-oracles share no reduction step, D-matrix or closed form with the production
-path and back every kernel result in the tests and the ``--oracle`` CLI path,
-and never import ``scipy.special``. Summing
-O(a^-3) terms to an O(r^-3) result, the oracle's error relative to the dipole
-tail is a rounding floor that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up
-to 1e-10) at r/a = 200.
+once per radial node. The anchor phases meet as e^{i k (u2 - u1)}, u = t - khat.x,
+and at equal times u2 - u1 = khat'.(x1 - x2) = r cos(theta). The states' own u
+enter through checks before the sum: a spread of u2 - u1 over azimuth or a
+departure from r cos(theta) beyond rounding raises, and so do anchors whose
+rounding in u would hide the separation. The two oracles share no reduction
+step, D-matrix or closed form with the production path and back every kernel
+result in the tests and the ``--oracle`` CLI path, and never import
+``scipy.special``. Summing O(a^-3) terms to an O(r^-3) result, the oracle's
+error relative to the dipole tail is a rounding floor that grows as (r/a)^3:
+~1e-12 at r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -96,14 +96,14 @@ from .states import (
 #: The oracle truncates momentum integrals at k = cutoff / a; exp(-8.5^2) ~ 5e-32.
 RADIAL_CUTOFF = 8.5
 
-#: (k, cos theta) points per block of the oracles' phase sum (whole radial shells).
+#: (k, cos theta) points per block of the oracles' phase sum (whole polar columns).
 #: It bounds the phase buffer. A fresh self-sized scalar overlap at r/a = 1000
-#: (process peak RSS, median of three, 2 vCPUs): 58 MB, 0.88 s, against 58 MB,
-#: 0.91 s at 4k points, 63 MB, 0.87 s at 131k and 105 MB, 0.87 s at 1M.
+#: (process peak RSS, median of three, 2 vCPUs): 34 MB, 0.46 s, against 34 MB,
+#: 0.55 s at 4k points, 35 MB, 0.65 s at 131k and 49 MB, 0.67 s at 1M.
 _ORACLE_BLOCK_POINTS = 16_384
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
-#: (r/a)^2: at the bound a kernel or an overlap takes ~0.6 s warm and ~0.9 s in a
+#: (r/a)^2: at the bound a kernel or an overlap takes ~0.3 s warm and ~0.7 s in a
 #: fresh process on 2 vCPUs.
 _ORACLE_MAX_R_OVER_A = 1e3
 
@@ -437,23 +437,29 @@ def _oracle_radial_grid(nk: int, a: float):
     return k, wk
 
 
+@lru_cache(maxsize=32)
 def _oracle_angular_grid(nmu: int, nphi: int):
-    """(khat, weights) of ``nmu`` Gauss-Legendre nodes in cos(theta) times ``nphi``
-    uniform azimuths, azimuth the fast axis; the weights sum to 4 pi."""
+    """Read-only (khat, weights) of ``nmu`` Gauss-Legendre nodes in cos(theta) times
+    ``nphi`` uniform azimuths, azimuth the fast axis; the weights sum to 4 pi."""
     mu, wmu = _oracle_gauss_legendre(nmu)
     phi = np.arange(nphi) * (2.0 * np.pi / nphi)
     st = np.sqrt(1.0 - mu**2)
     khat = np.stack((np.outer(st, np.cos(phi)).ravel(), np.outer(st, np.sin(phi)).ravel(),
                      np.repeat(mu, nphi)), axis=1)
-    return khat, np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
+    weights = np.outer(wmu, np.full(nphi, 2.0 * np.pi / nphi)).ravel()
+    for arr in (khat, weights):
+        arr.setflags(write=False)
+    return khat, weights
 
 
 @lru_cache(maxsize=16)
-def _oracle_label_sums(family: StateFamily, nmu: int, nphi: int) -> np.ndarray:
+def _oracle_label_sums(spin: int, helicities: tuple, label_basis: str, nmu: int,
+                       nphi: int) -> np.ndarray:
     """Read-only G[(a, b), mu]: sum over helicities and azimuth of conj(C_a) C_b times
-    the angular weight, C_a the label rows of the family's unit label a on the
-    unrotated grid. The bound of 16 tables holds every key a benchmark round uses."""
+    the angular weight, C_a the rows of unit label a on the unrotated grid; the weight
+    exponent does not enter. The bound of 16 holds every key a benchmark round uses."""
     khat, weights = _oracle_angular_grid(nmu, nphi)
+    family = StateFamily(spin, helicities, label_basis)
     rows = np.stack([_label_rows(family, b, khat) for b in np.eye(3, dtype=complex)])
     G = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights
     G = G.reshape(9, nmu, nphi).sum(axis=2)
@@ -462,22 +468,25 @@ def _oracle_label_sums(family: StateFamily, nmu: int, nphi: int) -> np.ndarray:
 
 
 def _oracle_polar_radial_sum(table: np.ndarray, k: np.ndarray, wrad: np.ndarray,
-                             polar: np.ndarray) -> np.ndarray:
-    """sum_(n, mu) wrad[n] e^{i k[n] polar[mu]} table[:, mu], shape (len(table),).
+                             r: float, nmu: int) -> np.ndarray:
+    """sum_(n, mu) wrad[n] e^{i k[n] p[mu]} table[:, mu], shape (len(table),), over the
+    polar nodes p = r cos(theta) of the ``nmu``-node Gauss-Legendre rule.
 
     The one phase loop of both oracles: the phase depends only on the radial
-    node and the polar node of the aligned grid. It is formed per block of
-    radial shells, summed over cos(theta) at each radial node, then over k.
-    """
-    total = np.zeros(table.shape[0], dtype=complex)
-    block = max(1, _ORACLE_BLOCK_POINTS // polar.size)
-    for start in range(0, k.size, block):
-        arg = np.outer(k[start : start + block], polar)
-        phase = np.empty(arg.shape, dtype=complex)  # bit-identical to np.exp(1j * arg)
-        np.cos(arg, out=phase.real)
-        np.sin(arg, out=phase.imag)
-        total += wrad[start : start + block] @ (phase @ table.T)
-    return total
+    node and the polar node of the aligned grid. S(p) = sum_n wrad[n] e^{i k[n] p}
+    is summed over k per block of polar nodes, then contracted with the table. The
+    nodes are mirrored, p[nmu - 1 - mu] = -p[mu] exactly, and wrad is real, so
+    S(-p) = conj(S(p)): cos and sin run on the upper half alone."""
+    half = nmu // 2
+    polar = r * _oracle_gauss_legendre(nmu)[0][half:]  # the middle node of an odd rule too
+    S = np.empty(nmu, dtype=complex)
+    block = max(1, _ORACLE_BLOCK_POINTS // k.size)
+    for start in range(half, nmu, block):
+        arg = np.outer(polar[start - half : start - half + block], k)
+        S.real[start : start + block] = np.cos(arg) @ wrad
+        S.imag[start : start + block] = np.sin(arg) @ wrad
+    S[:half] = S[::-1][:half].conj()
+    return table @ S
 
 
 def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
@@ -487,11 +496,11 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     Entry (a, b) is the oracle overlap of the unit-label states a at ``rvec``
     and b at the origin. In the frame whose z-axis is rhat the phase e^{i k.r}
     depends only on (k, cos theta): the states' label rows are summed over
-    helicities and azimuth first (``_oracle_label_sums``), then over cos(theta)
-    at each radial node, then over k. The result is rotated back with the plain
-    3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families through
-    <sigma|i>. This assumes only that the measure is
-    rotation invariant. Spin 1 only. ``q`` None sizes the grid from k_max r.
+    helicities and azimuth first (``_oracle_label_sums``), the phase over k per
+    polar node, then both over cos(theta). The result is rotated back with the
+    plain 3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families through
+    <sigma|i>. This assumes only that the measure is rotation invariant. Spin 1
+    only. ``q`` None sizes the grid from k_max r.
     """
     a = require_regulator_width(a)
     if family.spin != 1:
@@ -499,10 +508,10 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     rvec = _separation(rvec)
     r = math.hypot(*rvec)
     nmu, nphi, nk = _oracle_node_counts(q, r, a, 1)
-    G = _oracle_label_sums(family, nmu, nphi)  # azimuth first
+    G = _oracle_label_sums(family.spin, family.helicities, family.label_basis, nmu, nphi)
     k, wk = _oracle_radial_grid(nk, a)
     wrad = wk * k ** (2.0 + family.radial_power) * np.exp(-a * a * k * k)
-    aligned = _oracle_polar_radial_sum(G, k, wrad, r * _oracle_gauss_legendre(nmu)[0])
+    aligned = _oracle_polar_radial_sum(G, k, wrad, r, nmu)
     aligned = aligned.reshape(3, 3) / (2.0 * np.pi) ** 3
     rot = _oracle_rotation(rvec)
     if family.label_basis == "spherical":
@@ -522,8 +531,8 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     label rows is formed once per direction and summed over azimuth, the
     product of the envelopes once per radial node. The two anchor phases meet
     as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) = r cos(theta) at equal
-    times, so the states' own u enter through their difference per polar node
-    and the phase is summed by ``_oracle_polar_radial_sum``, as in the kernel oracle.
+    times: the states' own u enter through checks of that before the sum, which
+    ``_oracle_polar_radial_sum`` takes at r cos(theta), as in the kernel oracle.
     Raises ValueError if u overflows, or if its rounding could move the phase
     k u by a radian at the grid's largest k, where the anchors hide their
     separation; RuntimeError if u2 - u1 varies with azimuth or departs from
@@ -560,4 +569,4 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
                            "the grid aligned with their separation")
     labels = (np.einsum("nl,nl->n", rows1.conj(), rows2) * wang).reshape(nmu, nphi).sum(axis=1)
     wrad = wk * k**3 * env1 * env2  # k^2 from the volume element, one k from the measure
-    return complex(_oracle_polar_radial_sum(labels[None], k, wrad, du.mean(axis=1))[0])
+    return complex(_oracle_polar_radial_sum(labels[None], k, wrad, r, nmu)[0])

@@ -19,6 +19,7 @@ from photonloc.overlap import (
     _oracle_gauss_legendre,
     _oracle_label_sums,
     _oracle_node_counts,
+    _oracle_polar_radial_sum,
     _oracle_radial_grid,
     _oracle_rotation,
     _family_kernel,
@@ -506,21 +507,38 @@ class TestOracleTable:
             cols = D[:, [1 - lam for lam in family.helicities]]
             expected[n] = weights[n] * (cols @ cols.conj().T)
         expected = expected.reshape(nmu, nphi, 9).sum(axis=1).T
-        G = _oracle_label_sums(family, nmu, nphi)
+        G = _oracle_label_sums(family.spin, family.helicities, family.label_basis, nmu, nphi)
         assert G.shape == (9, nmu)
         assert np.abs(G - expected).max() < 1e-14
 
     def test_cached_table_is_read_only(self):
-        G = _oracle_label_sums(StateFamily.of(SPHERICAL_PHOTON), 4 * Q.n_theta, 4 * Q.n_phi)
+        G = _oracle_label_sums(1, (-1, 1), "spherical", 4 * Q.n_theta, 4 * Q.n_phi)
         with pytest.raises(ValueError, match="read-only"):
             G[0] = 0.0
+
+    def test_cached_angular_grid_is_read_only(self):
+        khat, weights = _oracle_angular_grid(4 * Q.n_theta, 4 * Q.n_phi)
+        for arr in (khat, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_one_table_per_label_structure(self):
+        # cartesian-photon and radiation-gauge differ only in the weight exponent,
+        # which the table does not see: one grid builds one table for both
+        _oracle_label_sums.cache_clear()
+        kernels = [brute_force_kernel_matrix(StateFamily.of(kind), 10.0 * RHAT, 1.0).entries
+                   for kind in (CARTESIAN_PHOTON, RADIATION_GAUGE)]
+        assert _oracle_label_sums.cache_info().currsize == 1
+        assert not np.allclose(kernels[0], kernels[1])
 
     def test_cold_default_tables_build_under_one_second(self):
         q = QuadratureSpec()
         _oracle_label_sums.cache_clear()
         start = time.perf_counter()
         for kind in THREE_LABEL_KINDS:
-            _oracle_label_sums(StateFamily.of(kind), 4 * q.n_theta, 4 * q.n_phi)
+            family = StateFamily.of(kind)
+            _oracle_label_sums(family.spin, family.helicities, family.label_basis,
+                               4 * q.n_theta, 4 * q.n_phi)
         assert time.perf_counter() - start < 1.0
 
 
@@ -546,6 +564,25 @@ class TestAlignedOracle:
             # e^{i c x} on [-1, 1] with c = 0.85 n, as in a self-sized phase sum
             c = 0.85 * n
             assert abs(weights @ np.cos(c * nodes) - 2.0 * np.sin(c) / c) < 2e-14
+
+    @pytest.mark.parametrize("nmu", [96, 97])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 68.0, 999.0])
+    def test_mirrored_phase_sum_matches_the_direct_sum(self, monkeypatch, nmu, r):
+        # a self-sized grid's shape, nk = nmu, in blocks of 8 polar columns, the last one
+        # partial at odd nmu. The identity table reads S(p) node by node; a table row's
+        # contraction rounds on the scale of its absolute sum, which sets the bound
+        monkeypatch.setattr(photonloc.overlap, "_ORACLE_BLOCK_POINTS", 8 * nmu)
+        rng = np.random.default_rng(nmu)
+        k, wk = _oracle_radial_grid(nmu, 1.0)
+        wrad = wk * k**2 * np.exp(-k * k)
+        polar = r * _oracle_gauss_legendre(nmu)[0]
+        tables = [np.eye(nmu)] + [rng.normal(size=(rows, nmu)) + 1j * rng.normal(size=(rows, nmu))
+                                  for rows in (1, 9)]
+        for table in tables:
+            direct = table @ (np.exp(1j * np.outer(polar, k)) @ wrad)
+            mirrored = _oracle_polar_radial_sum(table, k, wrad, r, nmu)
+            bound = 1e-15 * np.abs(wrad).sum() * np.abs(table).sum(axis=1).max()
+            assert np.abs(mirrored - direct).max() <= bound
 
     def test_rotation_takes_z_to_the_separation(self):
         rng = np.random.default_rng(53)
