@@ -531,8 +531,8 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     label rows is formed once per direction and summed over azimuth, the
     product of the envelopes once per radial node. The two anchor phases meet
     as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) = r cos(theta) at equal
-    times: the states' own u enter through checks of that before the sum, which
-    ``_oracle_polar_radial_sum`` takes at r cos(theta), as in the kernel oracle.
+    times. The states' own u enter only through the checks of that identity, which
+    run before ``_oracle_polar_radial_sum`` sums the phase at r cos(theta).
     Raises ValueError if u overflows, or if its rounding could move the phase
     k u by a radian at the grid's largest k, where the anchors hide their
     separation; RuntimeError if u2 - u1 varies with azimuth or departs from
