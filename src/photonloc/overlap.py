@@ -44,30 +44,39 @@ polar axis is the separation r, so that the phase e^{i k.r} depends only on
 k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes, rounded up to a
 multiple of 32, and 8 ceil((2j + 1) / 8) azimuths, exact for the spin-j label
 part (eight to j = 3; the kernel oracle serves spin 1); an explicit spec gives
-four times its counts. Both oracles take the label
-dependence from the states' own label rows C(khat, lam), so the kernel oracle
-is by construction the overlap oracle of unit-label states. Both sum their
-phase in one loop, ``_oracle_polar_radial_sum``: S(p) = sum_k w(k) e^{i k p}
-once per polar node p = r cos(theta), then contracted with the label table;
-the nodes are mirrored and w is real, so S(-p) = conj(S(p)) and only the upper
-half takes cos and sin. ``brute_force_kernel_matrix`` sums conj(C_a) C_b of
-the unit labels over helicities and azimuth into a table cached per grid and
-label structure (spin, helicities, basis), and rotates the aligned result back
-with a plain 3x3 rotation R, R z = rhat: K(r) = R K(|r| z) R^T, which assumes
-only a rotation-invariant measure. ``brute_force_overlap`` rotates the nodes,
-khat' = R khat, and sums the states' amplitudes in their separable form
-c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam): the helicity contraction
-of the rows once per direction node, summed over azimuth, and the envelopes E
-once per radial node. The anchor phases meet as e^{i k (u2 - u1)}, u = t - khat.x,
-and at equal times u2 - u1 = khat'.(x1 - x2) = r cos(theta). The states' own u
-enter through checks before the sum: a spread of u2 - u1 over azimuth or a
-departure from r cos(theta) beyond rounding raises, and so do anchors whose
-rounding in u would hide the separation. The two oracles share no reduction
-step, D-matrix or closed form with the production path and back every kernel
-result in the tests and the ``--oracle`` CLI path, and never import
-``scipy.special``. Summing O(a^-3) terms to an O(r^-3) result, the oracle's
-error relative to the dipole tail is a rounding floor that grows as (r/a)^3:
-~1e-12 at r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
+four times its counts. Both oracles take the label dependence from one table,
+``_oracle_label_sums``: the states' own label rows C(khat, lam) of the unit
+labels a, b on the unrotated grid, conj(C_a) C_b summed over the family's
+helicities and over azimuth, one (2j+1)^2 block per polar node, cached per grid
+and label structure (spin, helicities, basis). Both sum their phase in one loop,
+``_oracle_polar_radial_sum``: S(p) = sum_k w(k) e^{i k p} once per polar node
+p = r cos(theta), then contracted with the label table; the nodes are mirrored
+and w is real, so S(-p) = conj(S(p)) and only the upper half takes cos and sin.
+``brute_force_kernel_matrix`` reads the table in the family's label basis and
+rotates the aligned result back with a plain 3x3 rotation R, R z = rhat:
+K(r) = R K(|r| z) R^T, which assumes only a rotation-invariant measure.
+``brute_force_overlap`` reads the spherical-basis table and turns the states
+instead: helicity rows obey C_c(R khat, lam) = e^{i lam w} C_{D(R)^H c}(khat, lam)
+(Jacob and Wick, Ann. Phys. 7, 404 (1959)), and the Wigner phase e^{i lam w}
+cancels in sum_lam conj(C_1) C_2, so the label part is conj(b1) (x) b2
+contracted with the table, b = D(R)^H c the coefficients in the frame aligned
+with r. b is the state's own label row at rhat over every helicity,
+b_sigma = C_c(rhat, sigma), with no D-matrix: its R is the standard rotation to
+rhat. The azimuth of that frame about rhat does not enter, because the table is
+summed over a uniform azimuth rule that is exact for the label part, of
+azimuthal degree 2j (an explicit spec of 4 n_phi <= 2j azimuths aliases it).
+The amplitudes are separable, c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam),
+and the envelopes E enter once per radial node. The anchor phases meet as
+e^{i k (u2 - u1)}, u = t - khat.x, and at equal times u2 - u1 = khat'.(x1 - x2)
+= r cos(theta) on the rotated nodes khat' = R khat. The states' own u enter
+through checks before the sum: a spread of u2 - u1 over azimuth or a departure
+from r cos(theta) beyond rounding raises, and so do anchors whose rounding in u
+would hide the separation. The two oracles share no reduction step, D-matrix or
+closed form with the production path and back every kernel result in the tests
+and the ``--oracle`` CLI path, and never import ``scipy.special``. Summing
+O(a^-3) terms to an O(r^-3) result, the oracle's error relative to the dipole
+tail is a rounding floor that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up
+to 1e-10) at r/a = 200.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -88,7 +97,8 @@ from .states import (
     RADIATION_GAUGE,
     LocalizedState,
     StateFamily,
-    _amplitude_factors,
+    _anchor_phase,
+    _envelope,
     _label_rows,
     require_regulator_width,
 )
@@ -102,9 +112,16 @@ RADIAL_CUTOFF = 8.5
 #: 0.55 s at 4k points, 35 MB, 0.65 s at 131k and 49 MB, 0.67 s at 1M.
 _ORACLE_BLOCK_POINTS = 16_384
 
+#: (label pair, node) products per block of an oracle table build (whole polar rows).
+#: It bounds the build's buffers. A complete spin-10 table on 928 x 24 nodes (fresh
+#: process, 2 vCPUs): 0.29 s and 42 MB peak RSS, against 0.33 s, 39 MB at 2^16,
+#: 0.38 s, 69 MB at 2^19 and 0.36 s, 103 MB at 2^20.
+_ORACLE_TABLE_BLOCK = 1 << 17
+
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
-#: (r/a)^2: at the bound a kernel or an overlap takes ~0.3 s warm and ~0.7 s in a
-#: fresh process on 2 vCPUs.
+#: (r/a)^2: at the bound a spin-1 kernel or overlap takes 0.2-0.4 s warm and ~0.5 s in
+#: a fresh process, a spin-10 overlap ~0.4 s warm and 0.9 s (two helicities) to 1.7 s
+#: (all 21) fresh, on 2 vCPUs.
 _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
@@ -455,14 +472,35 @@ def _oracle_angular_grid(nmu: int, nphi: int):
 @lru_cache(maxsize=16)
 def _oracle_label_sums(spin: int, helicities: tuple, label_basis: str, nmu: int,
                        nphi: int) -> np.ndarray:
-    """Read-only G[(a, b), mu]: sum over helicities and azimuth of conj(C_a) C_b times
-    the angular weight, C_a the rows of unit label a on the unrotated grid; the weight
-    exponent does not enter. The bound of 16 holds every key a benchmark round uses."""
+    """Read-only G[(a, b), mu], shape ((2j+1)^2, nmu): sum over helicities and azimuth of
+    conj(C_a) C_b times the angular weight, C_a the rows of unit label a on the unrotated
+    grid; the weight exponent does not enter.
+
+    Built in blocks of whole polar rows, each row summed in the same order whatever
+    the block. To spin 1 the sum runs node by node over helicities, then over azimuth,
+    so the kernel oracle's results keep their bits; above, one matrix product per
+    polar row sums both, 5-20 times faster at J_MAX. The bound of 16 holds every key a
+    benchmark round uses: eleven, eight kernel ladder keys and three overlap label
+    structures at the test spec. A self-sized table at J_MAX has at most 441 x 4320
+    entries, 30 MB, so the cache holds at most 490 MB.
+    """
     khat, weights = _oracle_angular_grid(nmu, nphi)
     family = StateFamily(spin, helicities, label_basis)
-    rows = np.stack([_label_rows(family, b, khat) for b in np.eye(3, dtype=complex)])
-    G = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights
-    G = G.reshape(9, nmu, nphi).sum(axis=2)
+    units = np.eye(2 * spin + 1, dtype=complex)
+    n, nlam = len(units), len(helicities)
+    G = np.empty((n * n, nmu), dtype=complex)
+    block = max(1, _ORACLE_TABLE_BLOCK // (n * n * nphi))  # polar rows
+    for start in range(0, nmu, block):
+        nodes = slice(start * nphi, (start + block) * nphi)
+        rows = _label_rows(family, units, khat[nodes])
+        if spin <= 1:
+            sums = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights[nodes]
+            G[:, start : start + block] = sums.reshape(n * n, -1, nphi).sum(axis=2)
+        else:
+            polar = rows.reshape(n, -1, nphi * nlam).transpose(1, 0, 2)  # (row, a, node lam)
+            w = np.repeat(weights[nodes], nlam).reshape(-1, 1, nphi * nlam)
+            sums = (polar.conj() * w) @ polar.transpose(0, 2, 1)
+            G[:, start : start + block] = sums.reshape(-1, n * n).T
     G.setflags(write=False)
     return G
 
@@ -520,35 +558,41 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     return KernelMatrix(rvec, entries, family.kind, a, family.labels)
 
 
+@lru_cache(maxsize=None)
+def _complete_family(spin: int, label_basis: str) -> StateFamily:
+    """The spin-j family of every helicity in ``label_basis``: at most 2 (J_MAX + 1) entries."""
+    return StateFamily(spin, tuple(range(-spin, spin + 1)), label_basis)
+
+
 def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
                         q: QuadratureSpec | None = None) -> complex:
     """Oracle overlap summing momentum amplitudes over a grid aligned with the
-    anchors' separation: the nodes are rotated, khat' = R khat, with the same
-    weights. ``q`` None sizes the grid from k_max r.
+    anchors' separation r, R z = rhat. ``q`` None sizes the grid from k_max r.
 
-    Each amplitude is the product of its separable factors, envelope(k)
-    e^{i k u(khat)} rows(khat): the helicity contraction of the two states'
-    label rows is formed once per direction and summed over azimuth, the
-    product of the envelopes once per radial node. The two anchor phases meet
-    as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) = r cos(theta) at equal
-    times. The states' own u enter only through the checks of that identity, which
-    run before ``_oracle_polar_radial_sum`` sums the phase at r cos(theta).
-    Raises ValueError if u overflows, or if its rounding could move the phase
-    k u by a radian at the grid's largest k, where the anchors hide their
-    separation; RuntimeError if u2 - u1 varies with azimuth or departs from
-    r cos(theta) beyond rounding.
+    The label part is conj(b1) (x) b2 contracted with the spherical-basis table
+    ``_oracle_label_sums``: b = D(R)^H c are the coefficients in the aligned frame,
+    each state's own label row at rhat over every helicity, in sigma order j..-j,
+    and the Wigner phase of the rotated rows cancels in their helicity sum (module
+    docstring). The product of the envelopes is formed once per radial node. The
+    two anchor phases meet as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) =
+    r cos(theta) on the rotated nodes khat' = R khat at equal times. The states' own
+    u enter only through the checks of that identity, which run before
+    ``_oracle_polar_radial_sum`` sums the phase at r cos(theta). Raises ValueError
+    if u overflows, or if its rounding could move the phase k u by a radian at the
+    grid's largest k, where the anchors hide their separation; RuntimeError if
+    u2 - u1 varies with azimuth or departs from r cos(theta) beyond rounding.
     """
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
+    family = s1.family
     rvec = _state_separation(s1, s2)
     r = math.hypot(*rvec)
-    nmu, nphi, nk = _oracle_node_counts(q, r, a, s1.family.spin)
-    khat, wang = _oracle_angular_grid(nmu, nphi)
-    khat = khat @ _oracle_rotation(rvec).T
+    nmu, nphi, nk = _oracle_node_counts(q, r, a, family.spin)
+    rot = _oracle_rotation(rvec)
+    khat = _oracle_angular_grid(nmu, nphi)[0] @ rot.T
     k, wk = _oracle_radial_grid(nk, a)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        env1, u1, rows1 = _amplitude_factors(s1, k, khat)
-        env2, u2, rows2 = _amplitude_factors(s2, k, khat)
+        u1, u2 = _anchor_phase(s1, khat), _anchor_phase(s2, khat)
         # each u carries a rounding error of a few eps (|t| + |x|_1), and of a few
         # subnormal steps where the products khat_i x_i are subnormal
         bound = 64.0 * (_EPS * (np.abs(s1.x).sum() + np.abs(s2.x).sum()) + _SUBNORMAL)
@@ -567,6 +611,11 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     if not np.abs(du - polar[:, None]).max() <= bound:
         raise RuntimeError("the states' relative anchor phase departs from r cos(theta) on "
                            "the grid aligned with their separation")
-    labels = (np.einsum("nl,nl->n", rows1.conj(), rows2) * wang).reshape(nmu, nphi).sum(axis=1)
-    wrad = wk * k**3 * env1 * env2  # k^2 from the volume element, one k from the measure
+    # the rows at rhat come in ascending helicity: reversed, they are b in sigma order
+    b1, b2 = _label_rows(_complete_family(family.spin, family.label_basis),
+                         np.stack((s1.coefficients, s2.coefficients)), rot[None, :, 2])[:, 0, ::-1]
+    G = _oracle_label_sums(family.spin, family.helicities, "spherical", nmu, nphi)
+    labels = (b1.conj()[:, None] * b2).ravel() @ G
+    # k^2 from the volume element, one k from the measure
+    wrad = wk * k**3 * _envelope(s1, k) * _envelope(s2, k)
     return complex(_oracle_polar_radial_sum(labels[None], k, wrad, r, nmu)[0])

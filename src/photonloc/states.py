@@ -189,14 +189,18 @@ def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray)
     d^j_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the components of khat,
     cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x + i khat_y, with e^{i phi} = 1
     on the poles, contracted with the coefficients; Cartesian coefficients enter
-    through their spherical components <sigma|i>. Spin 0 broadcasts its coefficient,
-    spin 1 is a closed form, higher spins are Wigner's sum :func:`_wigner_sum_table`.
+    through their spherical components <sigma|i>. A stack of coefficient vectors,
+    shape (S, 2j+1), gives a stack of rows, shape (S, M, len(helicities)), each the
+    bits of its own call at spins 0 and 1. Spin 0 broadcasts its coefficient, spin 1 is
+    a closed form, higher spins are Wigner's sum :func:`_wigner_sum_table`, contracted
+    with the whole stack in one matrix product.
     """
-    if family.spin == 0:
-        return np.broadcast_to(coefficients, (khat.shape[0], 1))
     b = coefficients
+    stack = b.shape[:-1]
+    if family.spin == 0:
+        return np.broadcast_to(b[..., None, :], stack + (khat.shape[0], 1))
     if family.label_basis == "cartesian":
-        b = _SPH_TO_CART @ b
+        b = (_SPH_TO_CART @ b[..., None])[..., 0]
     c = khat[:, 2]  # cos(theta)
     # e^{i phi} by real divisions: a complex one scales by 1/rho, which overflows for a
     # subnormal rho
@@ -212,40 +216,40 @@ def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray)
         powers = np.arange(2 * j + 1)
         monomials = cos_half[:, None] ** powers[::-1] * sin_half[:, None] ** powers
         table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]]
-        d = (monomials @ table.reshape(2 * j + 1, -1)).reshape(-1, 2 * j + 1, len(helicities))
-        rows = np.einsum("ns,nsl->nl", b * e[:, None] ** np.arange(j, -j - 1, -1), d)
-        return rows * e[:, None] ** -np.array(helicities)  # d e^{i (sigma - lam) phi}
-    bp, b0, bm = b
+        # x[sigma, n, lam] = d^j_{sigma lam} e^{i (sigma - lam) phi}, then one product over sigma
+        sigma, lam = np.arange(j, -j - 1, -1), np.array(helicities)
+        x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** -lam
+        x *= monomials @ table.transpose(1, 0, 2)
+        rows = b @ x.reshape(2 * j + 1, -1)
+        return rows.reshape(stack + (khat.shape[0], len(helicities)))
+    bp, b0, bm = b[..., 0, None], b[..., 1, None], b[..., 2, None]
     up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
     transverse = khat[:, 0] + 1j * khat[:, 1]
     w = transverse * np.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
     e2 = e**2  # e^{2 i phi}
-    rows = np.empty((khat.shape[0], len(family.helicities)), dtype=complex)
+    rows = np.empty(stack + (khat.shape[0], len(family.helicities)), dtype=complex)
     for i, lam in enumerate(family.helicities):
         if lam == 1:
-            rows[:, i] = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
+            rows[..., i] = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
         elif lam == 0:
-            rows[:, i] = c * b0 + w.conj() * bm - w * bp
+            rows[..., i] = c * b0 + w.conj() * bm - w * bp
         else:
-            rows[:, i] = up * bm - w * b0 + (down * bp) * e2
+            rows[..., i] = up * bm - w * b0 + (down * bp) * e2
     return rows
 
 
-def _amplitude_factors(state: LocalizedState, k: np.ndarray, khat: np.ndarray):
-    """The separable factors of c(k khat, lam) = envelope(k) e^{i k u(khat)} rows(khat, lam).
-
-    ``k`` holds positive radii, shape (N,), and ``khat`` unit directions, shape
-    (M, 3). Returns the envelope (2 pi)^(-3/2) k^(-p) e^(-a^2 k^2 / 2), shape (N,);
-    the phase variable u = +-(t - khat.x_vec), signed by the frequency sign, shape
-    (M,); and the state's :func:`_label_rows`, shape (M, len(helicities)).
-    """
-    family = state.family
+def _envelope(state: LocalizedState, k: np.ndarray) -> np.ndarray:
+    """The radial factor (2 pi)^(-3/2) k^(-p) e^(-a^2 k^2 / 2) of the amplitude at radii
+    ``k``, shape (N,)."""
     a = state.regulator_width
-    envelope = (2.0 * np.pi) ** -1.5 * k**-family.weight_exponent * np.exp(-0.5 * a * a * k * k)
+    return (2.0 * np.pi) ** -1.5 * k**-state.family.weight_exponent * np.exp(-0.5 * a * a * k * k)
+
+
+def _anchor_phase(state: LocalizedState, khat: np.ndarray) -> np.ndarray:
+    """The phase variable u = +-(t - khat.x_vec) of the amplitude, signed by the frequency
+    sign, at unit directions ``khat`` of shape (M, 3): the anchor phase is e^{i |k| u}."""
     u = state.x[0] - khat @ state.x[1:]
-    if family.frequency_sign == "negative":
-        u = -u
-    return envelope, u, _label_rows(family, state.coefficients, khat)
+    return -u if state.family.frequency_sign == "negative" else u
 
 
 def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
@@ -278,14 +282,16 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
         raise ValueError("momentum direction undefined at k = 0")
     amp = np.zeros(kvec.shape[0], dtype=complex)
     if lam in state.family.helicities:
+        khat = kvec / omega[:, None]
         with np.errstate(over="ignore"):  # a^2 k^2 past the double range: the envelope is 0
-            envelope, u, rows = _amplitude_factors(state, omega, kvec / omega[:, None])
+            envelope = _envelope(state, omega)
             live = envelope > 0.0  # the phase of an underflowed envelope is never formed
-            arg = omega[live] * u[live]  # an overflow is rejected below
+            arg = omega[live] * _anchor_phase(state, khat)[live]  # an overflow is rejected below
         if not np.all(np.isfinite(arg)):
             raise ValueError("the anchor phase |k| (t - khat.x) overflows: the anchor times "
                              "the momentum leaves the double range")
         amp.real[live], amp.imag[live] = envelope[live] * np.cos(arg), envelope[live] * np.sin(arg)
+        rows = _label_rows(state.family, state.coefficients, khat)
         amp *= rows[:, state.family.helicities.index(lam)]
     return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])
 

@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import fields, replace
 
@@ -50,6 +51,7 @@ from photonloc.states import (
     SPHERICAL_PHOTON,
     LocalizedState,
     StateFamily,
+    _label_rows,
     make_localized_state,
     momentum_amplitude,
     rotate_state,
@@ -96,6 +98,22 @@ def helicity_loop_overlap(s1, s2, q):
             amp1 = momentum_amplitude(s1, kvecs, lam)
             shells[n] += (amp1.conj() * momentum_amplitude(s2, kvecs, lam)) @ wang
     return complex((wk * k**3) @ shells)
+
+
+def per_node_overlap(s1, s2, q):
+    """brute_force_overlap node by node: both states' label rows at every rotated node,
+    contracted over helicities and summed over azimuth, then the oracle's phase sum."""
+    a, rvec = s1.regulator_width, s1.x[1:] - s2.x[1:]
+    r = math.hypot(*rvec)
+    nmu, nphi, nk = _oracle_node_counts(q, r, a, s1.family.spin)
+    khat, wang = _oracle_angular_grid(nmu, nphi)
+    khat = khat @ _oracle_rotation(rvec).T
+    rows1, rows2 = (_label_rows(s.family, s.coefficients, khat) for s in (s1, s2))
+    labels = (np.einsum("nl,nl->n", rows1.conj(), rows2) * wang).reshape(nmu, nphi).sum(axis=1)
+    k, wk = _oracle_radial_grid(nk, a)
+    envelope = (2.0 * np.pi) ** -1.5 * k**-s1.family.weight_exponent * np.exp(-0.5 * a * a * k * k)
+    wrad = wk * k**3 * envelope * envelope
+    return complex(_oracle_polar_radial_sum(labels[None], k, wrad, r, nmu)[0])
 
 
 def legendre_projection(j):
@@ -366,16 +384,16 @@ class TestBruteForceAgreement:
     def test_oracle_rejects_an_azimuth_dependent_relative_phase(self, monkeypatch, spec):
         s1 = state_at(CARTESIAN_PHOTON, [0.3, -0.2, 0.5], "x")
         s2 = state_at(CARTESIAN_PHOTON, [-0.1, 0.4, 0.0], "y")
-        factors = photonloc.overlap._amplitude_factors
+        phase = photonloc.overlap._anchor_phase
 
-        def corrupted(state, k, khat):
-            envelope, u, rows = factors(state, k, khat)
+        def corrupted(state, khat):
+            u = phase(state, khat)
             if state is s1:
                 u = u + 1e-9 * khat[:, 0]
-            return envelope, u, rows
+            return u
 
         brute_force_overlap(s1, s2, spec)
-        monkeypatch.setattr(photonloc.overlap, "_amplitude_factors", corrupted)
+        monkeypatch.setattr(photonloc.overlap, "_anchor_phase", corrupted)
         with pytest.raises(RuntimeError, match="varies with azimuth"):
             brute_force_overlap(s1, s2, spec)
 
@@ -387,15 +405,15 @@ class TestBruteForceAgreement:
         s1 = state_at(CARTESIAN_PHOTON, x1, "x")
         s2 = state_at(CARTESIAN_PHOTON, x2, "y")
         rhat = (x1 - x2) / np.linalg.norm(x1 - x2)
-        factors = photonloc.overlap._amplitude_factors
+        phase = photonloc.overlap._anchor_phase
 
-        def corrupted(state, k, khat):
-            envelope, u, rows = factors(state, k, khat)
+        def corrupted(state, khat):
+            u = phase(state, khat)
             if state is s1:
                 u = u + 1e-9 * (khat @ rhat)
-            return envelope, u, rows
+            return u
 
-        monkeypatch.setattr(photonloc.overlap, "_amplitude_factors", corrupted)
+        monkeypatch.setattr(photonloc.overlap, "_anchor_phase", corrupted)
         with pytest.raises(RuntimeError, match="departs from r cos"):
             brute_force_overlap(s1, s2, spec)
 
@@ -473,9 +491,10 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q, None])
     def test_kernel_oracle_is_the_overlap_oracle_of_unit_labels(self, kind, spec):
         # K_ij(r) = <label i at r | label j at 0>; the two oracles share the grid and the
-        # phase sum, not the label sums: the kernel's unit rows on the unrotated grid are
-        # rotated back, the overlap takes the rows on rotated nodes. They agree to
-        # rounding even on a starved grid
+        # phase sum, not the rotation: the kernel's label-basis table is rotated back by
+        # the plain 3x3 rotation, the overlap contracts the states' aligned coefficients,
+        # their label rows at rhat, with the spherical table. They agree to rounding even
+        # on a starved grid
         a = 0.8
         family = StateFamily.of(kind)
         rng = np.random.default_rng(61)
@@ -510,6 +529,21 @@ class TestOracleTable:
         G = _oracle_label_sums(family.spin, family.helicities, family.label_basis, nmu, nphi)
         assert G.shape == (9, nmu)
         assert np.abs(G - expected).max() < 1e-14
+
+    @pytest.mark.parametrize("j, helicities", [(0, (0,)), (2, (-2, 1)), (10, (-10, -1, 0, 7))])
+    def test_spin_j_label_sums_match_node_by_node_rotations(self, j, helicities):
+        # the (2j+1)^2 table on 24 azimuths, more than 2j; at spin 10 its 16 polar rows
+        # take two blocks, and Wigner's factorial sum rounds to ~2e-14
+        nmu, nphi = 16, 24
+        khat, weights = _oracle_angular_grid(nmu, nphi)
+        expected = np.zeros((nmu * nphi, 2 * j + 1, 2 * j + 1), dtype=complex)
+        for n, vec in enumerate(khat):
+            cols = wigner_D(j, standard_rotation(vec))[:, [j - lam for lam in helicities]]
+            expected[n] = weights[n] * (cols @ cols.conj().T)
+        expected = expected.reshape(nmu, nphi, -1).sum(axis=1).T
+        G = _oracle_label_sums(j, helicities, "spherical", nmu, nphi)
+        assert G.shape == ((2 * j + 1) ** 2, nmu)
+        assert np.abs(G - expected).max() < 1e-13
 
     def test_cached_table_is_read_only(self):
         G = _oracle_label_sums(1, (-1, 1), "spherical", 4 * Q.n_theta, 4 * Q.n_phi)
@@ -646,7 +680,8 @@ class TestAlignedOracle:
 
     def test_table_cache_holds_a_round_of_separations(self):
         # one r = 0 point and nine log-spaced r/a to 68, one family per rung, and an
-        # overlap at the test spec, which uses no table: a second round builds none
+        # overlap at the test spec, which uses its spherical table: a second round
+        # builds none
         ladder = [0.0] + [10.0 ** (-1.0 + (k + 0.5) / 3.0) for k in range(9)]
         origin = state_at(SCALAR, [0.0, 0.0, 0.0], 0)
 
@@ -1017,6 +1052,31 @@ def _draw_proper_subset(data, j):
     return tuple(lam for lam, keep in zip(range(-j, j + 1), mask) if keep)
 
 
+def _draw_oracle_pair(data, spins):
+    """Two equal-time states of a drawn family of spin in ``spins``, r/a in [0, 8], and
+    the self-sized grid or a small spec, both with more than 2j azimuths. A drawn seed
+    places them: a rotated unit label and rotated mixed coefficients."""
+    j = data.draw(spins, label="j")
+    cartesian = j == 1 and data.draw(st.booleans(), label="cartesian")
+    complete = j == 0 or data.draw(st.booleans(), label="complete set")
+    helicities = tuple(range(-j, j + 1)) if complete else _draw_proper_subset(data, j)
+    weight = data.draw(st.sampled_from((0.5, 1.0)), label="weight exponent")
+    family = StateFamily(j, helicities, "cartesian" if cartesian else "spherical", weight)
+    a = data.draw(st.floats(0.5, 2.0), label="a")
+    r_over_a = data.draw(st.floats(0.0, 8.0), label="r/a")
+    spec = data.draw(st.sampled_from((None, QuadratureSpec(4, 6, 4))), label="spec")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x2 = rng.uniform(-2.0, 2.0, size=3) * a
+    direction = rng.normal(size=3)
+    x1 = x2 + r_over_a * a * direction / np.linalg.norm(direction)
+    n = len(family.labels)
+    mixed = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    R = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0.0, np.pi))
+    s1, s2 = (make_localized_state(family, np.r_[0.0, R.T @ x], family.labels[0], a)
+              for x in (x1, x2))
+    return rotate_state(s1, R), rotate_state(replace(s2, coefficients=mixed), R), spec
+
+
 def _draw_separation(data):
     """(rvec, a): r/a log-uniform in [1e-2, 1e3] along a drawn direction."""
     a = data.draw(st.floats(0.1, 10.0), label="a")
@@ -1085,6 +1145,28 @@ class TestKernelProperties:
         s2 = make_localized_state(family, np.zeros(4), labels[1], a)
         exact = qm_overlap(s1, s2)
         assert dipole_floor_error(brute_force_overlap(s1, s2), exact, r_over_a * a, a, 0.0) <= 1e-13
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_oracle_overlap_is_the_per_node_contraction(self, data):
+        # the states' rows on the rotated nodes are those of their aligned coefficients
+        # up to a helicity phase, which cancels, and the azimuth rule drops the frame's
+        # azimuth about rhat. The two orders of summation round apart on the scale of
+        # the oracle's terms, which the phase sum leaves (r/a)^2 above the dipole floor
+        s1, s2, spec = _draw_oracle_pair(data, st.integers(0, 1))
+        a, r = s1.regulator_width, np.linalg.norm(s1.x[1:] - s2.x[1:])
+        error = dipole_floor_error(brute_force_overlap(s1, s2, spec),
+                                   per_node_overlap(s1, s2, spec), r, a, s1.family.radial_power)
+        assert error <= 1e-15 * max(1.0, r / a) ** 2
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_spin_j_oracle_overlap_is_the_per_node_contraction(self, data):
+        s1, s2, spec = _draw_oracle_pair(data, st.integers(2, J_MAX))
+        a, r = s1.regulator_width, np.linalg.norm(s1.x[1:] - s2.x[1:])
+        error = dipole_floor_error(brute_force_overlap(s1, s2, spec),
+                                   per_node_overlap(s1, s2, spec), r, a, s1.family.radial_power)
+        assert error <= 1e-13
 
 
 def test_kernel_matrix_keeps_its_own_copy_of_the_separation():
