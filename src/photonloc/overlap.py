@@ -48,7 +48,8 @@ four times its counts. Both oracles take the label dependence from one table,
 ``_oracle_label_sums``: the states' own label rows C(khat, lam) of the unit
 labels a, b on the unrotated grid, conj(C_a) C_b summed over the family's
 helicities and over azimuth, one (2j+1)^2 block per polar node, cached per grid
-and label structure (spin, helicities, basis). Both sum their phase in one loop,
+and label structure (spin, helicities, basis) up to 1 MiB a table; a larger spin-j
+table is built for its one overlap. Both sum their phase in one loop,
 ``_oracle_polar_radial_sum``: S(p) = sum_k w(k) e^{i k p} once per polar node
 p = r cos(theta), then contracted with the label table; the nodes are mirrored
 and w is real, so S(-p) = conj(S(p)) and only the upper half takes cos and sin.
@@ -100,6 +101,7 @@ from .states import (
     _anchor_phase,
     _envelope,
     _label_rows,
+    _wigner_rows,
     require_regulator_width,
 )
 
@@ -114,14 +116,21 @@ _ORACLE_BLOCK_POINTS = 16_384
 
 #: (label pair, node) products per block of an oracle table build (whole polar rows).
 #: It bounds the build's buffers. A complete spin-10 table on 928 x 24 nodes (fresh
-#: process, 2 vCPUs): 0.29 s and 42 MB peak RSS, against 0.33 s, 39 MB at 2^16,
-#: 0.38 s, 69 MB at 2^19 and 0.36 s, 103 MB at 2^20.
+#: process, 2 vCPUs, three runs each): 44 MB peak RSS, against 40 MB at 2^16, 69 MB
+#: at 2^19 and 103 MB at 2^20, in 0.7-1.1 s at every size.
 _ORACLE_TABLE_BLOCK = 1 << 17
+
+#: Largest oracle label table, in bytes, that is kept in the cache of 16: every spin-1
+#: table (at most 9 x 4320 entries, 0.6 MB) and the spin-j tables of small grids. A
+#: larger spin-j table is built for its one overlap and dropped, so the cache holds at
+#: most 16 MiB where self-sized spin-10 tables (up to 441 x 4320 entries, 30 MB each)
+#: would fill ~490 MB.
+_ORACLE_TABLE_CACHE_BYTES = 1 << 20
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
 #: (r/a)^2: at the bound a spin-1 kernel or overlap takes 0.2-0.4 s warm and ~0.5 s in
-#: a fresh process, a spin-10 overlap ~0.4 s warm and 0.9 s (two helicities) to 1.7 s
-#: (all 21) fresh, on 2 vCPUs.
+#: a fresh process; a spin-10 overlap, whose table is too large to cache, takes
+#: 1.3-1.5 s (two helicities) to 3-5 s (all 21) warm or fresh, on 2 vCPUs.
 _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
@@ -472,35 +481,37 @@ def _oracle_angular_grid(nmu: int, nphi: int):
 @lru_cache(maxsize=16)
 def _oracle_label_sums(spin: int, helicities: tuple, label_basis: str, nmu: int,
                        nphi: int) -> np.ndarray:
+    """:func:`_oracle_label_table`, cached. The bound of 16 holds every key a benchmark
+    round uses: eleven, eight kernel ladder keys and three overlap label structures at
+    the test spec. Callers keep tables above ``_ORACLE_TABLE_CACHE_BYTES`` out of it."""
+    return _oracle_label_table(spin, helicities, label_basis, nmu, nphi)
+
+
+def _oracle_label_table(spin: int, helicities: tuple, label_basis: str, nmu: int,
+                        nphi: int) -> np.ndarray:
     """Read-only G[(a, b), mu], shape ((2j+1)^2, nmu): sum over helicities and azimuth of
     conj(C_a) C_b times the angular weight, C_a the rows of unit label a on the unrotated
     grid; the weight exponent does not enter.
 
-    Built in blocks of whole polar rows, each row summed in the same order whatever
-    the block. To spin 1 the sum runs node by node over helicities, then over azimuth,
-    so the kernel oracle's results keep their bits; above, one matrix product per
-    polar row sums both, 5-20 times faster at J_MAX. The bound of 16 holds every key a
-    benchmark round uses: eleven, eight kernel ladder keys and three overlap label
-    structures at the test spec. A self-sized table at J_MAX has at most 441 x 4320
-    entries, 30 MB, so the cache holds at most 490 MB.
+    Built in blocks of whole polar rows, each node summed over helicities, then each
+    row over azimuth, in the same order whatever the block, so the kernel oracle's
+    results keep their bits. To spin 1 the rows are the closed form's for each unit
+    label; above, the unit labels' rows are Wigner's table :func:`_wigner_rows` itself.
     """
     khat, weights = _oracle_angular_grid(nmu, nphi)
     family = StateFamily(spin, helicities, label_basis)
-    units = np.eye(2 * spin + 1, dtype=complex)
-    n, nlam = len(units), len(helicities)
+    n = 2 * spin + 1
     G = np.empty((n * n, nmu), dtype=complex)
     block = max(1, _ORACLE_TABLE_BLOCK // (n * n * nphi))  # polar rows
     for start in range(0, nmu, block):
         nodes = slice(start * nphi, (start + block) * nphi)
-        rows = _label_rows(family, units, khat[nodes])
-        if spin <= 1:
-            sums = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights[nodes]
-            G[:, start : start + block] = sums.reshape(n * n, -1, nphi).sum(axis=2)
+        if spin > 1:
+            rows = _wigner_rows(family, khat[nodes])
         else:
-            polar = rows.reshape(n, -1, nphi * nlam).transpose(1, 0, 2)  # (row, a, node lam)
-            w = np.repeat(weights[nodes], nlam).reshape(-1, 1, nphi * nlam)
-            sums = (polar.conj() * w) @ polar.transpose(0, 2, 1)
-            G[:, start : start + block] = sums.reshape(-1, n * n).T
+            rows = np.stack([_label_rows(family, unit, khat[nodes])
+                             for unit in np.eye(n, dtype=complex)])
+        sums = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights[nodes]
+        G[:, start : start + block] = sums.reshape(n * n, -1, nphi).sum(axis=2)
     G.setflags(write=False)
     return G
 
@@ -558,12 +569,6 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     return KernelMatrix(rvec, entries, family.kind, a, family.labels)
 
 
-@lru_cache(maxsize=None)
-def _complete_family(spin: int, label_basis: str) -> StateFamily:
-    """The spin-j family of every helicity in ``label_basis``: at most 2 (J_MAX + 1) entries."""
-    return StateFamily(spin, tuple(range(-spin, spin + 1)), label_basis)
-
-
 def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
                         q: QuadratureSpec | None = None) -> complex:
     """Oracle overlap summing momentum amplitudes over a grid aligned with the
@@ -612,9 +617,12 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
         raise RuntimeError("the states' relative anchor phase departs from r cos(theta) on "
                            "the grid aligned with their separation")
     # the rows at rhat come in ascending helicity: reversed, they are b in sigma order
-    b1, b2 = _label_rows(_complete_family(family.spin, family.label_basis),
-                         np.stack((s1.coefficients, s2.coefficients)), rot[None, :, 2])[:, 0, ::-1]
-    G = _oracle_label_sums(family.spin, family.helicities, "spherical", nmu, nphi)
+    complete = StateFamily(family.spin, tuple(range(-family.spin, family.spin + 1)),
+                           family.label_basis)
+    b1, b2 = (_label_rows(complete, s.coefficients, rot[None, :, 2])[0, ::-1] for s in (s1, s2))
+    table = (_oracle_label_sums if (2 * family.spin + 1) ** 2 * nmu * 16
+             <= _ORACLE_TABLE_CACHE_BYTES else _oracle_label_table)
+    G = table(family.spin, family.helicities, "spherical", nmu, nphi)
     labels = (b1.conj()[:, None] * b2).ravel() @ G
     # k^2 from the volume element, one k from the measure
     wrad = wk * k**3 * _envelope(s1, k) * _envelope(s2, k)

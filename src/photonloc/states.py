@@ -183,58 +183,68 @@ def _wigner_sum_table(j: int) -> np.ndarray:
     return table
 
 
+def _azimuth_phase(khat: np.ndarray):
+    """(rho, e^{i phi}) at unit directions ``khat`` of shape (M, 3): rho = sin(theta) =
+    |khat_x + i khat_y| and e^{i phi} = 1 on the poles. e^{i phi} is formed by real
+    divisions: a complex one scales by 1/rho, which overflows for a subnormal rho."""
+    rho = np.hypot(khat[:, 0], khat[:, 1])
+    cos_phi = np.divide(khat[:, 0], rho, out=np.ones_like(rho), where=rho > 0.0)
+    sin_phi = np.divide(khat[:, 1], rho, out=np.zeros_like(rho), where=rho > 0.0)
+    return rho, cos_phi + 1j * sin_phi
+
+
+def _wigner_rows(family: StateFamily, khat: np.ndarray) -> np.ndarray:
+    """x[sigma, n, lam] = d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, sigma = j..-j,
+    shape (2j+1, M, len(helicities)), at unit directions ``khat`` of shape (M, 3) and
+    spin j > 1: row sigma is the label rows of the unit spherical label sigma, d from
+    Wigner's sum :func:`_wigner_sum_table`."""
+    j, helicities = family.spin, family.helicities
+    c = khat[:, 2]  # cos(theta)
+    rho, e = _azimuth_phase(khat)
+    # cos, sin of theta/2 from the larger of 1 +- c and rho / 2 = cos sin: no cancellation
+    big = np.sqrt(0.5 * (1.0 + np.abs(c)))
+    cos_half, sin_half = np.where(c >= 0.0, (big, 0.5 * rho / big), (0.5 * rho / big, big))
+    powers = np.arange(2 * j + 1)
+    monomials = cos_half[:, None] ** powers[::-1] * sin_half[:, None] ** powers
+    table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]]
+    sigma, lam = np.arange(j, -j - 1, -1), np.array(helicities)
+    x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** -lam
+    x *= monomials @ table.transpose(1, 0, 2)
+    return x
+
+
 def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray) -> np.ndarray:
     """Label rows C(khat, lam) of ``coefficients``, shape (M, len(helicities)), at unit
     directions ``khat`` of shape (M, 3): the inverse-frame D-matrix elements
     d^j_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the components of khat,
     cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x + i khat_y, with e^{i phi} = 1
     on the poles, contracted with the coefficients; Cartesian coefficients enter
-    through their spherical components <sigma|i>. A stack of coefficient vectors,
-    shape (S, 2j+1), gives a stack of rows, shape (S, M, len(helicities)), each the
-    bits of its own call at spins 0 and 1. Spin 0 broadcasts its coefficient, spin 1 is
-    a closed form, higher spins are Wigner's sum :func:`_wigner_sum_table`, contracted
-    with the whole stack in one matrix product.
+    through their spherical components <sigma|i>. Spin 0 broadcasts its coefficient,
+    spin 1 is a closed form, higher spins contract :func:`_wigner_rows`.
     """
-    b = coefficients
-    stack = b.shape[:-1]
     if family.spin == 0:
-        return np.broadcast_to(b[..., None, :], stack + (khat.shape[0], 1))
-    if family.label_basis == "cartesian":
-        b = (_SPH_TO_CART @ b[..., None])[..., 0]
-    c = khat[:, 2]  # cos(theta)
-    # e^{i phi} by real divisions: a complex one scales by 1/rho, which overflows for a
-    # subnormal rho
-    rho = np.hypot(khat[:, 0], khat[:, 1])
-    cos_phi = np.divide(khat[:, 0], rho, out=np.ones_like(rho), where=rho > 0.0)
-    sin_phi = np.divide(khat[:, 1], rho, out=np.zeros_like(rho), where=rho > 0.0)
-    e = cos_phi + 1j * sin_phi  # e^{i phi}
+        return np.broadcast_to(coefficients, (khat.shape[0], 1))
     if family.spin > 1:
-        # cos, sin of theta/2 from the larger of 1 +- c and rho / 2 = cos sin: no cancellation
-        j, helicities = family.spin, family.helicities
-        big = np.sqrt(0.5 * (1.0 + np.abs(c)))
-        cos_half, sin_half = np.where(c >= 0.0, (big, 0.5 * rho / big), (0.5 * rho / big, big))
-        powers = np.arange(2 * j + 1)
-        monomials = cos_half[:, None] ** powers[::-1] * sin_half[:, None] ** powers
-        table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]]
-        # x[sigma, n, lam] = d^j_{sigma lam} e^{i (sigma - lam) phi}, then one product over sigma
-        sigma, lam = np.arange(j, -j - 1, -1), np.array(helicities)
-        x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** -lam
-        x *= monomials @ table.transpose(1, 0, 2)
-        rows = b @ x.reshape(2 * j + 1, -1)
-        return rows.reshape(stack + (khat.shape[0], len(helicities)))
-    bp, b0, bm = b[..., 0, None], b[..., 1, None], b[..., 2, None]
+        x = _wigner_rows(family, khat)
+        return (coefficients @ x.reshape(len(x), -1)).reshape(khat.shape[0], -1)
+    b = coefficients
+    if family.label_basis == "cartesian":
+        b = _SPH_TO_CART @ b
+    c = khat[:, 2]  # cos(theta)
+    e = _azimuth_phase(khat)[1]
+    bp, b0, bm = b
     up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
     transverse = khat[:, 0] + 1j * khat[:, 1]
     w = transverse * np.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
     e2 = e**2  # e^{2 i phi}
-    rows = np.empty(stack + (khat.shape[0], len(family.helicities)), dtype=complex)
+    rows = np.empty((khat.shape[0], len(family.helicities)), dtype=complex)
     for i, lam in enumerate(family.helicities):
         if lam == 1:
-            rows[..., i] = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
+            rows[:, i] = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
         elif lam == 0:
-            rows[..., i] = c * b0 + w.conj() * bm - w * bp
+            rows[:, i] = c * b0 + w.conj() * bm - w * bp
         else:
-            rows[..., i] = up * bm - w * b0 + (down * bp) * e2
+            rows[:, i] = up * bm - w * b0 + (down * bp) * e2
     return rows
 
 

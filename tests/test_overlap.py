@@ -565,6 +565,17 @@ class TestOracleTable:
         assert _oracle_label_sums.cache_info().currsize == 1
         assert not np.allclose(kernels[0], kernels[1])
 
+    def test_large_spin_j_tables_stay_out_of_the_cache(self):
+        # a self-sized spin-10 table at r/a = 20 has 441 x 160 entries, 1.1 MB
+        family = StateFamily(10, (-1, 1))
+        s1 = make_localized_state(family, [0.0, 0.0, 0.0, 20.0], 10, 1.0)
+        s2 = make_localized_state(family, np.zeros(4), -1, 1.0)
+        _oracle_label_sums.cache_clear()
+        brute_force_overlap(s1, s2)
+        assert _oracle_label_sums.cache_info().currsize == 0
+        brute_force_overlap(s1, s2, Q)  # 441 x 48 entries
+        assert _oracle_label_sums.cache_info().currsize == 1
+
     def test_cold_default_tables_build_under_one_second(self):
         q = QuadratureSpec()
         _oracle_label_sums.cache_clear()
@@ -1152,12 +1163,14 @@ class TestKernelProperties:
         # the states' rows on the rotated nodes are those of their aligned coefficients
         # up to a helicity phase, which cancels, and the azimuth rule drops the frame's
         # azimuth about rhat. The two orders of summation round apart on the scale of
-        # the oracle's terms, which the phase sum leaves (r/a)^2 above the dipole floor
+        # the oracle's terms, which the phase sum leaves (r/a)^2 above the dipole floor:
+        # over 2600 random draws the error reads at most 1.7e-16 (r/a)^2, and up to
+        # 8.7e-16 (r/a) at r/a ~ 7
         s1, s2, spec = _draw_oracle_pair(data, st.integers(0, 1))
         a, r = s1.regulator_width, np.linalg.norm(s1.x[1:] - s2.x[1:])
         error = dipole_floor_error(brute_force_overlap(s1, s2, spec),
                                    per_node_overlap(s1, s2, spec), r, a, s1.family.radial_power)
-        assert error <= 1e-15 * max(1.0, r / a) ** 2
+        assert error <= 4e-16 * max(1.0, r / a) ** 2
 
     @settings(max_examples=20)
     @given(data=st.data())

@@ -18,6 +18,7 @@ from photonloc.states import (
     SPHERICAL_PHOTON,
     StateFamily,
     _label_rows,
+    _wigner_rows,
     _NAMED,
     make_localized_state,
     momentum_amplitude,
@@ -392,30 +393,13 @@ class TestSpinJStates:
         for j in range(2, 11):
             family = StateFamily(j, tuple(range(-j, j + 1)))
             expected = np.stack([wigner_D(j, standard_rotation(v)).conj() for v in khat])
+            units = _wigner_rows(family, khat)  # the rows of every unit label
             for i in range(2 * j + 1):
                 unit = np.zeros(2 * j + 1, dtype=complex)
                 unit[i] = 1.0
                 rows = _label_rows(family, unit, khat)  # columns lam = -j..j
                 assert np.abs(rows - expected[:, i, ::-1]).max() <= 1e-13
-
-    def test_stacked_label_rows_are_the_rows_of_each_vector(self):
-        # bit for bit at spins 0 and 1, the closed form; Wigner's sum contracts a stack
-        # in one matrix product
-        rng = np.random.default_rng(79)
-        khat = self.directions()
-        families = [StateFamily.of(kind) for kind in FAMILY_KINDS]
-        families += [StateFamily(j, tuple(range(-j, j + 1, 2))) for j in range(2, 11)]
-        for family in families:
-            n = len(family.labels)
-            stack = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
-            rows = _label_rows(family, stack, khat)
-            assert rows.shape == (4, len(khat), len(family.helicities))
-            for b, stacked in zip(stack, rows):
-                single = _label_rows(family, b, khat)
-                if family.spin <= 1:
-                    assert np.array_equal(stacked, single)
-                else:
-                    assert np.abs(stacked - single).max() <= 1e-15 * np.abs(b).sum()
+                assert np.abs(units[i] - expected[:, i, ::-1]).max() <= 1e-13
 
     def test_overlap_is_rotation_invariant_at_every_spin(self):
         rng = np.random.default_rng(73)
