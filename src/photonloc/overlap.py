@@ -63,21 +63,26 @@ cancels in sum_lam conj(C_1) C_2, so the label part is conj(b1) (x) b2
 contracted with the table, b = D(R)^H c the coefficients in the frame aligned
 with r. b is the state's own label row at rhat over every helicity,
 b_sigma = C_c(rhat, sigma), with no D-matrix: its R is the standard rotation to
-rhat. The azimuth of that frame about rhat does not enter, because the table is
-summed over a uniform azimuth rule that is exact for the label part, of
-azimuthal degree 2j (an explicit spec of 4 n_phi <= 2j azimuths aliases it).
-The amplitudes are separable, c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam),
-and the envelopes E enter once per radial node. The anchor phases meet as
-e^{i k (u2 - u1)}, u = t - khat.x, and at equal times u2 - u1 = khat'.(x1 - x2)
-= r cos(theta) on the rotated nodes khat' = R khat. The states' own u enter
-through checks before the sum: a spread of u2 - u1 over azimuth or a departure
-from r cos(theta) beyond rounding raises, and so do anchors whose rounding in u
-would hide the separation. The two oracles share no reduction step, D-matrix or
-closed form with the production path and back every kernel result in the tests
-and the ``--oracle`` CLI path, and never import ``scipy.special``. Summing
-O(a^-3) terms to an O(r^-3) result, the oracle's error relative to the dipole
-tail is a rounding floor that grows as (r/a)^3: ~1e-12 at r/a = 68, ~2e-11 (up
-to 1e-10) at r/a = 200.
+rhat. Both states read it off one evaluation at rhat, the rows of the unit
+spherical labels X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as b = c @ X,
+Cartesian coefficients through <sigma|i>. The azimuth of that frame about rhat
+does not enter, because the table is summed over a uniform azimuth rule that is
+exact for the label part, of azimuthal degree 2j (an explicit spec of
+4 n_phi <= 2j azimuths aliases it). The amplitudes are separable,
+c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam), and the states share E (same
+family and a), which enters once per radial node, squared. The anchor phases
+meet as e^{i k (u2 - u1)}, u = t - khat.x, and at equal times
+u2 - u1 = khat'.(x1 - x2) = r cos(theta) on the rotated nodes khat' = R khat. The
+states' own u enter through checks before the sum: a spread of u2 - u1 over
+azimuth or a departure from r cos(theta) beyond rounding raises, and so do
+anchors whose rounding in u would hide the separation. One pass over
+u2 - u1 - r cos(theta) passes every check; only when it fails do the checks run
+one by one, in that order, so each failure keeps its error. The two oracles share
+no reduction step, D-matrix or closed form with the production path and back
+every kernel result in the tests and the ``--oracle`` CLI path, and never import
+``scipy.special``. Summing O(a^-3) terms to an O(r^-3) result, the oracle's error
+relative to the dipole tail is a rounding floor that grows as (r/a)^3: ~1e-12 at
+r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
 
 All evaluations are pure functions with a fixed summation order, so results
 do not depend on how calls are distributed over threads or processes.
@@ -101,6 +106,7 @@ from .states import (
     _anchor_phase,
     _envelope,
     _label_rows,
+    _unit_rows,
     _wigner_rows,
     require_regulator_width,
 )
@@ -128,9 +134,10 @@ _ORACLE_TABLE_BLOCK = 1 << 17
 _ORACLE_TABLE_CACHE_BYTES = 1 << 20
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
-#: (r/a)^2: at the bound a spin-1 kernel or overlap takes 0.2-0.4 s warm and ~0.5 s in
-#: a fresh process; a spin-10 overlap, whose table is too large to cache, takes
-#: 1.3-1.5 s (two helicities) to 3-5 s (all 21) warm or fresh, on 2 vCPUs.
+#: (r/a)^2: at the bound a spin-1 kernel or overlap takes 0.3-0.4 s warm and 0.4-0.6 s
+#: in a fresh process; a spin-10 overlap, whose table is too large to cache, takes
+#: 1.3-1.8 s warm and 1.5-2.0 s fresh with two helicities, 3.5-3.8 s warm and
+#: 4.2-5.4 s fresh with all 21 (three fresh processes each, 2 vCPUs).
 _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
@@ -415,10 +422,11 @@ def _oracle_rotation(rvec: np.ndarray) -> np.ndarray:
     J. Comput. Graph. Tech. 6, 1 (2017): it divides by 1 + |rhat_z| >= 1, so
     rhat near -z is as exact as rhat near +z.
     """
-    r = math.hypot(*rvec)
+    x, y, z = rvec.tolist()
+    r = math.hypot(x, y, z)
     if r == 0.0:
         return np.eye(3)
-    x, y, z = rvec / r
+    x, y, z = x / r, y / r, z / r
     sign = math.copysign(1.0, z)
     c = -1.0 / (sign + z)
     b = x * y * c
@@ -569,6 +577,43 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     return KernelMatrix(rvec, entries, family.kind, a, family.labels)
 
 
+def _check_anchor_phases(s1: LocalizedState, s2: LocalizedState, khat: np.ndarray,
+                         polar: np.ndarray, kmax: float):
+    """Check that the states' anchor phases meet as u2 - u1 = r cos(theta) on the rotated
+    nodes ``khat``, to rounding: ``polar`` is r cos(theta) per polar node, the azimuth
+    the fast axis of ``khat``. Raises ValueError if u overflows, or if its rounding
+    could move the phase k u by a radian at ``kmax``; RuntimeError if u2 - u1 varies
+    with azimuth or departs from r cos(theta) beyond rounding, in that order.
+
+    One pass decides the usual case: a departure within a quarter of the rounding
+    bound everywhere keeps every u finite and the spread over a polar row within
+    the bound, so every check below passes. Otherwise the checks run in turn."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        u1, u2 = _anchor_phase(s1, khat), _anchor_phase(s2, khat)
+        # each u carries a rounding error of a few eps (|t| + |x|_1), and of a few
+        # subnormal steps where the products khat_i x_i are subnormal
+        size = sum(map(abs, s1.x.tolist())) + sum(map(abs, s2.x.tolist()))
+        bound = 64.0 * (_EPS * size + _SUBNORMAL)
+        du = (u2 - u1).reshape(len(polar), -1)
+        off_axis = du - polar[:, None]
+        departure = np.abs(off_axis, out=off_axis).max()  # NaN where a u is not finite
+    if kmax * bound < 1.0 and departure <= 0.25 * bound:
+        return
+    if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+        raise ValueError("the anchor phase u = t - khat.x overflows: the anchors leave the "
+                         "double range of the oracle")
+    if not kmax * bound < 1.0:
+        raise ValueError(f"the anchors are too large for the oracle: the rounding of the "
+                         f"anchor phase k u reaches {kmax * bound:.3g} rad, which hides "
+                         f"their separation")
+    if not np.ptp(du, axis=1).max() <= bound:
+        raise RuntimeError("the states' relative anchor phase varies with azimuth on the "
+                           "grid aligned with their separation")
+    if not departure <= bound:
+        raise RuntimeError("the states' relative anchor phase departs from r cos(theta) on "
+                           "the grid aligned with their separation")
+
+
 def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
                         q: QuadratureSpec | None = None) -> complex:
     """Oracle overlap summing momentum amplitudes over a grid aligned with the
@@ -578,52 +623,38 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     ``_oracle_label_sums``: b = D(R)^H c are the coefficients in the aligned frame,
     each state's own label row at rhat over every helicity, in sigma order j..-j,
     and the Wigner phase of the rotated rows cancels in their helicity sum (module
-    docstring). The product of the envelopes is formed once per radial node. The
-    two anchor phases meet as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) =
+    docstring). One evaluation at rhat, X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'),
+    the rows of the unit spherical labels, serves both states: b = c @ X, Cartesian
+    coefficients through <sigma|i>. The squared envelope is formed once per radial
+    node. The two anchor phases meet as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) =
     r cos(theta) on the rotated nodes khat' = R khat at equal times. The states' own
     u enter only through the checks of that identity, which run before
-    ``_oracle_polar_radial_sum`` sums the phase at r cos(theta). Raises ValueError
-    if u overflows, or if its rounding could move the phase k u by a radian at the
-    grid's largest k, where the anchors hide their separation; RuntimeError if
-    u2 - u1 varies with azimuth or departs from r cos(theta) beyond rounding.
+    ``_oracle_polar_radial_sum`` sums the phase at r cos(theta): one pass over
+    u2 - u1 - r cos(theta) passes them, and only a failure runs them one by one.
+    Raises ValueError if u overflows, or if its rounding could move the phase k u by
+    a radian at the grid's largest k, where the anchors hide their separation;
+    RuntimeError if u2 - u1 varies with azimuth or departs from r cos(theta) beyond
+    rounding.
     """
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
     family = s1.family
     rvec = _state_separation(s1, s2)
-    r = math.hypot(*rvec)
+    r = math.hypot(*rvec.tolist())
     nmu, nphi, nk = _oracle_node_counts(q, r, a, family.spin)
     rot = _oracle_rotation(rvec)
-    khat = _oracle_angular_grid(nmu, nphi)[0] @ rot.T
+    khat = (rot @ _oracle_angular_grid(nmu, nphi)[0].T).T
     k, wk = _oracle_radial_grid(nk, a)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        u1, u2 = _anchor_phase(s1, khat), _anchor_phase(s2, khat)
-        # each u carries a rounding error of a few eps (|t| + |x|_1), and of a few
-        # subnormal steps where the products khat_i x_i are subnormal
-        bound = 64.0 * (_EPS * (np.abs(s1.x).sum() + np.abs(s2.x).sum()) + _SUBNORMAL)
-    if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-        raise ValueError("the anchor phase u = t - khat.x overflows: the anchors leave the "
-                         "double range of the oracle")
-    if not k[-1] * bound < 1.0:
-        raise ValueError(f"the anchors are too large for the oracle: the rounding of the "
-                         f"anchor phase k u reaches {k[-1] * bound:.3g} rad, which hides "
-                         f"their separation")
-    du = (u2 - u1).reshape(nmu, nphi)
-    if not np.ptp(du, axis=1).max() <= bound:
-        raise RuntimeError("the states' relative anchor phase varies with azimuth on the "
-                           "grid aligned with their separation")
-    polar = r * _oracle_gauss_legendre(nmu)[0]
-    if not np.abs(du - polar[:, None]).max() <= bound:
-        raise RuntimeError("the states' relative anchor phase departs from r cos(theta) on "
-                           "the grid aligned with their separation")
-    # the rows at rhat come in ascending helicity: reversed, they are b in sigma order
-    complete = StateFamily(family.spin, tuple(range(-family.spin, family.spin + 1)),
-                           family.label_basis)
-    b1, b2 = (_label_rows(complete, s.coefficients, rot[None, :, 2])[0, ::-1] for s in (s1, s2))
+    _check_anchor_phases(s1, s2, khat, r * _oracle_gauss_legendre(nmu)[0], k[-1])
+    X = _unit_rows(family.spin, rot[:, 2])
+    if family.label_basis == "cartesian":
+        X = _SPH_TO_CART.T @ X  # the rows of the unit Cartesian labels
+    b1, b2 = s1.coefficients @ X, s2.coefficients @ X
     table = (_oracle_label_sums if (2 * family.spin + 1) ** 2 * nmu * 16
              <= _ORACLE_TABLE_CACHE_BYTES else _oracle_label_table)
     G = table(family.spin, family.helicities, "spherical", nmu, nphi)
     labels = (b1.conj()[:, None] * b2).ravel() @ G
-    # k^2 from the volume element, one k from the measure
-    wrad = wk * k**3 * _envelope(s1, k) * _envelope(s2, k)
+    # k^2 from the volume element, one k from the measure; both states share the envelope
+    envelope = _envelope(s1, k)
+    wrad = wk * k**3 * envelope * envelope
     return complex(_oracle_polar_radial_sum(labels[None], k, wrad, r, nmu)[0])

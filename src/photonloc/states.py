@@ -186,11 +186,26 @@ def _wigner_sum_table(j: int) -> np.ndarray:
 def _azimuth_phase(khat: np.ndarray):
     """(rho, e^{i phi}) at unit directions ``khat`` of shape (M, 3): rho = sin(theta) =
     |khat_x + i khat_y| and e^{i phi} = 1 on the poles. e^{i phi} is formed by real
-    divisions: a complex one scales by 1/rho, which overflows for a subnormal rho."""
+    divisions into its real and imaginary parts: a complex one scales by 1/rho, which
+    overflows for a subnormal rho."""
     rho = np.hypot(khat[:, 0], khat[:, 1])
-    cos_phi = np.divide(khat[:, 0], rho, out=np.ones_like(rho), where=rho > 0.0)
-    sin_phi = np.divide(khat[:, 1], rho, out=np.zeros_like(rho), where=rho > 0.0)
-    return rho, cos_phi + 1j * sin_phi
+    e = np.ones(len(rho), dtype=complex)
+    off_pole = rho > 0.0
+    np.divide(khat[:, 0], rho, out=e.real, where=off_pole)
+    np.divide(khat[:, 1], rho, out=e.imag, where=off_pole)
+    return rho, e
+
+
+@lru_cache(maxsize=256)
+def _wigner_constants(j: int, helicities: tuple):
+    """Read-only (b = 0..2j, sigma = j..-j, -lam, P[b, sigma, lam] over ``helicities``) of
+    :func:`_wigner_rows`, P Wigner's table :func:`_wigner_sum_table`; the bound of 256
+    holds every helicity set a benchmark run uses."""
+    arrays = (np.arange(2 * j + 1), np.arange(j, -j - 1, -1), -np.array(helicities),
+              _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _wigner_rows(family: StateFamily, khat: np.ndarray) -> np.ndarray:
@@ -198,17 +213,15 @@ def _wigner_rows(family: StateFamily, khat: np.ndarray) -> np.ndarray:
     shape (2j+1, M, len(helicities)), at unit directions ``khat`` of shape (M, 3) and
     spin j > 1: row sigma is the label rows of the unit spherical label sigma, d from
     Wigner's sum :func:`_wigner_sum_table`."""
-    j, helicities = family.spin, family.helicities
+    powers, sigma, minus_lam, table = _wigner_constants(family.spin, family.helicities)
     c = khat[:, 2]  # cos(theta)
     rho, e = _azimuth_phase(khat)
     # cos, sin of theta/2 from the larger of 1 +- c and rho / 2 = cos sin: no cancellation
     big = np.sqrt(0.5 * (1.0 + np.abs(c)))
-    cos_half, sin_half = np.where(c >= 0.0, (big, 0.5 * rho / big), (0.5 * rho / big, big))
-    powers = np.arange(2 * j + 1)
+    small = 0.5 * rho / big
+    cos_half, sin_half = np.where(c >= 0.0, (big, small), (small, big))
     monomials = cos_half[:, None] ** powers[::-1] * sin_half[:, None] ** powers
-    table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]]
-    sigma, lam = np.arange(j, -j - 1, -1), np.array(helicities)
-    x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** -lam
+    x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** minus_lam
     x *= monomials @ table.transpose(1, 0, 2)
     return x
 
@@ -246,6 +259,41 @@ def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray)
         else:
             rows[:, i] = up * bm - w * b0 + (down * bp) * e2
     return rows
+
+
+@lru_cache(maxsize=J_MAX + 1)
+def _complete_family(j: int) -> StateFamily:
+    """The spin-j family of every helicity, in spherical labels."""
+    return StateFamily(j, tuple(range(-j, j + 1)))
+
+
+@lru_cache(maxsize=256)
+def _one_helicity(family: StateFamily, lam: int) -> StateFamily:
+    """``family`` restricted to the helicity ``lam``, whose label rows are the column
+    ``lam`` of the family's. The bound of 256 holds every (family, lam) a benchmark run
+    uses."""
+    return replace(family, helicities=(lam,))
+
+
+def _unit_rows(spin: int, khat: np.ndarray) -> np.ndarray:
+    """X[sigma, sigma'] = C_{e_sigma}(khat, sigma'), sigma and sigma' = j..-j: the label
+    rows at the one unit direction ``khat`` of shape (3,) of every unit spherical label
+    of the complete spin-j family, so that c @ X is the row of the spherical coefficients
+    c in sigma order. Spin 1 is the closed form of :func:`_label_rows` at unit
+    coefficients, on Python scalars; higher spins take :func:`_wigner_rows`."""
+    if spin == 0:
+        return np.ones((1, 1), dtype=complex)
+    if spin > 1:
+        return _wigner_rows(_complete_family(spin), khat[None])[:, 0, ::-1]
+    x, y, c = khat.tolist()  # c = cos(theta)
+    rho = math.hypot(x, y)
+    e = complex(x / rho, y / rho) if rho > 0.0 else 1.0  # e^{i phi}, as _azimuth_phase
+    up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
+    w = complex(x, y) * math.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
+    e2 = e * e
+    return np.array([[up, -w, down * e2],
+                     [w.conjugate(), c, -w],
+                     [down * e2.conjugate(), w.conjugate(), up]])
 
 
 def _envelope(state: LocalizedState, k: np.ndarray) -> np.ndarray:
@@ -301,8 +349,7 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
             raise ValueError("the anchor phase |k| (t - khat.x) overflows: the anchor times "
                              "the momentum leaves the double range")
         amp.real[live], amp.imag[live] = envelope[live] * np.cos(arg), envelope[live] * np.sin(arg)
-        rows = _label_rows(state.family, state.coefficients, khat)
-        amp *= rows[:, state.family.helicities.index(lam)]
+        amp *= _label_rows(_one_helicity(state.family, lam), state.coefficients, khat)[:, 0]
     return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])
 
 

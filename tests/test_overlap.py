@@ -418,6 +418,51 @@ class TestBruteForceAgreement:
             brute_force_overlap(s1, s2, spec)
 
     @pytest.mark.parametrize("spec", [Q, None])
+    def test_oracle_checks_keep_their_order(self, monkeypatch, spec):
+        # a failed one-pass check runs the checks one by one: an overflow is reported
+        # before a spread over azimuth, and a spread before a departure off the separation
+        x1, x2 = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.0])
+        s1 = state_at(CARTESIAN_PHOTON, x1, "x")
+        s2 = state_at(CARTESIAN_PHOTON, x2, "y")
+        rhat = (x1 - x2) / np.linalg.norm(x1 - x2)
+        phase = photonloc.overlap._anchor_phase
+        overflow = [True]
+
+        def corrupted(state, khat):
+            u = phase(state, khat)
+            if state is s1:
+                u = u + 1e-9 * khat[:, 0] + 1e-9 * (khat @ rhat)
+                if overflow[0]:
+                    u[-1] = np.inf
+            return u
+
+        monkeypatch.setattr(photonloc.overlap, "_anchor_phase", corrupted)
+        with pytest.raises(ValueError, match="anchor phase u = t - khat.x overflows"):
+            brute_force_overlap(s1, s2, spec)
+        overflow[0] = False
+        with pytest.raises(RuntimeError, match="varies with azimuth"):
+            brute_force_overlap(s1, s2, spec)
+
+    @pytest.mark.parametrize("spec", [Q, None])
+    def test_oracle_admits_a_relative_phase_within_its_rounding_bound(self, monkeypatch, spec):
+        # a shift along rhat of half the rounding bound fails the one-pass check but
+        # passes every check it stands for; u never enters the sum, so the value stays
+        x1, x2 = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.0])
+        s1 = state_at(CARTESIAN_PHOTON, x1, "x")
+        s2 = state_at(CARTESIAN_PHOTON, x2, "y")
+        rhat = (x1 - x2) / np.linalg.norm(x1 - x2)
+        bound = 64.0 * np.finfo(float).eps * (np.abs(s1.x).sum() + np.abs(s2.x).sum())
+        expected = brute_force_overlap(s1, s2, spec)
+        phase = photonloc.overlap._anchor_phase
+
+        def shifted(state, khat):
+            u = phase(state, khat)
+            return u + 0.5 * bound * (khat @ rhat) if state is s1 else u
+
+        monkeypatch.setattr(photonloc.overlap, "_anchor_phase", shifted)
+        assert brute_force_overlap(s1, s2, spec) == expected
+
+    @pytest.mark.parametrize("spec", [Q, None])
     def test_oracle_rejects_anchors_that_hide_the_separation(self, spec):
         # u2 - u1 rounds to 0 at |x| ~ 1e300, which would give the coincident value
         # 0.0224 where qm_overlap gives 0.0083

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonloc.overlap import qm_overlap
 from photonloc.rotations import (
+    _SPH_TO_CART,
     rotation_from_axis_angle,
     standard_rotation,
     wigner_angle,
@@ -18,6 +23,7 @@ from photonloc.states import (
     SPHERICAL_PHOTON,
     StateFamily,
     _label_rows,
+    _unit_rows,
     _wigner_rows,
     _NAMED,
     make_localized_state,
@@ -400,6 +406,31 @@ class TestSpinJStates:
                 rows = _label_rows(family, unit, khat)  # columns lam = -j..j
                 assert np.abs(rows - expected[:, i, ::-1]).max() <= 1e-13
                 assert np.abs(units[i] - expected[:, i, ::-1]).max() <= 1e-13
+
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_unit_rows_give_every_states_row_at_one_direction(self, data):
+        # the oracle overlap reads both states' aligned coefficients off one X: c @ X, the
+        # spherical components of c for Cartesian labels, is the state's own row over the
+        # complete helicity set, reversed to sigma order
+        j = data.draw(st.integers(0, 10), label="j")
+        cartesian = j == 1 and data.draw(st.booleans(), label="cartesian")
+        family = StateFamily(j, tuple(range(-j, j + 1)), "cartesian" if cartesian else "spherical")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        special = [[0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [1e-9, 0.0, -np.sqrt(1.0 - 1e-18)],
+                   [3e-320, -4e-320, 1.0], [-1.0, -0.0, 0.0]]
+        choice = data.draw(st.integers(-1, len(special) - 1), label="direction")
+        rhat = rng.normal(size=3) if choice < 0 else np.array(special[choice])
+        rhat = rhat / np.linalg.norm(rhat)
+        state = make_localized_state(family, ORIGIN, family.labels[rng.integers(2 * j + 1)], 1.0)
+        state = rotate_state(state, random_rotation(rng))
+        if data.draw(st.booleans(), label="mixed"):
+            mixed = rng.normal(size=2 * j + 1) + 1j * rng.normal(size=2 * j + 1)
+            state = replace(state, coefficients=mixed / np.linalg.norm(mixed))
+        c = state.coefficients
+        spherical = _SPH_TO_CART @ c if cartesian else c
+        expected = _label_rows(family, c, rhat[None])[0, ::-1]
+        assert np.abs(spherical @ _unit_rows(j, rhat) - expected).max() <= 1e-15
 
     def test_overlap_is_rotation_invariant_at_every_spin(self):
         rng = np.random.default_rng(73)
