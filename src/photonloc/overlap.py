@@ -579,11 +579,8 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
 
 def _check_anchor_phases(s1: LocalizedState, s2: LocalizedState, khat: np.ndarray,
                          polar: np.ndarray, kmax: float):
-    """Check that the states' anchor phases meet as u2 - u1 = r cos(theta) on the rotated
-    nodes ``khat``, to rounding: ``polar`` is r cos(theta) per polar node, the azimuth
-    the fast axis of ``khat``. Raises ValueError if u overflows, or if its rounding
-    could move the phase k u by a radian at ``kmax``; RuntimeError if u2 - u1 varies
-    with azimuth or departs from r cos(theta) beyond rounding, in that order.
+    """The anchor-phase checks of :func:`brute_force_overlap`, in its order, on the rotated
+    nodes ``khat`` (azimuth the fast axis; ``polar`` is r cos(theta) per polar node).
 
     One pass decides the usual case: a departure within a quarter of the rounding
     bound everywhere keeps every u finite and the spread over a polar row within

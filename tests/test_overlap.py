@@ -426,20 +426,21 @@ class TestBruteForceAgreement:
         s2 = state_at(CARTESIAN_PHOTON, x2, "y")
         rhat = (x1 - x2) / np.linalg.norm(x1 - x2)
         phase = photonloc.overlap._anchor_phase
-        overflow = [True]
 
-        def corrupted(state, khat):
-            u = phase(state, khat)
-            if state is s1:
-                u = u + 1e-9 * khat[:, 0] + 1e-9 * (khat @ rhat)
-                if overflow[0]:
-                    u[-1] = np.inf
-            return u
+        def corrupted(overflow):
+            def spread_off_axis(state, khat):
+                u = phase(state, khat)
+                if state is s1:
+                    u = u + 1e-9 * khat[:, 0] + 1e-9 * (khat @ rhat)
+                    if overflow:
+                        u[-1] = np.inf
+                return u
+            return spread_off_axis
 
-        monkeypatch.setattr(photonloc.overlap, "_anchor_phase", corrupted)
+        monkeypatch.setattr(photonloc.overlap, "_anchor_phase", corrupted(overflow=True))
         with pytest.raises(ValueError, match="anchor phase u = t - khat.x overflows"):
             brute_force_overlap(s1, s2, spec)
-        overflow[0] = False
+        monkeypatch.setattr(photonloc.overlap, "_anchor_phase", corrupted(overflow=False))
         with pytest.raises(RuntimeError, match="varies with azimuth"):
             brute_force_overlap(s1, s2, spec)
 
