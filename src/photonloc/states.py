@@ -196,32 +196,22 @@ def _azimuth_phase(khat: np.ndarray):
     return rho, e
 
 
-@lru_cache(maxsize=256)
-def _wigner_constants(j: int, helicities: tuple):
-    """Read-only (b = 0..2j, sigma = j..-j, -lam, P[b, sigma, lam] over ``helicities``) of
-    :func:`_wigner_rows`, P Wigner's table :func:`_wigner_sum_table`; the bound of 256
-    holds every helicity set a benchmark run uses."""
-    arrays = (np.arange(2 * j + 1), np.arange(j, -j - 1, -1), -np.array(helicities),
-              _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]])
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 def _wigner_rows(family: StateFamily, khat: np.ndarray) -> np.ndarray:
     """x[sigma, n, lam] = d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, sigma = j..-j,
-    shape (2j+1, M, len(helicities)), at unit directions ``khat`` of shape (M, 3) and
-    spin j > 1: row sigma is the label rows of the unit spherical label sigma, d from
-    Wigner's sum :func:`_wigner_sum_table`."""
-    powers, sigma, minus_lam, table = _wigner_constants(family.spin, family.helicities)
+    shape (2j+1, M, len(helicities)), at unit directions ``khat`` of shape (M, 3): row
+    sigma is the label rows of the unit spherical label sigma, d from Wigner's sum
+    :func:`_wigner_sum_table`."""
+    j, helicities = family.spin, family.helicities
     c = khat[:, 2]  # cos(theta)
     rho, e = _azimuth_phase(khat)
     # cos, sin of theta/2 from the larger of 1 +- c and rho / 2 = cos sin: no cancellation
     big = np.sqrt(0.5 * (1.0 + np.abs(c)))
-    small = 0.5 * rho / big
-    cos_half, sin_half = np.where(c >= 0.0, (big, small), (small, big))
+    cos_half, sin_half = np.where(c >= 0.0, (big, 0.5 * rho / big), (0.5 * rho / big, big))
+    powers = np.arange(2 * j + 1)
     monomials = cos_half[:, None] ** powers[::-1] * sin_half[:, None] ** powers
-    x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** minus_lam
+    table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]]
+    sigma, lam = np.arange(j, -j - 1, -1), np.array(helicities)
+    x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** -lam
     x *= monomials @ table.transpose(1, 0, 2)
     return x
 
@@ -261,39 +251,13 @@ def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray)
     return rows
 
 
-@lru_cache(maxsize=J_MAX + 1)
-def _complete_family(j: int) -> StateFamily:
-    """The spin-j family of every helicity, in spherical labels."""
-    return StateFamily(j, tuple(range(-j, j + 1)))
-
-
-@lru_cache(maxsize=256)
-def _one_helicity(family: StateFamily, lam: int) -> StateFamily:
-    """``family`` restricted to the helicity ``lam``, whose label rows are the column
-    ``lam`` of the family's. The bound of 256 holds every (family, lam) a benchmark run
-    uses."""
-    return replace(family, helicities=(lam,))
-
-
 def _unit_rows(spin: int, khat: np.ndarray) -> np.ndarray:
     """X[sigma, sigma'] = C_{e_sigma}(khat, sigma'), sigma and sigma' = j..-j: the label
     rows at the one unit direction ``khat`` of shape (3,) of every unit spherical label
     of the complete spin-j family, so that c @ X is the row of the spherical coefficients
-    c in sigma order. Spin 1 is the closed form of :func:`_label_rows` at unit
-    coefficients, on Python scalars; higher spins take :func:`_wigner_rows`."""
-    if spin == 0:
-        return np.ones((1, 1), dtype=complex)
-    if spin > 1:
-        return _wigner_rows(_complete_family(spin), khat[None])[:, 0, ::-1]
-    x, y, c = khat.tolist()  # c = cos(theta)
-    rho = math.hypot(x, y)
-    e = complex(x / rho, y / rho) if rho > 0.0 else 1.0  # e^{i phi}, as _azimuth_phase
-    up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-    w = complex(x, y) * math.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
-    e2 = e * e
-    return np.array([[up, -w, down * e2],
-                     [w.conjugate(), c, -w],
-                     [down * e2.conjugate(), w.conjugate(), up]])
+    c in sigma order; :func:`_wigner_rows` at every spin."""
+    complete = StateFamily(spin, tuple(range(-spin, spin + 1)))
+    return _wigner_rows(complete, khat[None])[:, 0, ::-1]
 
 
 def _envelope(state: LocalizedState, k: np.ndarray) -> np.ndarray:
@@ -349,7 +313,8 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
             raise ValueError("the anchor phase |k| (t - khat.x) overflows: the anchor times "
                              "the momentum leaves the double range")
         amp.real[live], amp.imag[live] = envelope[live] * np.cos(arg), envelope[live] * np.sin(arg)
-        amp *= _label_rows(_one_helicity(state.family, lam), state.coefficients, khat)[:, 0]
+        one = replace(state.family, helicities=(lam,))  # the column lam of the family's rows
+        amp *= _label_rows(one, state.coefficients, khat)[:, 0]
     return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])
 
 
