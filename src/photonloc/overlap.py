@@ -11,11 +11,11 @@ labels. For every family the equal-time overlap of two label states reduces to
 with r = x1_vec - x2_vec, radial weight w(k) = k^s exp(-a^2 k^2) carrying the
 measure left over by the covariant normalization, and G the helicity sum over
 the family's spectrum. In the frame aligned with r the angular matrix is
-diagonal with entries that are polynomials of degree 2j in cos(theta). A
-(2j+1)-node Gauss-Legendre rule projects them exactly on Legendre
-polynomials, which turns the angular integral into 4*pi i^l j_l(kr) per
-order. Each radial integral then has a closed form (Gradshteyn-Ryzhik
-6.631.1 with j_l(y) = sqrt(pi/2y) J_(l+1/2)(y)):
+diagonal with entries sum_lam d^j_(m lam)(theta)^2, polynomials of degree 2j in
+cos(theta). Their Legendre coefficients are Clebsch-Gordan products in closed
+form (``_aligned_table``), exact rationals rounded once, and each Legendre order
+turns the angular integral into 4*pi i^l j_l(kr). Each radial integral then has
+a closed form (Gradshteyn-Ryzhik 6.631.1 with j_l(y) = sqrt(pi/2y) J_(l+1/2)(y)):
 
     I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r)
         = sqrt(pi)/2^(l+2) * Gamma(b)/Gamma(c) * x^l * a^-(3+s) * 1F1(b; c; -x^2/4),
@@ -31,7 +31,7 @@ the angle comes from atan2; B is the change of label basis, the identity for
 spherical labels and U^H, the adjoint of the read-only ``rotations`` constant
 U = <sigma|i>, for Cartesian ones, so no conjugation follows the rotation. A call
 checks and copies its separation once. No production step has a node count or a
-tolerance. ``scipy.special`` (1F1, Gamma, Legendre) serves only
+tolerance. ``scipy.special`` (1F1, Gamma) serves only
 this closed form and is imported where it runs, so a process that never
 evaluates a production kernel never loads it.
 
@@ -98,7 +98,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rotations import _SPH_TO_CART, _SPH_TO_CART_H, _rotated_diagonal, _validated_spin
-from .rotations import small_d_matrix, validate_helicities
+from .rotations import validate_helicities
 from .states import (
     RADIATION_GAUGE,
     LocalizedState,
@@ -250,17 +250,30 @@ def _state_separation(s1: LocalizedState, s2: LocalizedState) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _aligned_table(j: int) -> np.ndarray:
-    """Read-only T[l, m, j - lam], i^l and 4 pi / (2 pi)^3 included: the kernel in the
-    frame aligned with r is diagonal, entries sum_(l, lam) I_l T[l, m, j - lam]."""
-    from scipy.special import eval_legendre
+    """Read-only T[l, m, j - lam], m and lam = +j..-j, i^l and 4 pi / (2 pi)^3 included:
+    the kernel in the frame aligned with r is diagonal, entries sum_(l, lam) I_l T[l, m, j - lam].
 
-    # d^2 has degree 2j in mu, so P_l * d^2 (l <= 2j) has degree <= 4j: 2j+1 nodes are exact
-    mu, w = np.polynomial.legendre.leggauss(2 * j + 1)
-    l = np.arange(2 * j + 1)
-    proj = ((2 * l + 1) / 2.0)[:, None] * eval_legendre(l[:, None], mu) * w
-    weights = np.array([1.0, 1j, -1.0, -1j])[l % 4] * (4.0 * np.pi / (2.0 * np.pi) ** 3)
-    table = weights[:, None, None] * np.einsum("ln,nmk->lmk", proj,
-                                               small_d_matrix(j, np.arccos(mu)) ** 2)
+    T is the Legendre projection (2l+1)/2 int P_l(mu) d^j_(m lam)(theta)^2 dmu. With
+    d^j_(-m,-lam) = (-1)^(m-lam) d^j_(m lam), the product of d^j_(m lam) and d^j_(-m,-lam)
+    (Edmonds, Angular Momentum in Quantum Mechanics, eq. 4.3.2) makes it the Clebsch-Gordan
+    product (-1)^(m-lam) <j m j -m|l 0><j lam j -lam|l 0>. By Racah's sum that is
+    (2l+1) v_l(m) v_l(lam) / ((2j+l+1)! (2j-l)!), v_l(m) = (-1)^(j-m) (j+m)! (j-m)!
+    sum_k (-1)^k C(2j-l, k) C(l, j-m-k)^2, in integers: times the double 4 pi / (2 pi)^3,
+    each entry is rounded once, and a structural zero is exactly 0.
+    """
+    j = _validated_spin(j)
+    n = 2 * j + 1
+    f = math.factorial
+    scale, scale_den = (4.0 * math.pi / (2.0 * math.pi) ** 3).as_integer_ratio()
+    table = np.empty((n, n, n))
+    for l in range(n):
+        v = [(-1) ** (j - m) * f(j + m) * f(j - m)
+             * sum((-1) ** k * math.comb(2 * j - l, k) * math.comb(l, j - m - k) ** 2
+                   for k in range(j - m + 1))
+             for m in range(j, -j - 1, -1)]
+        den = f(2 * j + l + 1) * f(2 * j - l) * scale_den
+        table[l] = [[(2 * l + 1) * scale * vm * vlam / den for vlam in v] for vm in v]
+    table = np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4, None, None] * table
     table.setflags(write=False)
     return table
 

@@ -126,6 +126,22 @@ def legendre_projection(j):
     return {lam: weights * (proj.T @ d[:, :, j - lam] ** 2) for lam in range(-j, j + 1)}
 
 
+def clebsch_gordan_table(j):
+    """_aligned_table(j) from sympy's exact Clebsch-Gordan coefficients, each entry rounded
+    once from 30 digits: i^l 4 pi / (2 pi)^3 (-1)^(m-lam) <j m j -m|l 0><j lam j -lam|l 0>."""
+    from sympy import pi
+    from sympy.physics.wigner import clebsch_gordan
+
+    n = 2 * j + 1
+    table = np.empty((n, n, n))
+    for l in range(n):
+        cg = [clebsch_gordan(j, j, l, j - i, i - j, 0) for i in range(n)]
+        for i, k in np.ndindex(n, n):
+            exact = (-1) ** (i + k) * cg[i] * cg[k] * 4 * pi / (2 * pi) ** 3
+            table[l, i, k] = float(exact.evalf(30))
+    return np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4, None, None] * table
+
+
 def rotated_diagonal_kernel(columns, helicities, rvec, a, s):
     """The aligned diagonal conjugated by the full D-matrix of the standard rotation."""
     j = (len(columns) - 1) // 2
@@ -491,7 +507,7 @@ class TestBruteForceAgreement:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached a production-path function")
 
-        for module, name in ((photonloc.overlap, "small_d_matrix"),
+        for module, name in ((math, "comb"),  # the binomials of _aligned_table's closed form
                              (photonloc.overlap, "_aligned_table"),
                              (photonloc.overlap, "_helicity_columns"),
                              (photonloc.overlap, "_rotated_diagonal"),
@@ -1050,6 +1066,14 @@ class TestKernelEngine:
             expected = sum((columns[lam] for lam in helicities), np.zeros_like(summed))
             assert np.abs(summed - expected).max() < 1e-14
 
+    def test_table_is_the_clebsch_gordan_product_to_two_ulp(self):
+        for j in range(5):
+            table, exact = _aligned_table(j), clebsch_gordan_table(j)
+            for part in ("real", "imag"):
+                got, want = getattr(table, part), getattr(exact, part)
+                assert np.all(got[want == 0.0] == 0.0)  # no residue on a structural zero
+                assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
     def test_table_is_read_only_and_cached_per_spin_only(self):
         rvec = np.array([0.4, -0.2, 0.9])
         for j in range(1, 4):
@@ -1186,7 +1210,20 @@ class TestKernelProperties:
         rvec, a = _draw_separation(data)
         K = overlap_kernel_matrix(StateFamily(j, helicities), rvec, a).entries
         expected = len(helicities) * gaussian_delta(np.linalg.norm(rvec), a)
-        assert abs(np.trace(K) - expected) <= 1e-11 * _kernel_scale(K, rvec, a, 0.0)
+        assert abs(np.trace(K) - expected) <= 1e-13 * _kernel_scale(K, rvec, a, 0.0)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_complete_spin_1_families_are_the_delta_to_relative_precision(self, data):
+        # the complete helicity sum of the table leaves the l = 0 order alone, exactly,
+        # so the kernel keeps the Gaussian far below the dipole floor
+        family = StateFamily.of(data.draw(st.sampled_from((SPHERICAL3, CARTESIAN3)), label="kind"))
+        a = data.draw(st.floats(0.1, 10.0), label="a")
+        r_over_a = data.draw(st.floats(0.0, 30.0), label="r/a")
+        rvec = r_over_a * a * _draw_unit_vector(data, "direction")
+        delta = gaussian_delta(np.linalg.norm(rvec), a)
+        K = overlap_kernel_matrix(family, rvec, a).entries
+        assert np.abs(K - delta * np.eye(3)).max() <= 1e-12 * delta
 
     @settings(max_examples=30)
     @given(data=st.data())
