@@ -11,11 +11,11 @@ labels. For every family the equal-time overlap of two label states reduces to
 with r = x1_vec - x2_vec, radial weight w(k) = k^s exp(-a^2 k^2) carrying the
 measure left over by the covariant normalization, and G the helicity sum over
 the family's spectrum. In the frame aligned with r the angular matrix is
-diagonal with entries sum_lam d^j_(m lam)(theta)^2, polynomials of degree 2j in
-cos(theta). Their Legendre coefficients are Clebsch-Gordan products in closed
-form (``_aligned_table``), exact rationals rounded once, and each Legendre order
-turns the angular integral into 4*pi i^l j_l(kr). Each radial integral then has
-a closed form (Gradshteyn-Ryzhik 6.631.1 with j_l(y) = sqrt(pi/2y) J_(l+1/2)(y)):
+diagonal with entries that are polynomials of degree 2j in cos(theta). Their
+Legendre coefficients are Clebsch-Gordan products (``_aligned_table``), exact
+rationals rounded once, and order l turns the angular integral into
+4*pi i^l j_l(kr). Each radial integral then has a closed form (Gradshteyn-Ryzhik
+6.631.1 with j_l(y) = sqrt(pi/2y) J_(l+1/2)(y)):
 
     I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r)
         = sqrt(pi)/2^(l+2) * Gamma(b)/Gamma(c) * x^l * a^-(3+s) * 1F1(b; c; -x^2/4),
@@ -259,20 +259,24 @@ def _aligned_table(j: int) -> np.ndarray:
     product (-1)^(m-lam) <j m j -m|l 0><j lam j -lam|l 0>. By Racah's sum that is
     (2l+1) v_l(m) v_l(lam) / ((2j+l+1)! (2j-l)!), v_l(m) = (-1)^(j-m) (j+m)! (j-m)!
     sum_k (-1)^k C(2j-l, k) C(l, j-m-k)^2, in integers: times the double 4 pi / (2 pi)^3,
-    each entry is rounded once, and a structural zero is exactly 0.
+    each entry is rounded once, and a structural zero is exactly 0. As v_l(-m) =
+    (-1)^l v_l(m), the entries at m, lam >= 0 give the rest.
     """
     j = _validated_spin(j)
     n = 2 * j + 1
     f = math.factorial
     scale, scale_den = (4.0 * math.pi / (2.0 * math.pi) ** 3).as_integer_ratio()
+    mirror = np.r_[0 : j + 1, j - 1 : -1 : -1]  # m = +j..-j to |m| = j..0
     table = np.empty((n, n, n))
     for l in range(n):
         v = [(-1) ** (j - m) * f(j + m) * f(j - m)
              * sum((-1) ** k * math.comb(2 * j - l, k) * math.comb(l, j - m - k) ** 2
                    for k in range(j - m + 1))
-             for m in range(j, -j - 1, -1)]
+             for m in range(j, -1, -1)]
         den = f(2 * j + l + 1) * f(2 * j - l) * scale_den
-        table[l] = [[(2 * l + 1) * scale * vm * vlam / den for vlam in v] for vm in v]
+        half = np.array([[(2 * l + 1) * scale * vm * vlam / den for vlam in v] for vm in v])
+        sign = np.r_[np.ones(j + 1), np.full(j, (-1.0) ** l)]
+        table[l] = np.outer(sign, sign) * half[np.ix_(mirror, mirror)]
     table = np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4, None, None] * table
     table.setflags(write=False)
     return table
