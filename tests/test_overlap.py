@@ -137,6 +137,7 @@ def clebsch_gordan_table(j):
     for l in range(n):
         cg = [clebsch_gordan(j, j, l, j - i, i - j, 0) for i in range(n)]
         for i, k in np.ndindex(n, n):
+            # (-1)^(m-lam) as (-1)^(i+k): a negative power of an int is a float, 53 bits
             exact = (-1) ** (i + k) * cg[i] * cg[k] * 4 * pi / (2 * pi) ** 3
             table[l, i, k] = float(exact.evalf(30))
     return np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4, None, None] * table
