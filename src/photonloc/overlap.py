@@ -42,33 +42,34 @@ Oracle path
 polar axis is the separation r, so that the phase e^{i k.r} depends only on
 (k, cos theta). Without a :class:`QuadratureSpec` the grid sizes itself from
 k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes, rounded up to a
-multiple of 32, and 8 ceil((2j + 1) / 8) azimuths, exact for the spin-j label
-part (eight to j = 3; the kernel oracle serves spin 1); an explicit spec gives
-four times its counts. Both oracles take the label dependence from one table,
-``_oracle_label_sums``: the states' own label rows C(khat, lam) of the unit
-labels a, b on the unrotated grid, conj(C_a) C_b summed over the family's
-helicities and over azimuth, one (2j+1)^2 block per polar node, cached per grid
-and label structure (spin, helicities, basis) up to 1 MiB a table; a larger spin-j
-table is built for its one overlap. Both sum their phase in one loop,
-``_oracle_polar_radial_sum``: S(p) = sum_k w(k) e^{i k p} once per polar node
-p = r cos(theta), then contracted with the label table; the nodes are mirrored
-and w is real, so S(-p) = conj(S(p)) and only the upper half takes cos and sin.
-``brute_force_kernel_matrix`` reads the table in the family's label basis and
-rotates the aligned result back with a plain 3x3 rotation R, R z = rhat:
+multiple of 32, and 8 ceil((2j + 1) / 8) azimuths; an explicit spec gives four
+times its counts. Both sum their phase in one loop, ``_oracle_polar_radial_sum``:
+S(p) = sum_k w(k) e^{i k p} once per polar node p = r cos(theta), then contracted
+with a label table per polar node; the nodes are mirrored and w is real, so
+S(-p) = conj(S(p)) and only the upper half takes cos and sin.
+``brute_force_kernel_matrix`` serves spin 1. Its table, ``_oracle_label_table``,
+sums the states' own label rows C(khat, lam) of the unit labels a, b on the
+unrotated grid, conj(C_a) C_b over the family's helicities and over azimuth, one
+3x3 block per polar node, cached per grid and label structure (helicities, basis).
+It rotates the aligned result back with a plain 3x3 rotation R, R z = rhat:
 K(r) = R K(|r| z) R^T, which assumes only a rotation-invariant measure.
-``brute_force_overlap`` reads the spherical-basis table and turns the states
-instead: helicity rows obey C_c(R khat, lam) = e^{i lam w} C_{D(R)^H c}(khat, lam)
-(Jacob and Wick, Ann. Phys. 7, 404 (1959)), and the Wigner phase e^{i lam w}
-cancels in sum_lam conj(C_1) C_2, so the label part is conj(b1) (x) b2
-contracted with the table, b = D(R)^H c the coefficients in the frame aligned
-with r. b is the state's own label row at rhat over every helicity,
-b_sigma = C_c(rhat, sigma), with no D-matrix: its R is the standard rotation to
-rhat. Both states read it off one evaluation at rhat, the rows of the unit
-spherical labels X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as b = c @ X,
-Cartesian coefficients through <sigma|i>. The azimuth of that frame about rhat
-does not enter, because the table is summed over a uniform azimuth rule that is
-exact for the label part, of azimuthal degree 2j (an explicit spec of
-4 n_phi <= 2j azimuths aliases it). The amplitudes are separable,
+``brute_force_overlap`` serves every spin and turns the states instead: helicity
+rows obey C_c(R khat, lam) = e^{i lam w} C_{D(R)^H c}(khat, lam) (Jacob and Wick,
+Ann. Phys. 7, 404 (1959)), and the Wigner phase e^{i lam w} cancels in
+sum_lam conj(C_1) C_2, so the label part pairs conj(b1) and b2, b = D(R)^H c the
+coefficients in the frame aligned with r. b is the state's own label row at rhat
+over every helicity, b_sigma = C_c(rhat, sigma), with no D-matrix: its R is the
+standard rotation to rhat. Both states read it off one evaluation at rhat, the rows
+of the unit spherical labels X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as
+b = c @ X, Cartesian coefficients through <sigma|i>. In that frame the row of unit
+label sigma is d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, so the azimuth
+integral of conj(C_a) C_b leaves delta_ab: the label table is the diagonal
+g[sigma, mu] = 2 pi w_mu sum_lam |d^j_{sigma lam}(theta_mu)|^2 on the polar nodes
+alone (``_oracle_label_diagonal``, the states' rows at phi = 0, cached per spin,
+helicities and polar count), and the label part is (conj(b1) * b2) @ g. Neither
+the azimuth of the aligned frame about rhat nor the azimuth count enters it, so an
+explicit spec of 4 n_phi <= 2j azimuths does not alias it; the azimuths serve the
+anchor-phase checks. The amplitudes are separable,
 c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam), and the states share E (same
 family and a), which enters once per radial node, squared. The anchor phases
 meet as e^{i k (u2 - u1)}, u = t - khat.x, and at equal times
@@ -120,24 +121,11 @@ RADIAL_CUTOFF = 8.5
 #: 0.55 s at 4k points, 35 MB, 0.65 s at 131k and 49 MB, 0.67 s at 1M.
 _ORACLE_BLOCK_POINTS = 16_384
 
-#: (label pair, node) products per block of an oracle table build (whole polar rows).
-#: It bounds the build's buffers. A complete spin-10 table on 928 x 24 nodes (fresh
-#: process, 2 vCPUs, three runs each): 44 MB peak RSS, against 40 MB at 2^16, 69 MB
-#: at 2^19 and 103 MB at 2^20, in 0.7-1.1 s at every size.
-_ORACLE_TABLE_BLOCK = 1 << 17
-
-#: Largest oracle label table, in bytes, that is kept in the cache of 16: every spin-1
-#: table (at most 9 x 4320 entries, 0.6 MB) and the spin-j tables of small grids. A
-#: larger spin-j table is built for its one overlap and dropped, so the cache holds at
-#: most 16 MiB where self-sized spin-10 tables (up to 441 x 4320 entries, 30 MB each)
-#: would fill ~490 MB.
-_ORACLE_TABLE_CACHE_BYTES = 1 << 20
-
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
-#: (r/a)^2: at the bound a spin-1 kernel or overlap takes 0.3-0.4 s warm and 0.4-0.6 s
-#: in a fresh process; a spin-10 overlap, whose table is too large to cache, takes
-#: 1.3-1.8 s warm and 1.5-2.0 s fresh with two helicities, 3.5-3.8 s warm and
-#: 4.2-5.4 s fresh with all 21 (three fresh processes each, 2 vCPUs).
+#: (r/a)^2: at the bound a spin-1 kernel takes 0.2-0.35 s warm and 0.35-0.55 s in a
+#: fresh process; a spin-10 overlap takes 0.35-0.37 s warm and 0.51-0.53 s fresh with
+#: two helicities, 0.22-0.33 s warm and 0.37-0.54 s fresh with all 21 (three fresh
+#: processes each, 2 vCPUs).
 _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
@@ -285,8 +273,12 @@ def _aligned_table(j: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _helicity_columns(j: int, helicities: tuple) -> np.ndarray:
     """Read-only C[l, m] = sum over ``helicities`` of T[l, m, j - lam], T = ``_aligned_table(j)``.
-    The bound of 256 holds every helicity set a benchmark run uses."""
+    For a complete set the orders l >= 1 are exactly 0, as sum_lam d^j_{m lam}^2 = 1,
+    where the rounded columns would cancel only to the dipole floor. The bound of 256
+    holds every helicity set a benchmark run uses."""
     coeff = _aligned_table(j)[:, :, [j - lam for lam in helicities]].sum(axis=2)
+    if len(helicities) == 2 * j + 1:
+        coeff[1:] = 0.0
     coeff.setflags(write=False)
     return coeff
 
@@ -420,7 +412,7 @@ def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float, j: int):
     phase k r cos(theta) spans RADIAL_CUTOFF r / a radians over the grid, so the
     polar and radial counts follow k_max r / 2 with 64 nodes on top, rounded up
     to a multiple of 32 (so that warm calls share tables); 2j + 1 azimuths, rounded
-    up to a multiple of 8, are exact for the label part, of azimuthal degree 2j.
+    up to a multiple of 8, exceed the azimuthal degree 2j of the label part.
     """
     if q is not None:
         return 4 * q.n_theta, 4 * q.n_phi, 4 * q.n_radial
@@ -504,41 +496,37 @@ def _oracle_angular_grid(nmu: int, nphi: int):
 
 
 @lru_cache(maxsize=16)
-def _oracle_label_sums(spin: int, helicities: tuple, label_basis: str, nmu: int,
-                       nphi: int) -> np.ndarray:
-    """:func:`_oracle_label_table`, cached. The bound of 16 holds every key a benchmark
-    round uses: eleven, eight kernel ladder keys and three overlap label structures at
-    the test spec. Callers keep tables above ``_ORACLE_TABLE_CACHE_BYTES`` out of it."""
-    return _oracle_label_table(spin, helicities, label_basis, nmu, nphi)
-
-
-def _oracle_label_table(spin: int, helicities: tuple, label_basis: str, nmu: int,
-                        nphi: int) -> np.ndarray:
-    """Read-only G[(a, b), mu], shape ((2j+1)^2, nmu): sum over helicities and azimuth of
-    conj(C_a) C_b times the angular weight, C_a the rows of unit label a on the unrotated
-    grid; the weight exponent does not enter.
-
-    Built in blocks of whole polar rows, each node summed over helicities, then each
-    row over azimuth, in the same order whatever the block, so the kernel oracle's
-    results keep their bits. To spin 1 the rows are the closed form's for each unit
-    label; above, the unit labels' rows are Wigner's table :func:`_wigner_rows` itself.
-    """
+def _oracle_label_table(helicities: tuple, label_basis: str, nmu: int, nphi: int) -> np.ndarray:
+    """Read-only G[(a, b), mu], shape (9, nmu), of the spin-1 kernel oracle: the sum over
+    helicities and azimuth of conj(C_a) C_b times the angular weight, C_a the closed-form
+    rows of unit label a on the unrotated grid; the weight exponent does not enter. Each
+    node is summed over helicities, then each polar row over azimuth. The bound of 16
+    holds the eight keys of a benchmark round's kernel ladder."""
     khat, weights = _oracle_angular_grid(nmu, nphi)
-    family = StateFamily(spin, helicities, label_basis)
-    n = 2 * spin + 1
-    G = np.empty((n * n, nmu), dtype=complex)
-    block = max(1, _ORACLE_TABLE_BLOCK // (n * n * nphi))  # polar rows
-    for start in range(0, nmu, block):
-        nodes = slice(start * nphi, (start + block) * nphi)
-        if spin > 1:
-            rows = _wigner_rows(family, khat[nodes])
-        else:
-            rows = np.stack([_label_rows(family, unit, khat[nodes])
-                             for unit in np.eye(n, dtype=complex)])
-        sums = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights[nodes]
-        G[:, start : start + block] = sums.reshape(n * n, -1, nphi).sum(axis=2)
+    family = StateFamily(1, helicities, label_basis)
+    rows = np.stack([_label_rows(family, unit, khat) for unit in np.eye(3, dtype=complex)])
+    sums = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights
+    G = sums.reshape(9, nmu, nphi).sum(axis=2)
     G.setflags(write=False)
     return G
+
+
+@lru_cache(maxsize=16)
+def _oracle_label_diagonal(spin: int, helicities: tuple, nmu: int) -> np.ndarray:
+    """Read-only g[sigma, mu] = 2 pi w_mu sum_lam |d^j_{sigma lam}(theta_mu)|^2, shape
+    (2j+1, nmu), sigma = j..-j: the spherical label table of the overlap oracle.
+
+    The row of unit label sigma is d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, so
+    conj(C_a) C_b carries e^{i (b - a) phi}, and its azimuth integral leaves
+    delta_ab times 2 pi w_mu sum_lam |d^j_{a lam}|^2. The rows are :func:`_wigner_rows` at
+    phi = 0 on the polar nodes alone. A spin-10 diagonal at 4320 nodes is 0.7 MB, so the
+    bound of 16 holds at most ~11 MB."""
+    mu, wmu = _oracle_gauss_legendre(nmu)
+    khat = np.stack((np.sqrt(1.0 - mu**2), np.zeros(nmu), mu), axis=1)
+    parts = _wigner_rows(StateFamily(spin, helicities), khat).view(float)  # real, imaginary
+    g = 2.0 * np.pi * wmu * np.einsum("snl,snl->sn", parts, parts)
+    g.setflags(write=False)
+    return g
 
 
 def _oracle_polar_radial_sum(table: np.ndarray, k: np.ndarray, wrad: np.ndarray,
@@ -569,12 +557,13 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
 
     Entry (a, b) is the oracle overlap of the unit-label states a at ``rvec``
     and b at the origin. In the frame whose z-axis is rhat the phase e^{i k.r}
-    depends only on (k, cos theta): the states' label rows are summed over
-    helicities and azimuth first (``_oracle_label_sums``), the phase over k per
-    polar node, then both over cos(theta). The result is rotated back with the
-    plain 3x3 rotation, K(r) = R K(|r| z) R^T, the spherical families through
-    <sigma|i>. This assumes only that the measure is rotation invariant. Spin 1
-    only. ``q`` None sizes the grid from k_max r.
+    depends only on (k, cos theta): the states' label rows, in the family's label
+    basis, are summed over helicities and azimuth first into a 3x3 block per polar
+    node (``_oracle_label_table``, on the unrotated grid), the phase over k per polar
+    node, then both over cos(theta). The result is rotated back with the plain 3x3
+    rotation, K(r) = R K(|r| z) R^T, the spherical families through <sigma|i>. This
+    assumes only that the measure is rotation invariant. Spin 1 only; the overlap
+    oracle serves every spin. ``q`` None sizes the grid from k_max r.
     """
     a = require_regulator_width(a)
     if family.spin != 1:
@@ -582,7 +571,7 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     rvec = _separation(rvec)
     r = math.hypot(*rvec)
     nmu, nphi, nk = _oracle_node_counts(q, r, a, 1)
-    G = _oracle_label_sums(family.spin, family.helicities, family.label_basis, nmu, nphi)
+    G = _oracle_label_table(family.helicities, family.label_basis, nmu, nphi)
     k, wk = _oracle_radial_grid(nk, a)
     wrad = wk * k ** (2.0 + family.radial_power) * np.exp(-a * a * k * k)
     aligned = _oracle_polar_radial_sum(G, k, wrad, r, nmu)
@@ -633,18 +622,20 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     """Oracle overlap summing momentum amplitudes over a grid aligned with the
     anchors' separation r, R z = rhat. ``q`` None sizes the grid from k_max r.
 
-    The label part is conj(b1) (x) b2 contracted with the spherical-basis table
-    ``_oracle_label_sums``: b = D(R)^H c are the coefficients in the aligned frame,
-    each state's own label row at rhat over every helicity, in sigma order j..-j,
-    and the Wigner phase of the rotated rows cancels in their helicity sum (module
-    docstring). One evaluation at rhat, X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'),
-    the rows of the unit spherical labels, serves both states: b = c @ X, Cartesian
-    coefficients through <sigma|i>. The squared envelope is formed once per radial
-    node. The two anchor phases meet as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) =
-    r cos(theta) on the rotated nodes khat' = R khat at equal times. The states' own
-    u enter only through the checks of that identity, which run before
-    ``_oracle_polar_radial_sum`` sums the phase at r cos(theta): one pass over
-    u2 - u1 - r cos(theta) passes them, and only a failure runs them one by one.
+    The label part is (conj(b1) * b2) @ g, g the diagonal spherical label table
+    ``_oracle_label_diagonal`` on the polar nodes: b = D(R)^H c are the coefficients in
+    the aligned frame, each state's own label row at rhat over every helicity, in sigma
+    order j..-j, the Wigner phase of the rotated rows cancels in their helicity sum, and
+    the azimuth integral leaves only sigma1 = sigma2 (module docstring), so no azimuth
+    count aliases the label part. One evaluation at rhat, X[sigma, sigma'] =
+    C_{e_sigma}(rhat, sigma'), the rows of the unit spherical labels, serves both
+    states: b = c @ X, Cartesian coefficients through <sigma|i>. The squared envelope
+    is formed once per radial node. The two anchor phases meet as e^{i k (u2 - u1)},
+    u2 - u1 = khat'.(x1 - x2) = r cos(theta) on the rotated nodes khat' = R khat at
+    equal times. The states' own u enter only through the checks of that identity,
+    which run before ``_oracle_polar_radial_sum`` sums the phase at r cos(theta): one
+    pass over u2 - u1 - r cos(theta) passes them, and only a failure runs them one by
+    one.
     Raises ValueError if u overflows, or if its rounding could move the phase k u by
     a radian at the grid's largest k, where the anchors hide their separation;
     RuntimeError if u2 - u1 varies with azimuth or departs from r cos(theta) beyond
@@ -664,10 +655,7 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     if family.label_basis == "cartesian":
         X = _SPH_TO_CART.T @ X  # the rows of the unit Cartesian labels
     b1, b2 = s1.coefficients @ X, s2.coefficients @ X
-    table = (_oracle_label_sums if (2 * family.spin + 1) ** 2 * nmu * 16
-             <= _ORACLE_TABLE_CACHE_BYTES else _oracle_label_table)
-    G = table(family.spin, family.helicities, "spherical", nmu, nphi)
-    labels = (b1.conj()[:, None] * b2).ravel() @ G
+    labels = (b1.conj() * b2) @ _oracle_label_diagonal(family.spin, family.helicities, nmu)
     # k^2 from the volume element, one k from the measure; both states share the envelope
     envelope = _envelope(s1, k)
     wrad = wk * k**3 * envelope * envelope

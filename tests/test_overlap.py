@@ -18,7 +18,8 @@ from photonloc.overlap import (
     _helicity_columns,
     _oracle_angular_grid,
     _oracle_gauss_legendre,
-    _oracle_label_sums,
+    _oracle_label_diagonal,
+    _oracle_label_table,
     _oracle_node_counts,
     _oracle_polar_radial_sum,
     _oracle_radial_grid,
@@ -525,7 +526,9 @@ class TestBruteForceAgreement:
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
             monkeypatch.setattr(module, name, forbidden)
-        _oracle_label_sums.cache_clear()
+        # every table is built under the patch: four kernel tables and eight diagonals
+        _oracle_label_table.cache_clear()
+        _oracle_label_diagonal.cache_clear()
         for q in (QuadratureSpec(4, 4, 4), None):
             for kind, label in ((SPHERICAL3, 0), (CARTESIAN_PHOTON, "x")):
                 s1 = state_at(kind, [0.2, -0.1, 0.4], label)
@@ -538,6 +541,8 @@ class TestBruteForceAgreement:
                 s2 = make_localized_state(family, [0.0, 0.0, 0.3, 0.0], -1, 1.0)
                 mixed = np.exp(1j * np.arange(2 * j + 1)) / np.sqrt(2 * j + 1)
                 brute_force_overlap(replace(s1, coefficients=mixed), s2, q)
+        assert _oracle_label_table.cache_info().misses == 4
+        assert _oracle_label_diagonal.cache_info().misses == 8
 
     def test_kernel_matrix_against_oracle(self):
         a = 1.0
@@ -589,27 +594,31 @@ class TestOracleTable:
             cols = D[:, [1 - lam for lam in family.helicities]]
             expected[n] = weights[n] * (cols @ cols.conj().T)
         expected = expected.reshape(nmu, nphi, 9).sum(axis=1).T
-        G = _oracle_label_sums(family.spin, family.helicities, family.label_basis, nmu, nphi)
+        G = _oracle_label_table(family.helicities, family.label_basis, nmu, nphi)
         assert G.shape == (9, nmu)
         assert np.abs(G - expected).max() < 1e-14
 
     @pytest.mark.parametrize("j, helicities", [(0, (0,)), (2, (-2, 1)), (10, (-10, -1, 0, 7))])
-    def test_spin_j_label_sums_match_node_by_node_rotations(self, j, helicities):
-        # the (2j+1)^2 table on 24 azimuths, more than 2j; at spin 10 its 16 polar rows
-        # take two blocks, and Wigner's factorial sum rounds to ~2e-14
+    def test_spin_j_label_diagonal_matches_node_by_node_rotations(self, j, helicities):
+        # the (2j+1)^2 table of node-by-node D-matrices on 24 azimuths, more than 2j, is
+        # diagonal up to rounding, and its diagonal is the polar-node table; Wigner's
+        # factorial sum rounds to ~2e-14 at spin 10
         nmu, nphi = 16, 24
         khat, weights = _oracle_angular_grid(nmu, nphi)
         expected = np.zeros((nmu * nphi, 2 * j + 1, 2 * j + 1), dtype=complex)
         for n, vec in enumerate(khat):
             cols = wigner_D(j, standard_rotation(vec))[:, [j - lam for lam in helicities]]
             expected[n] = weights[n] * (cols @ cols.conj().T)
-        expected = expected.reshape(nmu, nphi, -1).sum(axis=1).T
-        G = _oracle_label_sums(j, helicities, "spherical", nmu, nphi)
-        assert G.shape == ((2 * j + 1) ** 2, nmu)
-        assert np.abs(G - expected).max() < 1e-13
+        expected = expected.reshape(nmu, nphi, 2 * j + 1, 2 * j + 1).sum(axis=1)
+        diagonal = np.einsum("mii->im", expected)
+        off_diagonal = expected * (1.0 - np.eye(2 * j + 1))
+        assert np.abs(off_diagonal).max() < 1e-13
+        g = _oracle_label_diagonal(j, helicities, nmu)
+        assert g.shape == (2 * j + 1, nmu) and g.dtype == float
+        assert np.abs(g - diagonal).max() < 1e-13
 
     def test_cached_table_is_read_only(self):
-        G = _oracle_label_sums(1, (-1, 1), "spherical", 4 * Q.n_theta, 4 * Q.n_phi)
+        G = _oracle_label_table((-1, 1), "spherical", 4 * Q.n_theta, 4 * Q.n_phi)
         with pytest.raises(ValueError, match="read-only"):
             G[0] = 0.0
 
@@ -622,31 +631,47 @@ class TestOracleTable:
     def test_one_table_per_label_structure(self):
         # cartesian-photon and radiation-gauge differ only in the weight exponent,
         # which the table does not see: one grid builds one table for both
-        _oracle_label_sums.cache_clear()
+        _oracle_label_table.cache_clear()
         kernels = [brute_force_kernel_matrix(StateFamily.of(kind), 10.0 * RHAT, 1.0).entries
                    for kind in (CARTESIAN_PHOTON, RADIATION_GAUGE)]
-        assert _oracle_label_sums.cache_info().currsize == 1
+        assert _oracle_label_table.cache_info().currsize == 1
         assert not np.allclose(kernels[0], kernels[1])
 
-    def test_large_spin_j_tables_stay_out_of_the_cache(self):
-        # a self-sized spin-10 table at r/a = 20 has 441 x 160 entries, 1.1 MB
+    def test_self_sized_spin_j_diagonal_is_cached(self):
+        # a self-sized spin-10 overlap at r/a = 20 reads a 21 x 160 diagonal, 27 kB
         family = StateFamily(10, (-1, 1))
         s1 = make_localized_state(family, [0.0, 0.0, 0.0, 20.0], 10, 1.0)
         s2 = make_localized_state(family, np.zeros(4), -1, 1.0)
-        _oracle_label_sums.cache_clear()
+        _oracle_label_diagonal.cache_clear()
         brute_force_overlap(s1, s2)
-        assert _oracle_label_sums.cache_info().currsize == 0
-        brute_force_overlap(s1, s2, Q)  # 441 x 48 entries
-        assert _oracle_label_sums.cache_info().currsize == 1
+        assert _oracle_label_diagonal.cache_info().currsize == 1
+        g = _oracle_label_diagonal(10, (-1, 1), 160)
+        assert _oracle_label_diagonal.cache_info().hits == 1
+        assert g.shape == (21, 160)
+        with pytest.raises(ValueError, match="read-only"):
+            g[0] = 0.0
+
+    def test_few_azimuths_do_not_alias_the_spin_j_label_part(self):
+        # 4 n_phi = 16 azimuths, fewer than 2j = 20: the label part is summed in closed
+        # form over azimuth, so the overlap keeps its precision
+        family = StateFamily(10, (-10, -3, 1, 4))
+        rng = np.random.default_rng(83)
+        mixed = rng.normal(size=21) + 1j * rng.normal(size=21)
+        s1 = make_localized_state(family, [0.0, 0.3, -0.4, 1.1], 10, 1.0)
+        s1 = replace(s1, coefficients=mixed / np.linalg.norm(mixed))
+        s2 = make_localized_state(family, [0.0, 0.0, 0.2, 0.0], -3, 1.0)
+        q = QuadratureSpec(n_theta=12, n_phi=4, n_radial=32)
+        r = np.linalg.norm(s1.x[1:] - s2.x[1:])
+        assert dipole_floor_error(brute_force_overlap(s1, s2, q), qm_overlap(s1, s2),
+                                  r, 1.0, 0.0) <= 1e-13
 
     def test_cold_default_tables_build_under_one_second(self):
         q = QuadratureSpec()
-        _oracle_label_sums.cache_clear()
+        _oracle_label_table.cache_clear()
         start = time.perf_counter()
         for kind in THREE_LABEL_KINDS:
             family = StateFamily.of(kind)
-            _oracle_label_sums(family.spin, family.helicities, family.label_basis,
-                               4 * q.n_theta, 4 * q.n_phi)
+            _oracle_label_table(family.helicities, family.label_basis, 4 * q.n_theta, 4 * q.n_phi)
         assert time.perf_counter() - start < 1.0
 
 
@@ -754,8 +779,7 @@ class TestAlignedOracle:
 
     def test_table_cache_holds_a_round_of_separations(self):
         # one r = 0 point and nine log-spaced r/a to 68, one family per rung, and an
-        # overlap at the test spec, which uses its spherical table: a second round
-        # builds none
+        # overlap at the test spec, which reads its diagonal: a second round builds none
         ladder = [0.0] + [10.0 ** (-1.0 + (k + 0.5) / 3.0) for k in range(9)]
         origin = state_at(SCALAR, [0.0, 0.0, 0.0], 0)
 
@@ -764,13 +788,15 @@ class TestAlignedOracle:
                 family = StateFamily.of(THREE_LABEL_KINDS[k % 5])
                 brute_force_kernel_matrix(family, r_over_a * RHAT, 1.0)
             brute_force_overlap(state_at(SCALAR, RHAT, 0), origin, Q)
-            return _oracle_label_sums.cache_info()
+            return _oracle_label_table.cache_info(), _oracle_label_diagonal.cache_info()
 
-        _oracle_label_sums.cache_clear()
+        _oracle_label_table.cache_clear()
+        _oracle_label_diagonal.cache_clear()
         first = round_of_calls()
         second = round_of_calls()
-        assert second.misses == first.misses
-        assert second.currsize <= second.maxsize == 16
+        for before, after in zip(first, second):
+            assert after.misses == before.misses
+            assert after.currsize <= after.maxsize == 16
 
 
 class TestOverlapSymmetries:
@@ -1213,23 +1239,28 @@ class TestKernelProperties:
         expected = len(helicities) * gaussian_delta(np.linalg.norm(rvec), a)
         assert abs(np.trace(K) - expected) <= 1e-13 * _kernel_scale(K, rvec, a, 0.0)
 
+    @pytest.mark.parametrize("j", [1, 3, 10])
     @settings(max_examples=100)
     @given(data=st.data())
-    def test_complete_spin_1_families_are_the_delta_to_relative_precision(self, data):
-        # the complete helicity sum of the table leaves the l = 0 order alone, exactly,
-        # so the kernel keeps the Gaussian far below the dipole floor
-        family = StateFamily.of(data.draw(st.sampled_from((SPHERICAL3, CARTESIAN3)), label="kind"))
+    def test_complete_families_are_the_delta_to_relative_precision(self, j, data):
+        # a complete helicity sum leaves the l = 0 order alone, exactly, so the kernel
+        # keeps the Gaussian far below the dipole floor
+        if j == 1:
+            family = StateFamily.of(data.draw(st.sampled_from((SPHERICAL3, CARTESIAN3)),
+                                              label="kind"))
+        else:
+            family = StateFamily(j, tuple(range(-j, j + 1)))
         a = data.draw(st.floats(0.1, 10.0), label="a")
         r_over_a = data.draw(st.floats(0.0, 30.0), label="r/a")
         rvec = r_over_a * a * _draw_unit_vector(data, "direction")
         delta = gaussian_delta(np.linalg.norm(rvec), a)
         K = overlap_kernel_matrix(family, rvec, a).entries
-        assert np.abs(K - delta * np.eye(3)).max() <= 1e-12 * delta
+        assert np.abs(K - delta * np.eye(2 * j + 1)).max() <= 1e-12 * delta
 
     @settings(max_examples=30)
     @given(data=st.data())
     def test_oracle_overlap_of_spin_j_states_matches_production(self, data):
-        # the self-sized grid takes 8 ceil((2j + 1) / 8) azimuths: 8 are too few past j = 3
+        # the label part is the polar-node diagonal at every spin
         j = data.draw(st.integers(2, J_MAX), label="j")
         family = StateFamily(j, _draw_proper_subset(data, j))
         a = data.draw(st.floats(0.5, 2.0), label="a")
