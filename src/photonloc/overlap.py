@@ -12,18 +12,17 @@ with r = x1_vec - x2_vec, radial weight w(k) = k^s exp(-a^2 k^2) carrying the
 measure left over by the covariant normalization, and G the helicity sum over
 the family's spectrum. In the frame aligned with r the angular matrix is
 diagonal with entries that are polynomials of degree 2j in cos(theta). Their
-Legendre coefficients are Clebsch-Gordan products (``_aligned_table``), exact
-rationals rounded once, and order l turns the angular integral into
-4*pi i^l j_l(kr). Each radial integral then has a closed form (Gradshteyn-Ryzhik
+Legendre coefficients are Clebsch-Gordan sums, rank 1 in each order
+(``_helicity_columns``), exact rationals rounded once, and order l turns the angular
+integral into 4*pi i^l j_l(kr). Each radial integral then has a closed form (Gradshteyn-Ryzhik
 6.631.1 with j_l(y) = sqrt(pi/2y) J_(l+1/2)(y)):
 
     I_l = integral_0^inf dk k^(2+s) exp(-a^2 k^2) j_l(k r)
         = sqrt(pi)/2^(l+2) * Gamma(b)/Gamma(c) * x^l * a^-(3+s) * 1F1(b; c; -x^2/4),
 
-with x = r/a, b = (l+3+s)/2 and c = l+3/2. The Legendre coefficients are
-cached per spin, one column per helicity, and their sum over a helicity set
-once per (spin, set) in a bounded cache. The aligned diagonal is rotated
-back by ``rotations._rotated_diagonal``, the helicity sums' rotation too: with
+with x = r/a, b = (l+3+s)/2 and c = l+3/2, the prefactor rounded once from exact
+factorials. The coefficients are cached per spin and helicity set. The aligned
+diagonal is rotated back by ``rotations._rotated_diagonal``, the helicity sums' rotation too: with
 theta and phi read off r by atan2, A diag A^H with A = B e^(-i phi m) d(theta),
 with no rotation matrix, so a tilt off either pole keeps its precision.
 d(theta) is the Fourier series of ``rotations``, evaluated unchecked because
@@ -31,7 +30,7 @@ the angle comes from atan2; B is the change of label basis, the identity for
 spherical labels and U^H, the adjoint of the read-only ``rotations`` constant
 U = <sigma|i>, for Cartesian ones, so no conjugation follows the rotation. A call
 checks and copies its separation once. No production step has a node count or a
-tolerance. ``scipy.special`` (1F1, Gamma) serves only
+tolerance. ``scipy.special`` (1F1) serves only
 this closed form and is imported where it runs, so a process that never
 evaluates a production kernel never loads it.
 
@@ -98,8 +97,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotations import _SPH_TO_CART, _SPH_TO_CART_H, _rotated_diagonal, _validated_spin
-from .rotations import validate_helicities
+from .rotations import J_MAX, _SPH_TO_CART, _SPH_TO_CART_H, _rotated_diagonal, _rounded_sqrt
+from .rotations import _validated_spin, validate_helicities
 from .states import (
     RADIATION_GAUGE,
     LocalizedState,
@@ -118,7 +117,8 @@ RADIAL_CUTOFF = 8.5
 #: (k, cos theta) points per block of the oracles' phase sum (whole polar columns).
 #: It bounds the phase buffer. A fresh self-sized scalar overlap at r/a = 1000
 #: (process peak RSS, median of three, 2 vCPUs): 34 MB, 0.46 s, against 34 MB,
-#: 0.55 s at 4k points, 35 MB, 0.65 s at 131k and 49 MB, 0.67 s at 1M.
+#: 0.55 s at 4k points, 35 MB, 0.65 s at 131k and 49 MB, 0.67 s at 1M. It bounds the
+#: overlap oracle's label rows per block too.
 _ORACLE_BLOCK_POINTS = 16_384
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
@@ -180,14 +180,22 @@ def _radial_constants(lmax: int, s: float):
     (the first order with b != c, l, b and c from that order on, the prefactor
     sqrt(pi) 2^-(l+2) Gamma(b) / Gamma(c), and scipy's ``hyp1f1``, bound here so
     the warm path imports nothing). Keyed on lmax = 2j <= 20 and s in {0, -1}:
-    at most 42 entries."""
-    from scipy.special import gammaln, hyp1f1
+    at most 42 entries. By Gamma(n/2) = (n-2)!! 2^-floor((n-1)/2) sqrt(pi)^(n mod 2), the
+    prefactor is (2b-2)!! / (2^floor(b+1/2) (2l+1)!!), times sqrt(pi) (pi the double) for
+    odd 2b, rounded once."""
+    from scipy.special import hyp1f1
 
     l = np.arange(lmax + 1)
     b, c = (l + 3.0 + s) / 2.0, l + 1.5
     # b == c only at l = s = 0, where 1F1 is exactly exp(-z) and scipy's series costs O(z)
     start = int(b[0] == c[0])
-    prefactor = np.sqrt(np.pi) * 2.0 ** -(l + 2.0) * np.exp(gammaln(b) - gammaln(c))
+    pi_num, pi_den = math.pi.as_integer_ratio()
+    prefactor = np.empty(lmax + 1)
+    for order in range(lmax + 1):
+        n = order + 3 + int(s)  # 2b
+        num, den = math.prod(range(n - 2, 0, -2)), math.prod(range(2 * order + 1, 0, -2))
+        den, odd = den << (n + 1) // 2, n % 2
+        prefactor[order] = _rounded_sqrt(pi_num**odd * num * num, pi_den**odd * den * den)
     arrays = (l, b[start:], c[start:], prefactor)
     for arr in arrays:
         arr.setflags(write=False)
@@ -236,49 +244,40 @@ def _state_separation(s1: LocalizedState, s2: LocalizedState) -> np.ndarray:
     return _separation((x1 - x2, y1 - y2, z1 - z2))  # an overflow gives inf, which is rejected
 
 
-@lru_cache(maxsize=None)
-def _aligned_table(j: int) -> np.ndarray:
-    """Read-only T[l, m, j - lam], m and lam = +j..-j, i^l and 4 pi / (2 pi)^3 included:
-    the kernel in the frame aligned with r is diagonal, entries sum_(l, lam) I_l T[l, m, j - lam].
-
-    T is the Legendre projection (2l+1)/2 int P_l(mu) d^j_(m lam)(theta)^2 dmu. With
-    d^j_(-m,-lam) = (-1)^(m-lam) d^j_(m lam), the product of d^j_(m lam) and d^j_(-m,-lam)
-    (Edmonds, Angular Momentum in Quantum Mechanics, eq. 4.3.2) makes it the Clebsch-Gordan
-    product (-1)^(m-lam) <j m j -m|l 0><j lam j -lam|l 0>. By Racah's sum that is
-    (2l+1) v_l(m) v_l(lam) / ((2j+l+1)! (2j-l)!), v_l(m) = (-1)^(j-m) (j+m)! (j-m)!
-    sum_k (-1)^k C(2j-l, k) C(l, j-m-k)^2, in integers: times the double 4 pi / (2 pi)^3,
-    each entry is rounded once, and a structural zero is exactly 0. As v_l(-m) =
-    (-1)^l v_l(m), the entries at m, lam >= 0 give the rest.
-    """
+@lru_cache(maxsize=J_MAX + 1)
+def _racah_integers(j: int) -> tuple:
+    """Racah's integers of <j m j -m|l 0>, v[l][j - m] = (-1)^(j-m) (j+m)! (j-m)! sum_k
+    (-1)^k C(2j-l, k) C(l, j-m-k)^2, m = +j..-j, as tuples; v_l(-m) = (-1)^l v_l(m)."""
     j = _validated_spin(j)
-    n = 2 * j + 1
     f = math.factorial
-    scale, scale_den = (4.0 * math.pi / (2.0 * math.pi) ** 3).as_integer_ratio()
-    mirror = np.r_[0 : j + 1, j - 1 : -1 : -1]  # m = +j..-j to |m| = j..0
-    table = np.empty((n, n, n))
-    for l in range(n):
-        v = [(-1) ** (j - m) * f(j + m) * f(j - m)
-             * sum((-1) ** k * math.comb(2 * j - l, k) * math.comb(l, j - m - k) ** 2
-                   for k in range(j - m + 1))
-             for m in range(j, -1, -1)]
-        den = f(2 * j + l + 1) * f(2 * j - l) * scale_den
-        half = np.array([[(2 * l + 1) * scale * vm * vlam / den for vlam in v] for vm in v])
-        sign = np.r_[np.ones(j + 1), np.full(j, (-1.0) ** l)]
-        table[l] = np.outer(sign, sign) * half[np.ix_(mirror, mirror)]
-    table = np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4, None, None] * table
-    table.setflags(write=False)
-    return table
+    rows = []
+    for l in range(2 * j + 1):
+        half = [(-1) ** (j - m) * f(j + m) * f(j - m)
+                * sum((-1) ** k * math.comb(2 * j - l, k) * math.comb(l, j - m - k) ** 2
+                      for k in range(j - m + 1))
+                for m in range(j, -1, -1)]
+        rows.append(tuple(half + [(-1) ** l * v for v in half[-2::-1]]))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=256)
 def _helicity_columns(j: int, helicities: tuple) -> np.ndarray:
-    """Read-only C[l, m] = sum over ``helicities`` of T[l, m, j - lam], T = ``_aligned_table(j)``.
-    For a complete set the orders l >= 1 are exactly 0, as sum_lam d^j_{m lam}^2 = 1,
-    where the rounded columns would cancel only to the dipole floor. The bound of 256
-    holds every helicity set a benchmark run uses."""
-    coeff = _aligned_table(j)[:, :, [j - lam for lam in helicities]].sum(axis=2)
-    if len(helicities) == 2 * j + 1:
-        coeff[1:] = 0.0
+    """Read-only C[l, m], m = +j..-j, i^l and 4 pi / (2 pi)^3 included: the aligned kernel
+    is diagonal, entries sum_l I_l C[l, m]. C is the Legendre projection of
+    sum_lam d^j_(m lam)(theta)^2 over ``helicities``, each term (-1)^(m-lam)
+    <j m j -m|l 0><j lam j -lam|l 0> (Edmonds, Angular Momentum in Quantum Mechanics,
+    eq. 4.3.2), by Racah's sum (2l+1) v_l(m) v_l(lam) / ((2j+l+1)! (2j-l)!): rank 1 per
+    order, with sum_lam v_l(lam) an integer. Each entry is rounded once; a complete set's
+    sum is 0 at l >= 1 (Clebsch-Gordan orthogonality), so those orders are exactly 0.
+    The bound of 256 holds every helicity set a benchmark run uses."""
+    v, f = _racah_integers(j), math.factorial
+    scale, scale_den = (4.0 * math.pi / (2.0 * math.pi) ** 3).as_integer_ratio()
+    rows = []
+    for l, vl in enumerate(v):
+        num = (2 * l + 1) * scale * sum(vl[j - lam] for lam in helicities)
+        den = f(2 * j + l + 1) * f(2 * j - l) * scale_den
+        rows.append([num * vm / den for vm in vl])
+    coeff = np.array([1.0, 1j, -1.0, -1j])[np.arange(2 * j + 1) % 4, None] * np.array(rows)
     coeff.setflags(write=False)
     return coeff
 
@@ -519,12 +518,17 @@ def _oracle_label_diagonal(spin: int, helicities: tuple, nmu: int) -> np.ndarray
     The row of unit label sigma is d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, so
     conj(C_a) C_b carries e^{i (b - a) phi}, and its azimuth integral leaves
     delta_ab times 2 pi w_mu sum_lam |d^j_{a lam}|^2. The rows are :func:`_wigner_rows` at
-    phi = 0 on the polar nodes alone. A spin-10 diagonal at 4320 nodes is 0.7 MB, so the
-    bound of 16 holds at most ~11 MB."""
+    phi = 0 on the polar nodes, per block of at most ``_ORACLE_BLOCK_POINTS`` row entries
+    (a complete spin-10 diagonal at 4320 nodes peaks 1 MB above the process, 46 MB in
+    one block). It is 0.7 MB, so the bound of 16 holds at most ~11 MB."""
     mu, wmu = _oracle_gauss_legendre(nmu)
     khat = np.stack((np.sqrt(1.0 - mu**2), np.zeros(nmu), mu), axis=1)
-    parts = _wigner_rows(StateFamily(spin, helicities), khat).view(float)  # real, imaginary
-    g = 2.0 * np.pi * wmu * np.einsum("snl,snl->sn", parts, parts)
+    family, g = StateFamily(spin, helicities), np.empty((2 * spin + 1, nmu))
+    block = max(1, _ORACLE_BLOCK_POINTS // ((2 * spin + 1) * len(helicities)))
+    for start in range(0, nmu, block):
+        parts = _wigner_rows(family, khat[start : start + block]).view(float)  # real, imaginary
+        g[:, start : start + block] = np.einsum("snl,snl->sn", parts, parts)
+    g *= 2.0 * np.pi * wmu
     g.setflags(write=False)
     return g
 

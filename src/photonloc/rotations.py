@@ -12,8 +12,8 @@ D-matrices are built one way: the ZYZ Euler angles of R, Jz phases and
 ``small_d_matrix``. The small-d matrix d^j(beta) is a trigonometric polynomial
 of degree j, evaluated as its Fourier series: one complex exponential
 exp(i lam beta), lam = 0..j, read as its cos/sin pairs, and one real matrix
-product with coefficient matrices built once per spin from the Jy
-eigensystem. A diagonal in the frame aligned with a direction (the kernels'
+product with coefficient matrices built once per spin in integers, from Jy's
+ladder recurrence. A diagonal in the frame aligned with a direction (the kernels'
 radial diagonal, a helicity indicator) is rotated one way too, by
 ``_rotated_diagonal``: A diag A^H with A = e^(-i phi Jz) d(theta), since the
 standard rotation's last Jz phase commutes with the diagonal. The
@@ -114,30 +114,6 @@ def standard_rotation(khat) -> np.ndarray:
     ])
 
 
-@lru_cache(maxsize=None)
-def _generators(j: int):
-    """Spin-j angular momentum matrices (Jx, Jy, Jz), basis ordered m = +j..-j."""
-    n = 2 * j + 1
-    m = np.arange(j, -j - 1, -1, dtype=float)
-    jz = np.diag(m).astype(complex)
-    jp = np.zeros((n, n))
-    for i in range(1, n):
-        # raising operator: |j,m> -> sqrt(j(j+1) - m(m+1)) |j,m+1>
-        jp[i - 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
-    jm = jp.T
-    jx = ((jp + jm) / 2.0).astype(complex)
-    jy = (jp - jm) / 2.0j
-    return jx, jy, jz
-
-
-@lru_cache(maxsize=None)
-def _jy_eigensystem(j: int):
-    """Eigenvalues and eigenvectors of the spin-j Jy, read-only."""
-    evals, vecs = np.linalg.eigh(_generators(j)[1])
-    evals.flags.writeable = vecs.flags.writeable = False
-    return evals, vecs
-
-
 @lru_cache(maxsize=J_MAX + 1)
 def _magnetic_numbers(j: int) -> np.ndarray:
     """Read-only m = +j, ..., -j, the order of D-matrix rows and columns."""
@@ -146,30 +122,48 @@ def _magnetic_numbers(j: int) -> np.ndarray:
     return m
 
 
+def _rounded_sqrt(num: int, den: int) -> float:
+    """sqrt(num / den), integers num >= 0 and den > 0, rounded once: q = isqrt(num 4^t // den)
+    has at least 56 bits, and a sticky bit for an inexact root keeps that rounding exact."""
+    t = max(0, (den.bit_length() - num.bit_length() + 113) // 2)
+    z, rem = divmod(num << 2 * t, den)
+    q = math.isqrt(z)
+    return math.ldexp(float(2 * q + (rem != 0 or q * q != z)), -t - 1)
+
+
 @lru_cache(maxsize=J_MAX + 1)
 def _fourier_basis(j: int):
     """Read-only (i lam, F) with d^j(beta) = t(beta) @ F, F of shape (2j+2, (2j+1)^2),
     t = exp(i lam beta) viewed as real pairs (cos(lam beta), sin(lam beta)) and
-    lam = 0, ..., j; the row of sin(0) is zero.
-
-    exp(-i beta Jy) = sum_k e^(-i beta e_k) P_k over the projectors of the Jy
-    eigenvalues e_k = k - j (ascending), so the +-lam pair gives
-    cos(lam beta) Re(P_+ + P_-) + sin(lam beta) Im(P_+ - P_-). d_mm' is even in
-    beta for even m - m' and odd otherwise; the other parity is set to exact zeros,
-    so that d_m,m+1 ~ beta keeps its relative precision near beta = 0 whatever
-    the eigensolver's rounding.
-    """
-    _, vecs = _jy_eigensystem(j)
-    proj = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]  # P_k[m, n]
-    up, down = proj[j:], proj[j::-1]
-    cos, sin = (up + down).real, (up - down).imag
-    cos[0] /= 2.0
+    lam = 0, ..., j; the row of sin(0) is zero. exp(-i beta Jy) = sum_k e^(-i beta k) P_k,
+    k = -j..j, with eigenvectors i^m U_m sqrt(W_m), W_m = (2j)! (j-m)! / (j+m)!, from Jy's
+    integer ladder recurrence U_(m+1) = -2k U_m - (j+m)(j-m+1) U_(m-1), U_(-j) = 1:
+    P_k[m, n] = i^(m-n) sgn(U_m U_n) sqrt(a_m a_n) / sum_p a_p, a_m = U_m^2 W_m = a_-m,
+    each magnitude rounded once. As U_m(-k) = (-1)^(j+m) U_m(k), the +-lam pair gives
+    2 Re P_lam cos(lam beta) at even m - n and 2 Im P_lam sin(lam beta) at odd m - n; the
+    other parity is exactly zero, so d_m,m+1 ~ beta keeps its precision near beta = 0."""
+    f = math.factorial
     m = _magnetic_numbers(j)
-    odd = (m[:, None] - m) % 2 == 1
-    cos[:, odd] = 0.0
-    sin[:, ~odd] = 0.0
-    ilam = 1j * np.arange(j + 1.0)
-    basis = np.stack((cos, sin), axis=1).reshape(2 * j + 2, -1)
+    weights = [f(2 * j) * f(j - p) // f(j + p) for p in m.tolist()]
+    phase = np.array([1.0, 1j, -1.0, -1j])[m % 4]  # i^m
+    even, absm = (m[:, None] - m) % 2 == 0, np.abs(m)
+    p, q = np.tril_indices(j + 1)
+    basis = np.zeros((j + 1, 2, 2 * j + 1, 2 * j + 1))
+    for k in range(j + 1):
+        U = [0, 1]
+        for n in range(-j, j):
+            U.append(-2 * k * U[-1] - (j + n) * (j - n + 1) * U[-2])
+        U = U[:0:-1]  # m = +j..-j
+        a = [u * u * w for u, w in zip(U, weights)]
+        g = math.gcd(*a)
+        a = [x // g for x in a[j:]]  # |m| = 0..j
+        den = (2 * sum(a) - a[0]) ** 2
+        mag = np.empty((j + 1, j + 1))  # symmetric: one rounding per |m| >= |m'|
+        mag[p, q] = mag[q, p] = [_rounded_sqrt(a[x] * a[y], den) for x, y in zip(p, q)]
+        c = phase * np.sign(np.array(U, dtype=float))
+        P = (2.0 if k else 1.0) * np.outer(c, c.conj()) * mag[np.ix_(absm, absm)]
+        basis[k, 0][even], basis[k, 1][~even] = P.real[even], P.imag[~even]
+    ilam, basis = 1j * np.arange(j + 1.0), basis.reshape(2 * j + 2, -1)
     ilam.setflags(write=False)
     basis.setflags(write=False)
     return ilam, basis

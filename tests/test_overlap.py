@@ -1,6 +1,7 @@
 import math
 import time
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import photonloc.states
 from photonloc.overlap import (
     KernelMatrix,
     QuadratureSpec,
-    _aligned_table,
     _helicity_columns,
     _oracle_angular_grid,
     _oracle_gauss_legendre,
@@ -25,6 +25,7 @@ from photonloc.overlap import (
     _oracle_radial_grid,
     _oracle_rotation,
     _family_kernel,
+    _racah_integers,
     _radial_integrals,
     alt_overlap,
     brute_force_kernel_matrix,
@@ -118,7 +119,7 @@ def per_node_overlap(s1, s2, q):
 
 
 def legendre_projection(j):
-    """{lam: aligned-table column} from a 4j+2-node Legendre rule, one helicity at a time."""
+    """{lam: single-helicity column} from a 4j+2-node Legendre rule, one helicity at a time."""
     mu, w = np.polynomial.legendre.leggauss(4 * j + 2)
     l = np.arange(2 * j + 1)
     proj = ((2 * l + 1) / 2.0) * np.polynomial.legendre.legvander(mu, 2 * j) * w[:, None]
@@ -127,21 +128,37 @@ def legendre_projection(j):
     return {lam: weights * (proj.T @ d[:, :, j - lam] ** 2) for lam in range(-j, j + 1)}
 
 
-def clebsch_gordan_table(j):
-    """_aligned_table(j) from sympy's exact Clebsch-Gordan coefficients, each entry rounded
-    once from 30 digits: i^l 4 pi / (2 pi)^3 (-1)^(m-lam) <j m j -m|l 0><j lam j -lam|l 0>."""
-    from sympy import pi
+def clebsch_gordan_columns(j):
+    """The map from a helicity set S to _helicity_columns(j, S), from sympy's exact
+    Clebsch-Gordan coefficients, each entry rounded once from 30 digits:
+    i^l 4 pi / (2 pi)^3 sum_(lam in S) (-1)^(m-lam) <j m j -m|l 0><j lam j -lam|l 0>.
+    At fixed l the coefficients share one square root, so their ratios to a nonzero one
+    are rational and the sum over S is exact; a zero sum gives an exact 0."""
+    import mpmath as mp
     from sympy.physics.wigner import clebsch_gordan
 
     n = 2 * j + 1
-    table = np.empty((n, n, n))
+    orders = []
     for l in range(n):
         cg = [clebsch_gordan(j, j, l, j - i, i - j, 0) for i in range(n)]
-        for i, k in np.ndindex(n, n):
-            # (-1)^(m-lam) as (-1)^(i+k): a negative power of an int is a float, 53 bits
-            exact = (-1) ** (i + k) * cg[i] * cg[k] * 4 * pi / (2 * pi) ** 3
-            table[l, i, k] = float(exact.evalf(30))
-    return np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4, None, None] * table
+        ref = next(c for c in cg if c != 0)
+        ratios = [c / ref for c in cg]
+        assert all(r.is_Rational for r in ratios) and (ref**2).is_Rational
+        # (-1)^(m-lam) as (-1)^(i+k), i = j - m and k = j - lam
+        signed = [(-1) ** i * Fraction(int(r.p), int(r.q)) for i, r in enumerate(ratios)]
+        orders.append((signed, Fraction(int((ref**2).p), int((ref**2).q))))
+
+    def columns(helicities):
+        out = np.empty((n, n))
+        with mp.workdps(30):
+            for l, (signed, ref2) in enumerate(orders):
+                total = sum(signed[j - lam] for lam in helicities) * ref2
+                for i, rho in enumerate(signed):
+                    exact = rho * total
+                    out[l, i] = mp.mpf(exact.numerator) / exact.denominator / (2 * mp.pi**2)
+        return np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4, None] * out
+
+    return columns
 
 
 def rotated_diagonal_kernel(columns, helicities, rvec, a, s):
@@ -509,9 +526,11 @@ class TestBruteForceAgreement:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached a production-path function")
 
-        for module, name in ((math, "comb"),  # the binomials of _aligned_table's closed form
-                             (photonloc.overlap, "_aligned_table"),
+        for module, name in ((math, "comb"),  # the binomials of Racah's integers
+                             (math, "isqrt"),  # the rounded square roots of the basis, prefactors
+                             (photonloc.overlap, "_racah_integers"),
                              (photonloc.overlap, "_helicity_columns"),
+                             (photonloc.overlap, "_rounded_sqrt"),
                              (photonloc.overlap, "_rotated_diagonal"),
                              (photonloc.overlap, "_radial_integrals"),
                              (photonloc.overlap, "_radial_constants"),
@@ -520,8 +539,7 @@ class TestBruteForceAgreement:
                              (photonloc.rotations, "_small_d"),
                              (photonloc.rotations, "_magnetic_numbers"),
                              (photonloc.rotations, "_fourier_basis"),
-                             (photonloc.rotations, "_jy_eigensystem"),
-                             (photonloc.rotations, "_generators"),
+                             (photonloc.rotations, "_rounded_sqrt"),
                              (photonloc.rotations, "_rotated_diagonal"),
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
@@ -1079,29 +1097,38 @@ class TestKernelEngine:
                 got = overlap_kernel_matrix(family, rvec, a).entries
                 assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
-    def test_table_matches_a_finer_legendre_projection(self):
+    def test_helicity_columns_match_a_finer_legendre_projection(self):
         rng = np.random.default_rng(37)
         for j in range(J_MAX + 1):
-            table = _aligned_table(j)
-            assert table.shape == (2 * j + 1, 2 * j + 1, 2 * j + 1)
             columns = legendre_projection(j)
             for lam, column in columns.items():
-                assert np.abs(table[:, :, j - lam] - column).max() < 1e-14
+                got = _helicity_columns(j, (lam,))
+                assert got.shape == (2 * j + 1, 2 * j + 1)
+                assert np.abs(got - column).max() < 1e-14
             mask = rng.integers(2, size=2 * j + 1).astype(bool)
-            helicities = [lam for lam, keep in zip(range(-j, j + 1), mask) if keep]
-            summed = table[:, :, [j - lam for lam in helicities]].sum(axis=2)
-            expected = sum((columns[lam] for lam in helicities), np.zeros_like(summed))
-            assert np.abs(summed - expected).max() < 1e-14
+            helicities = tuple(lam for lam, keep in zip(range(-j, j + 1), mask) if keep) or (j,)
+            expected = sum(columns[lam] for lam in helicities)
+            assert np.abs(_helicity_columns(j, helicities) - expected).max() < 1e-14
 
-    def test_table_is_the_clebsch_gordan_product_to_two_ulp(self):
+    def test_helicity_columns_are_the_clebsch_gordan_sum_to_two_ulp(self):
         for j in range(5):
-            table, exact = _aligned_table(j), clebsch_gordan_table(j)
-            for part in ("real", "imag"):
-                got, want = getattr(table, part), getattr(exact, part)
-                assert np.all(got[want == 0.0] == 0.0)  # no residue on a structural zero
-                assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+            exact = clebsch_gordan_columns(j)
+            for mask in range(1, 2 ** (2 * j + 1)):
+                helicities = tuple(lam for b, lam in enumerate(range(-j, j + 1)) if mask >> b & 1)
+                got, want = _helicity_columns(j, helicities), exact(helicities)
+                for part in ("real", "imag"):
+                    got_part, want_part = getattr(got, part), getattr(want, part)
+                    assert np.all(got_part[want_part == 0.0] == 0.0)  # no residue on a zero
+                    assert np.all(np.abs(got_part - want_part)
+                                  <= 2.0 * np.spacing(np.abs(want_part)))
 
-    def test_table_is_read_only_and_cached_per_spin_only(self):
+    def test_complete_sets_keep_only_the_delta_order_exactly(self):
+        for j in range(J_MAX + 1):
+            columns = _helicity_columns(j, tuple(range(-j, j + 1)))
+            assert np.all(columns[1:] == 0.0)
+            np.testing.assert_allclose(columns[0], 1.0 / (2.0 * np.pi**2), rtol=1e-15)
+
+    def test_racah_integers_are_cached_per_spin_only(self):
         rvec = np.array([0.4, -0.2, 0.9])
         for j in range(1, 4):
             for mask in range(1, 2 ** (2 * j + 1)):
@@ -1109,19 +1136,21 @@ class TestKernelEngine:
                 general_j_defect(j, helicities, rvec, 1.0)
         for j in range(J_MAX + 1):
             _family_kernel(StateFamily(j, (j,), "spherical", 0.5), rvec, 1.0)
-            with pytest.raises(ValueError, match="read-only"):
-                _aligned_table(j)[0, 0, 0] = 0.0
+            v = _racah_integers(j)
+            assert len(v) == 2 * j + 1
+            assert all(type(row) is tuple and len(row) == 2 * j + 1 for row in v)
+            assert all(type(x) is int for row in v for x in row)
         with pytest.raises(ValueError, match=f"at most {J_MAX}"):
-            _aligned_table(J_MAX + 1)
-        assert _aligned_table.cache_info().currsize <= J_MAX + 1
+            _racah_integers(J_MAX + 1)
+        assert _racah_integers.cache_info().currsize <= J_MAX + 1
 
     def test_helicity_columns_are_read_only_bounded_column_sums(self):
         for j in range(1, 4):
-            table = _aligned_table(j)
+            single = {lam: _helicity_columns(j, (lam,)) for lam in range(-j, j + 1)}
             for mask in range(1, 2 ** (2 * j + 1)):
                 helicities = tuple(lam for b, lam in enumerate(range(-j, j + 1)) if mask >> b & 1)
                 columns = _helicity_columns(j, helicities)
-                expected = sum(table[:, :, j - lam] for lam in helicities)
+                expected = sum(single[lam] for lam in helicities)
                 assert np.abs(columns - expected).max() <= 1e-15
                 with pytest.raises(ValueError, match="read-only"):
                     columns[0, 0] = 0.0

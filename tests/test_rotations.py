@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from photonloc.rotations import (
     J_MAX,
     _fourier_basis,
-    _generators,
     _unit_directions,
     require_rotation_matrix,
     rotation_from_axis_angle,
@@ -22,6 +21,16 @@ from photonloc.rotations import (
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def generators(j):
+    """Spin-j angular momentum matrices (Jx, Jy, Jz) from the ladder operators, basis
+    ordered m = +j..-j: the reference of the exponential tests."""
+    m = np.arange(j, -j - 1, -1, dtype=float)
+    # raising operator: |j,m> -> sqrt(j(j+1) - m(m+1)) |j,m+1>
+    jp = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    jm = jp.T
+    return (jp + jm) / 2.0, (jp - jm) / 2.0j, np.diag(m)
 
 
 def rotation_z(angle):
@@ -185,7 +194,7 @@ class TestWignerD:
         rng = np.random.default_rng(13)
         betas = (0.0, 1e-12, 1e-8, np.pi / 2, np.pi - 1e-8, np.pi)
         for j in range(J_MAX + 1):
-            jx, jy, jz = _generators(j)
+            jx, jy, jz = generators(j)
             cases = []
             for beta in betas:
                 for alpha, gamma in rng.uniform(-np.pi, np.pi, size=(4, 2)):
@@ -246,7 +255,8 @@ class TestWignerD:
                                 * spow[m1 - m2 + 2 * k]
                                 / (fact[j + m2 - k] * fact[k] * fact[m1 - m2 + k] * fact[j - m1 - k])
                                 for k in range(max(0, m2 - m1), min(j + m2, j - m1) + 1))
-                            assert abs(got[p, q] - float(ref)) <= 1e-14
+                            # measured 7.0e-16 (j = 7): a margin of 2.9
+                            assert abs(got[p, q] - float(ref)) <= 2e-15
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_small_d_matrix_rejects_a_non_finite_angle(self, bad):
@@ -266,10 +276,6 @@ class TestWignerD:
                     arr[0] = 0.0
         info = _fourier_basis.cache_info()
         assert info.maxsize == J_MAX + 1 and info.currsize <= J_MAX + 1
-
-    def test_generator_commutator(self):
-        jx, jy, jz = _generators(2)
-        np.testing.assert_allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-13)
 
     def test_unsupported_spin_rejected(self):
         with pytest.raises(ValueError, match=f"at most {J_MAX}"):

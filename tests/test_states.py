@@ -432,6 +432,22 @@ class TestSpinJStates:
         expected = _label_rows(family, c, rhat[None])[0, ::-1]
         assert np.abs(spherical @ _unit_rows(j, rhat) - expected).max() <= 1e-15
 
+    @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
+    def test_unit_rows_give_every_spin_1_row_in_both_label_bases(self, basis):
+        # the spin-1 closed form of _unit_rows off the poles, on a tilt off -z and on the
+        # -x axis at -0 azimuth, for every unit label and a mixed state
+        family = StateFamily(1, (-1, 0, 1), basis)
+        directions = [[0.3, -0.5, 0.8], [-0.6, 0.2, -0.7], [0.1, 0.9, 0.05], [-0.4, -0.3, 0.0],
+                      [1e-9, 0.0, -np.sqrt(1.0 - 1e-18)], [-1.0, -0.0, 0.0]]
+        coefficients = [*np.eye(3, dtype=complex), np.array([0.6, -0.3 + 0.5j, 0.2j])]
+        for rhat in directions:
+            rhat = np.array(rhat) / np.linalg.norm(rhat)
+            X = _unit_rows(1, rhat)
+            for c in coefficients:
+                spherical = _SPH_TO_CART @ c if basis == "cartesian" else c
+                expected = _label_rows(family, c, rhat[None])[0, ::-1]
+                assert np.abs(spherical @ X - expected).max() <= 1e-15
+
     def test_overlap_is_rotation_invariant_at_every_spin(self):
         rng = np.random.default_rng(73)
         for j in range(2, 11):
