@@ -125,7 +125,7 @@ def _cmd_mmatrix(args) -> int:
 
 def _cmd_kernel_scan(args) -> int:
     family = StateFamily.of(args.family)
-    counts = {"n_theta": args.ntheta, "n_phi": args.nphi, "n_radial": args.nradial}
+    counts = {"n_theta": args.ntheta, "n_radial": args.nradial}
     counts = {name: n for name, n in counts.items() if n is not None}
     q = QuadratureSpec(**counts) if counts else None  # no flag: the oracle sizes itself
     label_cols = ("i1", "i2") if family.label_basis == "cartesian" else ("sigma1", "sigma2")
@@ -208,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0, help="Gaussian regulator width")
     # without any of these flags the oracle sizes its grid from k_max r
     p.add_argument("--ntheta", type=int, default=None, help="oracle uses 4*NTHETA polar nodes")
-    p.add_argument("--nphi", type=int, default=None, help="oracle uses 4*NPHI azimuthal nodes")
     p.add_argument("--nradial", type=int, default=None, help="oracle uses 4*NRADIAL radial nodes")
     p.add_argument(
         "--oracle", action="store_true", help="take values from the brute-force path"

@@ -36,51 +36,41 @@ evaluates a production kernel never loads it.
 
 Oracle path
 -----------
-``brute_force_overlap`` and ``brute_force_kernel_matrix`` sum a product grid
-(Gauss-Legendre in cos(theta) x uniform azimuth x Gauss-Legendre radial) whose
-polar axis is the separation r, so that the phase e^{i k.r} depends only on
-(k, cos theta). Without a :class:`QuadratureSpec` the grid sizes itself from
-k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes, rounded up to a
-multiple of 32, and 8 ceil((2j + 1) / 8) azimuths; an explicit spec gives four
-times its counts. Both sum their phase in one loop, ``_oracle_polar_radial_sum``:
-S(p) = sum_k w(k) e^{i k p} once per polar node p = r cos(theta), then contracted
-with a label table per polar node; the nodes are mirrored and w is real, so
-S(-p) = conj(S(p)) and only the upper half takes cos and sin.
-``brute_force_kernel_matrix`` serves spin 1. Its table, ``_oracle_label_table``,
-sums the states' own label rows C(khat, lam) of the unit labels a, b on the
-unrotated grid, conj(C_a) C_b over the family's helicities and over azimuth, one
-3x3 block per polar node, cached per grid and label structure (helicities, basis).
-It rotates the aligned result back with a plain 3x3 rotation R, R z = rhat:
-K(r) = R K(|r| z) R^T, which assumes only a rotation-invariant measure.
-``brute_force_overlap`` serves every spin and turns the states instead: helicity
-rows obey C_c(R khat, lam) = e^{i lam w} C_{D(R)^H c}(khat, lam) (Jacob and Wick,
-Ann. Phys. 7, 404 (1959)), and the Wigner phase e^{i lam w} cancels in
-sum_lam conj(C_1) C_2, so the label part pairs conj(b1) and b2, b = D(R)^H c the
-coefficients in the frame aligned with r. b is the state's own label row at rhat
-over every helicity, b_sigma = C_c(rhat, sigma), with no D-matrix: its R is the
-standard rotation to rhat. Both states read it off one evaluation at rhat, the rows
-of the unit spherical labels X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as
-b = c @ X, Cartesian coefficients through <sigma|i>. In that frame the row of unit
-label sigma is d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, so the azimuth
-integral of conj(C_a) C_b leaves delta_ab: the label table is the diagonal
+``brute_force_kernel_matrix`` and ``brute_force_overlap`` share one reduction,
+``_oracle_kernel``, on a product grid (Gauss-Legendre in cos(theta) x uniform
+azimuth x Gauss-Legendre radial) whose polar axis is the separation r, so that the
+phase e^{i k.r} depends only on (k, cos theta). Without a :class:`QuadratureSpec` the
+grid sizes itself from k_max r: RADIAL_CUTOFF r / (2a) + 64 polar and radial nodes,
+rounded up to a multiple of 32, and 8 azimuths; an explicit spec gives four times its
+counts. In the frame aligned with r the row of unit spherical label sigma is
+d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, so the azimuth integral of
+conj(C_a) C_b leaves delta_ab: the label part is the diagonal
 g[sigma, mu] = 2 pi w_mu sum_lam |d^j_{sigma lam}(theta_mu)|^2 on the polar nodes
 alone (``_oracle_label_diagonal``, the states' rows at phi = 0, cached per spin,
-helicities and polar count), and the label part is (conj(b1) * b2) @ g. Neither
-the azimuth of the aligned frame about rhat nor the azimuth count enters it, so an
-explicit spec of 4 n_phi <= 2j azimuths does not alias it; the azimuths serve the
-anchor-phase checks. The amplitudes are separable,
-c(k khat, lam) = E(k) e^{i k u(khat)} C(khat, lam), and the states share E (same
-family and a), which enters once per radial node, squared. The anchor phases
-meet as e^{i k (u2 - u1)}, u = t - khat.x, and at equal times
-u2 - u1 = khat'.(x1 - x2) = r cos(theta) on the rotated nodes khat' = R khat. The
-states' own u enter through checks before the sum: a spread of u2 - u1 over
-azimuth or a departure from r cos(theta) beyond rounding raises, and so do
-anchors whose rounding in u would hide the separation. One pass over
-u2 - u1 - r cos(theta) passes every check; only when it fails do the checks run
-one by one, in that order, so each failure keeps its error. The two oracles share
-no reduction step, D-matrix or closed form with the production path and back
-every kernel result in the tests and the ``--oracle`` CLI path, and never import
-``scipy.special``. Summing O(a^-3) terms to an O(r^-3) result, the oracle's error
+helicities and polar count), at every spin and in both label bases. The phase is
+summed in one loop, ``_oracle_polar_radial_sum``: S(p) = sum_k w(k) e^{i k p} once per
+polar node p = r cos(theta), then contracted with g; the nodes are mirrored and w is
+real, so S(-p) = conj(S(p)) and only the upper half takes cos and sin. The radial
+weight is w = wk k^3 E(k)^2, E the states' envelope ``states._envelope``: k^2 from
+the volume element, one k from the measure. The aligned diagonal is rotated back by
+the rows of the unit labels at rhat, X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as
+K = conj(X) diag(S) X^T, Cartesian labels through <sigma|i>: helicity rows obey
+C_c(R khat, lam) = e^{i lam w} C_{D(R)^H c}(khat, lam) (Jacob and Wick, Ann. Phys. 7,
+404 (1959)), the Wigner phase e^{i lam w} cancels in sum_lam conj(C_1) C_2, and the
+state's own row at rhat is D(R)^H c for the standard rotation R to rhat, so no
+D-matrix enters. An overlap is then c1^H K(x1 - x2) c2, for states that share the
+family and a. Neither the azimuth of the aligned frame about rhat nor the azimuth
+count enters K, so an explicit spec of 4 n_phi <= 2j azimuths does not alias it: the
+azimuths serve only the overlap's anchor-phase checks. The anchor phases meet as
+e^{i k (u2 - u1)}, u = t - khat.x, and at equal times u2 - u1 = khat'.(x1 - x2) =
+r cos(theta) on the rotated nodes khat' = R khat. The states' own u enter through
+checks before the sum: a spread of u2 - u1 over azimuth or a departure from
+r cos(theta) beyond rounding raises, and so do anchors whose rounding in u would hide
+the separation. One pass over u2 - u1 - r cos(theta) passes every check; only when it
+fails do the checks run one by one, in that order, so each failure keeps its error.
+The oracle shares no reduction step, D-matrix or closed form with the production path,
+backs every kernel result in the tests and the ``--oracle`` CLI path, and never
+imports ``scipy.special``. Summing O(a^-3) terms to an O(r^-3) result, its error
 relative to the dipole tail is a rounding floor that grows as (r/a)^3: ~1e-12 at
 r/a = 68, ~2e-11 (up to 1e-10) at r/a = 200.
 
@@ -105,7 +95,6 @@ from .states import (
     StateFamily,
     _anchor_phase,
     _envelope,
-    _label_rows,
     _unit_rows,
     _wigner_rows,
     require_regulator_width,
@@ -118,7 +107,7 @@ RADIAL_CUTOFF = 8.5
 #: It bounds the phase buffer. A fresh self-sized scalar overlap at r/a = 1000
 #: (process peak RSS, median of three, 2 vCPUs): 34 MB, 0.46 s, against 34 MB,
 #: 0.55 s at 4k points, 35 MB, 0.65 s at 131k and 49 MB, 0.67 s at 1M. It bounds the
-#: overlap oracle's label rows per block too.
+#: label diagonal's rows per block too.
 _ORACLE_BLOCK_POINTS = 16_384
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
@@ -141,7 +130,9 @@ class QuadratureSpec:
     azimuthal nodes and ``n_radial`` Gauss-Legendre nodes on
     [0, RADIAL_CUTOFF / a]; the oracle multiplies every count by four. Without
     a spec the oracle sizes its grid from k_max r, so a spec serves to refine
-    or starve it. Each count must be an integer (numpy integers included) of
+    or starve it. The label part is summed over azimuth in closed form, so
+    ``n_phi`` sets only the azimuths of the overlap's anchor-phase checks and does
+    not enter a kernel. Each count must be an integer (numpy integers included) of
     at least 4.
     """
 
@@ -404,14 +395,15 @@ def alt_overlap(s1: LocalizedState, s2: LocalizedState) -> complex:
 # --- brute-force aligned-grid oracle -----------------------------------------
 
 
-def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float, j: int):
-    """(polar, azimuthal, radial) node counts of the oracle grid at separation r, spin j.
+def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float):
+    """(polar, azimuthal, radial) node counts of the oracle grid at separation r.
 
     An explicit spec gives four times its counts. Self-sized (``q`` None), the
     phase k r cos(theta) spans RADIAL_CUTOFF r / a radians over the grid, so the
     polar and radial counts follow k_max r / 2 with 64 nodes on top, rounded up
-    to a multiple of 32 (so that warm calls share tables); 2j + 1 azimuths, rounded
-    up to a multiple of 8, exceed the azimuthal degree 2j of the label part.
+    to a multiple of 32 (so that warm calls share tables). The label part is summed
+    over azimuth in closed form, so the 8 azimuths serve only the overlap's
+    anchor-phase checks.
     """
     if q is not None:
         return 4 * q.n_theta, 4 * q.n_phi, 4 * q.n_radial
@@ -420,7 +412,7 @@ def _oracle_node_counts(q: QuadratureSpec | None, r: float, a: float, j: int):
                          f"range, r/a <= {_ORACLE_MAX_R_OVER_A:g}")
     n = math.ceil(RADIAL_CUTOFF * r / (2.0 * a)) + 64
     n = -(-n // 32) * 32
-    return n, 8 * -(-(2 * j + 1) // 8), n
+    return n, 8, n
 
 
 def _oracle_rotation(rvec: np.ndarray) -> np.ndarray:
@@ -495,25 +487,9 @@ def _oracle_angular_grid(nmu: int, nphi: int):
 
 
 @lru_cache(maxsize=16)
-def _oracle_label_table(helicities: tuple, label_basis: str, nmu: int, nphi: int) -> np.ndarray:
-    """Read-only G[(a, b), mu], shape (9, nmu), of the spin-1 kernel oracle: the sum over
-    helicities and azimuth of conj(C_a) C_b times the angular weight, C_a the closed-form
-    rows of unit label a on the unrotated grid; the weight exponent does not enter. Each
-    node is summed over helicities, then each polar row over azimuth. The bound of 16
-    holds the eight keys of a benchmark round's kernel ladder."""
-    khat, weights = _oracle_angular_grid(nmu, nphi)
-    family = StateFamily(1, helicities, label_basis)
-    rows = np.stack([_label_rows(family, unit, khat) for unit in np.eye(3, dtype=complex)])
-    sums = np.einsum("anl,bnl->abn", rows.conj(), rows) * weights
-    G = sums.reshape(9, nmu, nphi).sum(axis=2)
-    G.setflags(write=False)
-    return G
-
-
-@lru_cache(maxsize=16)
 def _oracle_label_diagonal(spin: int, helicities: tuple, nmu: int) -> np.ndarray:
     """Read-only g[sigma, mu] = 2 pi w_mu sum_lam |d^j_{sigma lam}(theta_mu)|^2, shape
-    (2j+1, nmu), sigma = j..-j: the spherical label table of the overlap oracle.
+    (2j+1, nmu), sigma = j..-j: the one label table of both oracles.
 
     The row of unit label sigma is d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, so
     conj(C_a) C_b carries e^{i (b - a) phi}, and its azimuth integral leaves
@@ -555,35 +531,41 @@ def _oracle_polar_radial_sum(table: np.ndarray, k: np.ndarray, wrad: np.ndarray,
     return table @ S
 
 
+def _oracle_kernel(family: StateFamily, a: float, r: float, rhat: np.ndarray, nmu: int,
+                   k: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """K = conj(X) diag(S) X^T in the family's label basis, the one reduction of both
+    oracles: S = ``_oracle_polar_radial_sum`` of the spherical label diagonal
+    ``_oracle_label_diagonal`` with the radial weight wk k^3 E(k)^2, E the states'
+    envelope (k^2 from the volume element, one k from the measure), and X the rows of the
+    unit labels at ``rhat``, X[sigma, sigma'] = C_{e_sigma}(rhat, sigma') (Cartesian
+    labels through <sigma|i>), which rotate the aligned diagonal back."""
+    envelope = _envelope(family, a, k)
+    wrad = wk * k**3 * envelope * envelope
+    g = _oracle_label_diagonal(family.spin, family.helicities, nmu)
+    S = _oracle_polar_radial_sum(g, k, wrad, r, nmu)
+    X = _unit_rows(family.spin, rhat)
+    if family.label_basis == "cartesian":
+        X = _SPH_TO_CART.T @ X
+    return (X.conj() * S) @ X.T
+
+
 def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
                               q: QuadratureSpec | None = None) -> KernelMatrix:
     """Oracle kernel matrix by direct quadrature on a grid aligned with ``rvec``.
 
-    Entry (a, b) is the oracle overlap of the unit-label states a at ``rvec``
-    and b at the origin. In the frame whose z-axis is rhat the phase e^{i k.r}
-    depends only on (k, cos theta): the states' label rows, in the family's label
-    basis, are summed over helicities and azimuth first into a 3x3 block per polar
-    node (``_oracle_label_table``, on the unrotated grid), the phase over k per polar
-    node, then both over cos(theta). The result is rotated back with the plain 3x3
-    rotation, K(r) = R K(|r| z) R^T, the spherical families through <sigma|i>. This
-    assumes only that the measure is rotation invariant. Spin 1 only; the overlap
-    oracle serves every spin. ``q`` None sizes the grid from k_max r.
+    Entry (a, b) is the oracle overlap of the unit-label states a at ``rvec`` and b at
+    the origin, at every spin: in the frame whose z-axis is rhat the phase e^{i k.r}
+    depends only on (k, cos theta) and the label part is the diagonal
+    ``_oracle_label_diagonal`` on the polar nodes, rotated back by the unit labels'
+    rows at rhat (``_oracle_kernel``, module docstring). ``q`` None sizes the grid
+    from k_max r; the azimuth count does not enter.
     """
     a = require_regulator_width(a)
-    if family.spin != 1:
-        raise ValueError(f"the kernel oracle serves spin-1 families only, got spin {family.spin}")
     rvec = _separation(rvec)
-    r = math.hypot(*rvec)
-    nmu, nphi, nk = _oracle_node_counts(q, r, a, 1)
-    G = _oracle_label_table(family.helicities, family.label_basis, nmu, nphi)
+    r = math.hypot(*rvec.tolist())
+    nmu, _, nk = _oracle_node_counts(q, r, a)
     k, wk = _oracle_radial_grid(nk, a)
-    wrad = wk * k ** (2.0 + family.radial_power) * np.exp(-a * a * k * k)
-    aligned = _oracle_polar_radial_sum(G, k, wrad, r, nmu)
-    aligned = aligned.reshape(3, 3) / (2.0 * np.pi) ** 3
-    rot = _oracle_rotation(rvec)
-    if family.label_basis == "spherical":
-        rot = _SPH_TO_CART @ rot @ _SPH_TO_CART_H
-    entries = rot @ aligned @ rot.conj().T
+    entries = _oracle_kernel(family, a, r, _oracle_rotation(rvec)[:, 2], nmu, k, wk)
     return KernelMatrix(rvec, entries, family.kind, a, family.labels)
 
 
@@ -623,23 +605,16 @@ def _check_anchor_phases(s1: LocalizedState, s2: LocalizedState, khat: np.ndarra
 
 def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
                         q: QuadratureSpec | None = None) -> complex:
-    """Oracle overlap summing momentum amplitudes over a grid aligned with the
-    anchors' separation r, R z = rhat. ``q`` None sizes the grid from k_max r.
+    """Oracle overlap c1^H K c2 on a grid aligned with the anchors' separation r,
+    R z = rhat, K the oracle kernel of ``_oracle_kernel`` at r: the Wigner phase of the
+    rotated helicity rows cancels in their helicity sum, so the states pair through
+    their coefficients alone. ``q`` None sizes the grid from k_max r.
 
-    The label part is (conj(b1) * b2) @ g, g the diagonal spherical label table
-    ``_oracle_label_diagonal`` on the polar nodes: b = D(R)^H c are the coefficients in
-    the aligned frame, each state's own label row at rhat over every helicity, in sigma
-    order j..-j, the Wigner phase of the rotated rows cancels in their helicity sum, and
-    the azimuth integral leaves only sigma1 = sigma2 (module docstring), so no azimuth
-    count aliases the label part. One evaluation at rhat, X[sigma, sigma'] =
-    C_{e_sigma}(rhat, sigma'), the rows of the unit spherical labels, serves both
-    states: b = c @ X, Cartesian coefficients through <sigma|i>. The squared envelope
-    is formed once per radial node. The two anchor phases meet as e^{i k (u2 - u1)},
-    u2 - u1 = khat'.(x1 - x2) = r cos(theta) on the rotated nodes khat' = R khat at
-    equal times. The states' own u enter only through the checks of that identity,
-    which run before ``_oracle_polar_radial_sum`` sums the phase at r cos(theta): one
-    pass over u2 - u1 - r cos(theta) passes them, and only a failure runs them one by
-    one.
+    The two anchor phases meet as e^{i k (u2 - u1)}, u2 - u1 = khat'.(x1 - x2) =
+    r cos(theta) on the rotated nodes khat' = R khat at equal times. The states' own u
+    enter only through the checks of that identity on the azimuthal grid, which run
+    before the sum: one pass over u2 - u1 - r cos(theta) passes them, and only a
+    failure runs them one by one.
     Raises ValueError if u overflows, or if its rounding could move the phase k u by
     a radian at the grid's largest k, where the anchors hide their separation;
     RuntimeError if u2 - u1 varies with azimuth or departs from r cos(theta) beyond
@@ -647,20 +622,12 @@ def brute_force_overlap(s1: LocalizedState, s2: LocalizedState,
     """
     _require_overlap_compatible(s1, s2)
     a = s1.regulator_width
-    family = s1.family
     rvec = _state_separation(s1, s2)
     r = math.hypot(*rvec.tolist())
-    nmu, nphi, nk = _oracle_node_counts(q, r, a, family.spin)
+    nmu, nphi, nk = _oracle_node_counts(q, r, a)
     rot = _oracle_rotation(rvec)
     khat = (rot @ _oracle_angular_grid(nmu, nphi)[0].T).T
     k, wk = _oracle_radial_grid(nk, a)
     _check_anchor_phases(s1, s2, khat, r * _oracle_gauss_legendre(nmu)[0], k[-1])
-    X = _unit_rows(family.spin, rot[:, 2])
-    if family.label_basis == "cartesian":
-        X = _SPH_TO_CART.T @ X  # the rows of the unit Cartesian labels
-    b1, b2 = s1.coefficients @ X, s2.coefficients @ X
-    labels = (b1.conj() * b2) @ _oracle_label_diagonal(family.spin, family.helicities, nmu)
-    # k^2 from the volume element, one k from the measure; both states share the envelope
-    envelope = _envelope(s1, k)
-    wrad = wk * k**3 * envelope * envelope
-    return complex(_oracle_polar_radial_sum(labels[None], k, wrad, r, nmu)[0])
+    K = _oracle_kernel(s1.family, a, r, rot[:, 2], nmu, k, wk)
+    return complex(np.vdot(s1.coefficients, K @ s2.coefficients))

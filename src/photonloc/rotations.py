@@ -170,10 +170,14 @@ def _fourier_basis(j: int):
 
 
 def _validated_spin(j) -> int:
-    if j != int(j) or not 0 <= j <= J_MAX:
+    try:
+        spin = int(j)
+    except (ValueError, OverflowError):  # NaN, infinities
+        spin = None
+    if j != spin or not 0 <= spin <= J_MAX:
         raise ValueError(f"spin must be a non-negative integer at most {J_MAX} "
                          f"(half-integer spins unsupported), got {j}")
-    return int(j)
+    return spin
 
 
 def validate_helicities(helicities, j: int) -> tuple:

@@ -275,11 +275,10 @@ def _unit_rows(spin: int, khat: np.ndarray) -> np.ndarray:
                      [down * e2.conjugate(), w.conjugate(), up]])
 
 
-def _envelope(state: LocalizedState, k: np.ndarray) -> np.ndarray:
-    """The radial factor (2 pi)^(-3/2) k^(-p) e^(-a^2 k^2 / 2) of the amplitude at radii
-    ``k``, shape (N,)."""
-    a = state.regulator_width
-    return (2.0 * np.pi) ** -1.5 * k**-state.family.weight_exponent * np.exp(-0.5 * a * a * k * k)
+def _envelope(family: StateFamily, a: float, k: np.ndarray) -> np.ndarray:
+    """The radial factor (2 pi)^(-3/2) k^(-p) e^(-a^2 k^2 / 2) of the amplitude of a
+    ``family`` state of regulator width ``a`` at radii ``k``, shape (N,)."""
+    return (2.0 * np.pi) ** -1.5 * k**-family.weight_exponent * np.exp(-0.5 * a * a * k * k)
 
 
 def _anchor_phase(state: LocalizedState, khat: np.ndarray) -> np.ndarray:
@@ -321,7 +320,7 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
     if lam in state.family.helicities:
         khat = kvec / omega[:, None]
         with np.errstate(over="ignore"):  # a^2 k^2 past the double range: the envelope is 0
-            envelope = _envelope(state, omega)
+            envelope = _envelope(state.family, state.regulator_width, omega)
             live = envelope > 0.0  # the phase of an underflowed envelope is never formed
             arg = omega[live] * _anchor_phase(state, khat)[live]  # an overflow is rejected below
         if not np.all(np.isfinite(arg)):

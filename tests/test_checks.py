@@ -67,14 +67,18 @@ def test_a_failing_row_makes_check_exit_1(monkeypatch, capsys, residual):
     assert [row["status"] for row in table] == ["PASS", "PASS", "FAIL", "PASS", "PASS", "PASS"]
 
 
+def _mutated(function, target, replacement):
+    """``function`` recompiled in its module's namespace with its one ``target`` replaced."""
+    source = inspect.getsource(function)
+    assert source.count(target) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(target, replacement), namespace)
+    return namespace[function.__name__]
+
+
 def _label_rows_without_the_e2_conjugate():
     """``states._label_rows`` with e^{2 i phi} for e^{-2 i phi} in its lam = +1 row."""
-    source = inspect.getsource(states._label_rows)
-    target = "(down * bm) * e2.conj()"
-    assert source.count(target) == 1
-    namespace = dict(vars(states))
-    exec(source.replace(target, "(down * bm) * e2"), namespace)
-    return namespace["_label_rows"]
+    return _mutated(states._label_rows, "(down * bm) * e2.conj()", "(down * bm) * e2")
 
 
 def _label_rows_with_a_longitudinal_part(family, coefficients, khat):
@@ -98,6 +102,20 @@ def test_a_corrupted_helicity_frame_fails_both_polarization_suites(monkeypatch, 
         failing[suite] = {row["check"] for row in table if row["status"] == "FAIL"}
     assert "transversality" in failing["gauge"]
     assert failing["alt-product"] == {"unsummed-integrand-transverse-projector"}
+
+
+@pytest.mark.parametrize("module, function, target, replacement", [
+    (states, states._anchor_phase, "state.x[0] - khat @ state.x[1:]",
+     "khat @ state.x[1:] - state.x[0]"),
+    (checks, states.translate_state, "state.x + sign * a", "state.x - sign * a"),
+], ids=["anchor-phase", "translate-state"])
+def test_a_flipped_translation_sign_fails_every_translation_row(monkeypatch, capsys, module,
+                                                                 function, target, replacement):
+    # the rows apply U(a) as a phase on the grid amplitudes, apart from translate_state
+    monkeypatch.setattr(module, function.__name__, _mutated(function, target, replacement))
+    assert main(["check", "translation", "--format", "json"]) == 1
+    table = json.loads(capsys.readouterr().out)
+    assert all(row["status"] == "FAIL" and row["residual"] > 0.1 for row in table)
 
 
 @pytest.mark.parametrize("command", [["mmatrix", "--theta", "1"],

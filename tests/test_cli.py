@@ -11,7 +11,7 @@ from photonloc.cli import main
 from photonloc.overlap import QuadratureSpec, brute_force_kernel_matrix
 from photonloc.states import StateFamily
 
-FAST = ["--ntheta", "8", "--nphi", "8", "--nradial", "24"]
+FAST = ["--ntheta", "8", "--nradial", "24"]
 
 
 def run_csv(capsys, argv):
@@ -137,8 +137,7 @@ class TestKernelScan:
         code, rows = run_csv(
             capsys,
             ["kernel-scan", "--family", "cartesian-photon", "--r-list", "10",
-             "--direction", "1,0,1", "--ntheta", "4", "--nphi", "4",
-             "--nradial", "4"],
+             "--direction", "1,0,1", "--ntheta", "4", "--nradial", "4"],
         )
         assert code == 1
 
@@ -171,7 +170,8 @@ class TestKernelScan:
         family = StateFamily.of("cartesian-photon")
         rvec = 2.0 * np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
         for flags, q in (([], None), (["--ntheta", "4"], QuadratureSpec(n_theta=4)),
-                         (["--nphi", "5", "--nradial", "6"], QuadratureSpec(n_phi=5, n_radial=6))):
+                         (["--ntheta", "5", "--nradial", "6"],
+                          QuadratureSpec(n_theta=5, n_radial=6))):
             code, rows = run_csv(capsys, ["kernel-scan", "--family", "cartesian-photon",
                                           "--r-list", "2", "--direction", "1,0,1", *flags])
             oracle = brute_force_kernel_matrix(family, rvec, 1.0, q).entries
@@ -188,6 +188,13 @@ class TestKernelScan:
         with pytest.raises(SystemExit) as err:
             main(["kernel-scan", "--family", "scalar"])
         assert err.value.code == 2
+
+    def test_azimuth_count_is_not_a_flag(self, capsys):
+        # the kernel oracle sums its label part over azimuth in closed form
+        with pytest.raises(SystemExit) as err:
+            main(["kernel-scan", "--family", "spherical3", "--nphi", "8"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --nphi" in capsys.readouterr().err
 
     def test_bad_direction_is_usage_error(self, capsys):
         assert main(["kernel-scan", "--family", "spherical3",

@@ -58,7 +58,8 @@ def test_oracle_never_loads_scipy_special():
                 s1 = make_localized_state(family, [0.0, 0.2, -0.1, 0.4], label, 1.0)
                 s2 = make_localized_state(family, [0.0, 0.0, 0.3, 0.0], label, 1.0)
                 brute_force_overlap(s1, s2, q)
-                if kind != "scalar":
-                    brute_force_kernel_matrix(family, [0.2, -0.4, 0.4], 1.0, q)
+                brute_force_kernel_matrix(family, [0.2, -0.4, 0.4], 1.0, q)
+            for j in (2, 10):
+                brute_force_kernel_matrix(StateFamily(j, (-1, 1)), [0.2, -0.4, 0.4], 1.0, q)
         assert "scipy.special" not in sys.modules
     """)

@@ -19,11 +19,11 @@ from photonloc.overlap import (
     _oracle_angular_grid,
     _oracle_gauss_legendre,
     _oracle_label_diagonal,
-    _oracle_label_table,
     _oracle_node_counts,
     _oracle_polar_radial_sum,
     _oracle_radial_grid,
     _oracle_rotation,
+    _defect_family,
     _family_kernel,
     _racah_integers,
     _radial_integrals,
@@ -90,7 +90,7 @@ def helicity_loop_overlap(s1, s2, q):
     """The oracle overlap from one momentum_amplitude call per state, helicity and
     radial shell: a second contraction of brute_force_overlap's aligned grid."""
     a, rvec = s1.regulator_width, s1.x[1:] - s2.x[1:]
-    nmu, nphi, nk = _oracle_node_counts(q, np.linalg.norm(rvec), a, s1.family.spin)
+    nmu, nphi, nk = _oracle_node_counts(q, np.linalg.norm(rvec), a)
     khat, wang = _oracle_angular_grid(nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     k, wk = _oracle_radial_grid(nk, a)
@@ -104,10 +104,14 @@ def helicity_loop_overlap(s1, s2, q):
 
 def per_node_overlap(s1, s2, q):
     """brute_force_overlap node by node: both states' label rows at every rotated node,
-    contracted over helicities and summed over azimuth, then the oracle's phase sum."""
+    contracted over helicities and summed over azimuth, then the oracle's phase sum. The
+    azimuth rule sums the label part, of azimuthal degree 2j, exactly only with more
+    than 2j nodes, so where the oracle's grid has fewer it takes 2j + 1 rounded up to a
+    multiple of 8."""
     a, rvec = s1.regulator_width, s1.x[1:] - s2.x[1:]
     r = math.hypot(*rvec)
-    nmu, nphi, nk = _oracle_node_counts(q, r, a, s1.family.spin)
+    nmu, nphi, nk = _oracle_node_counts(q, r, a)
+    nphi = max(nphi, 8 * -(-(2 * s1.family.spin + 1) // 8))
     khat, wang = _oracle_angular_grid(nmu, nphi)
     khat = khat @ _oracle_rotation(rvec).T
     rows1, rows2 = (_label_rows(s.family, s.coefficients, khat) for s in (s1, s2))
@@ -235,17 +239,23 @@ class TestOverlapContracts:
         with pytest.raises(ValueError, match="negative-frequency"):
             qm_overlap(s, s)
 
-    def test_scalar_family_has_no_kernel_matrix(self):
-        # the scalar kernel is the 1 x 1 regulated delta; the kernel oracle serves spin 1
-        family = StateFamily.of(SCALAR)
+    def test_scalar_family_kernel_is_the_delta_on_both_paths(self):
+        # the scalar kernel is the 1 x 1 regulated delta, and the kernel oracle serves
+        # every spin: spin 0 gives that delta, spin 2 the production kernel
+        family, spin2 = StateFamily.of(SCALAR), StateFamily(2, (-1, 1))
         for rvec in (np.zeros(3), 0.8 * RHAT):
+            r = np.linalg.norm(rvec)
+            expected = gaussian_delta(r, 1.0)
             kernel = overlap_kernel_matrix(family, rvec, 1.0)
-            expected = gaussian_delta(np.linalg.norm(rvec), 1.0)
             assert kernel.entries.shape == (1, 1) and kernel.labels == (0,)
             assert abs(kernel.entries[0, 0] - expected) <= 1e-15 * expected
-        for spin_family in (family, StateFamily(2, (-1, 1))):
-            with pytest.raises(ValueError, match="spin-1 families only"):
-                brute_force_kernel_matrix(spin_family, np.zeros(3), 1.0)
+            oracle = brute_force_kernel_matrix(family, rvec, 1.0)
+            assert oracle.entries.shape == (1, 1) and oracle.labels == (0,)
+            assert abs(oracle.entries[0, 0] - expected) <= 1e-14 * expected
+            oracle = brute_force_kernel_matrix(spin2, rvec, 1.0)
+            exact = overlap_kernel_matrix(spin2, rvec, 1.0).entries
+            assert oracle.entries.shape == (5, 5) and oracle.labels == (2, 1, 0, -1, -2)
+            assert dipole_floor_error(oracle.entries, exact, r, 1.0, 0.0) <= 1e-14
 
 
 
@@ -544,8 +554,8 @@ class TestBruteForceAgreement:
                              (photonloc.rotations, "wigner_D"),
                              (photonloc.states, "wigner_D")):
             monkeypatch.setattr(module, name, forbidden)
-        # every table is built under the patch: four kernel tables and eight diagonals
-        _oracle_label_table.cache_clear()
+        # every table is built under the patch: five diagonals per grid, the kernel and
+        # the overlap of one label structure at one separation sharing theirs
         _oracle_label_diagonal.cache_clear()
         for q in (QuadratureSpec(4, 4, 4), None):
             for kind, label in ((SPHERICAL3, 0), (CARTESIAN_PHOTON, "x")):
@@ -553,14 +563,15 @@ class TestBruteForceAgreement:
                 s2 = state_at(kind, [0.0, 0.3, 0.0], label)
                 brute_force_overlap(s1, s2, q)
                 brute_force_kernel_matrix(StateFamily.of(kind), [0.2, -0.4, 0.4], 1.0, q)
+            brute_force_kernel_matrix(StateFamily.of(SCALAR), [0.2, -0.4, 0.4], 1.0, q)
             for j in (2, 10):
                 family = StateFamily(j, (-1, 1))
                 s1 = make_localized_state(family, [0.0, 0.2, -0.1, 0.4], j, 1.0)
                 s2 = make_localized_state(family, [0.0, 0.0, 0.3, 0.0], -1, 1.0)
                 mixed = np.exp(1j * np.arange(2 * j + 1)) / np.sqrt(2 * j + 1)
                 brute_force_overlap(replace(s1, coefficients=mixed), s2, q)
-        assert _oracle_label_table.cache_info().misses == 4
-        assert _oracle_label_diagonal.cache_info().misses == 8
+                brute_force_kernel_matrix(family, [0.2, -0.4, 0.4], 1.0, q)
+        assert _oracle_label_diagonal.cache_info().misses == 10
 
     def test_kernel_matrix_against_oracle(self):
         a = 1.0
@@ -576,11 +587,9 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("kind", THREE_LABEL_KINDS)
     @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q, None])
     def test_kernel_oracle_is_the_overlap_oracle_of_unit_labels(self, kind, spec):
-        # K_ij(r) = <label i at r | label j at 0>; the two oracles share the grid and the
-        # phase sum, not the rotation: the kernel's label-basis table is rotated back by
-        # the plain 3x3 rotation, the overlap contracts the states' aligned coefficients,
-        # their label rows at rhat, with the spherical table. They agree to rounding even
-        # on a starved grid
+        # K_ij(r) = <label i at r | label j at 0>. The overlap oracle is c1^H K c2 of the
+        # kernel's own reduction, so the node-by-node contraction of the unit-label
+        # states' rows checks both, to rounding even on a starved grid
         a = 0.8
         family = StateFamily.of(kind)
         rng = np.random.default_rng(61)
@@ -590,39 +599,25 @@ class TestBruteForceAgreement:
             kernel = brute_force_kernel_matrix(family, rvec, a, spec).entries
             for i, label_i in enumerate(family.labels):
                 for j, label_j in enumerate(family.labels):
-                    overlap = brute_force_overlap(state_at(kind, rvec, label_i, a),
-                                                  state_at(kind, np.zeros(3), label_j, a), spec)
+                    states = (state_at(kind, rvec, label_i, a),
+                              state_at(kind, np.zeros(3), label_j, a))
+                    overlap = brute_force_overlap(*states, spec)
                     assert abs(kernel[i, j] - overlap) < 1e-13 * gaussian_delta(0.0, a)
+                    node_by_node = per_node_overlap(*states, spec)
+                    assert abs(kernel[i, j] - node_by_node) < 1e-13 * gaussian_delta(0.0, a)
 
 
 class TestOracleTable:
-    @pytest.mark.parametrize("kind", THREE_LABEL_KINDS)
-    @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q])
-    def test_label_sums_match_node_by_node_rotations(self, kind, spec):
-        nmu, nphi = 4 * spec.n_theta, 4 * spec.n_phi
-        family = StateFamily.of(kind)
-        khat, weights = _oracle_angular_grid(nmu, nphi)
-        assert np.abs(np.linalg.norm(khat, axis=1) - 1.0).max() < 1e-15
-        assert abs(weights.sum() - 4.0 * np.pi) < 1e-13
-        expected = np.zeros((nmu * nphi, 3, 3), dtype=complex)
-        for n, vec in enumerate(khat):
-            D = wigner_D(1, standard_rotation(vec))
-            if family.label_basis == "cartesian":
-                D = spherical_to_cartesian().conj().T @ D
-            cols = D[:, [1 - lam for lam in family.helicities]]
-            expected[n] = weights[n] * (cols @ cols.conj().T)
-        expected = expected.reshape(nmu, nphi, 9).sum(axis=1).T
-        G = _oracle_label_table(family.helicities, family.label_basis, nmu, nphi)
-        assert G.shape == (9, nmu)
-        assert np.abs(G - expected).max() < 1e-14
-
-    @pytest.mark.parametrize("j, helicities", [(0, (0,)), (2, (-2, 1)), (10, (-10, -1, 0, 7))])
+    @pytest.mark.parametrize("j, helicities", [(0, (0,)), (1, (-1, 1)), (1, (-1, 0, 1)),
+                                               (2, (-2, 1)), (10, (-10, -1, 0, 7))])
     def test_spin_j_label_diagonal_matches_node_by_node_rotations(self, j, helicities):
         # the (2j+1)^2 table of node-by-node D-matrices on 24 azimuths, more than 2j, is
         # diagonal up to rounding, and its diagonal is the polar-node table; Wigner's
         # factorial sum rounds to ~2e-14 at spin 10
         nmu, nphi = 16, 24
         khat, weights = _oracle_angular_grid(nmu, nphi)
+        assert np.abs(np.linalg.norm(khat, axis=1) - 1.0).max() < 1e-15
+        assert abs(weights.sum() - 4.0 * np.pi) < 1e-13
         expected = np.zeros((nmu * nphi, 2 * j + 1, 2 * j + 1), dtype=complex)
         for n, vec in enumerate(khat):
             cols = wigner_D(j, standard_rotation(vec))[:, [j - lam for lam in helicities]]
@@ -636,9 +631,9 @@ class TestOracleTable:
         assert np.abs(g - diagonal).max() < 1e-13
 
     def test_cached_table_is_read_only(self):
-        G = _oracle_label_table((-1, 1), "spherical", 4 * Q.n_theta, 4 * Q.n_phi)
+        g = _oracle_label_diagonal(1, (-1, 1), 4 * Q.n_theta)
         with pytest.raises(ValueError, match="read-only"):
-            G[0] = 0.0
+            g[0] = 0.0
 
     def test_cached_angular_grid_is_read_only(self):
         khat, weights = _oracle_angular_grid(4 * Q.n_theta, 4 * Q.n_phi)
@@ -647,13 +642,14 @@ class TestOracleTable:
                 arr[0] = 0.0
 
     def test_one_table_per_label_structure(self):
-        # cartesian-photon and radiation-gauge differ only in the weight exponent,
-        # which the table does not see: one grid builds one table for both
-        _oracle_label_table.cache_clear()
-        kernels = [brute_force_kernel_matrix(StateFamily.of(kind), 10.0 * RHAT, 1.0).entries
-                   for kind in (CARTESIAN_PHOTON, RADIATION_GAUGE)]
-        assert _oracle_label_table.cache_info().currsize == 1
-        assert not np.allclose(kernels[0], kernels[1])
+        # the diagonal sees neither the weight exponent nor the label basis: one grid
+        # builds one table for spherical3 and cartesian3, and one for the three photon
+        # families, though the radiation-gauge kernel differs from the cartesian-photon one
+        _oracle_label_diagonal.cache_clear()
+        kernels = {kind: brute_force_kernel_matrix(StateFamily.of(kind), 10.0 * RHAT, 1.0).entries
+                   for kind in THREE_LABEL_KINDS}
+        assert _oracle_label_diagonal.cache_info().currsize == 2
+        assert not np.allclose(kernels[CARTESIAN_PHOTON], kernels[RADIATION_GAUGE])
 
     def test_self_sized_spin_j_diagonal_is_cached(self):
         # a self-sized spin-10 overlap at r/a = 20 reads a 21 x 160 diagonal, 27 kB
@@ -685,11 +681,11 @@ class TestOracleTable:
 
     def test_cold_default_tables_build_under_one_second(self):
         q = QuadratureSpec()
-        _oracle_label_table.cache_clear()
+        _oracle_label_diagonal.cache_clear()
         start = time.perf_counter()
         for kind in THREE_LABEL_KINDS:
             family = StateFamily.of(kind)
-            _oracle_label_table(family.helicities, family.label_basis, 4 * q.n_theta, 4 * q.n_phi)
+            _oracle_label_diagonal(family.spin, family.helicities, 4 * q.n_theta)
         assert time.perf_counter() - start < 1.0
 
 
@@ -780,15 +776,15 @@ class TestAlignedOracle:
         sized = brute_force_kernel_matrix(family, rvec, 1.0).entries
         default = brute_force_kernel_matrix(family, rvec, 1.0, QuadratureSpec()).entries
         starved = brute_force_kernel_matrix(family, rvec, 1.0, QuadratureSpec(4, 4, 4)).entries
-        assert _oracle_node_counts(None, 10.0, 1.0, 1) == (128, 8, 128)
-        assert _oracle_node_counts(QuadratureSpec(), 10.0, 1.0, 1) == (128, 128, 256)
+        assert _oracle_node_counts(None, 10.0, 1.0) == (128, 8, 128)
+        assert _oracle_node_counts(QuadratureSpec(), 10.0, 1.0) == (128, 128, 256)
         assert not np.array_equal(sized, default)
         assert dipole_floor_error(sized, exact, 10.0, 1.0, 0.0) < 1e-12
         assert dipole_floor_error(starved, exact, 10.0, 1.0, 0.0) > 1e-3
 
     def test_self_sized_range_is_bounded(self):
         family = StateFamily.of(SPHERICAL_PHOTON)
-        assert _oracle_node_counts(None, 1e3, 1.0, 1) == (4320, 8, 4320)
+        assert _oracle_node_counts(None, 1e3, 1.0) == (4320, 8, 4320)
         with pytest.raises(ValueError, match="beyond the self-sized oracle's range"):
             brute_force_kernel_matrix(family, [0.0, 0.0, 1.001e3], 1.0)
         s1 = state_at(SCALAR, [2e3, 0.0, 0.0], 0)
@@ -806,15 +802,13 @@ class TestAlignedOracle:
                 family = StateFamily.of(THREE_LABEL_KINDS[k % 5])
                 brute_force_kernel_matrix(family, r_over_a * RHAT, 1.0)
             brute_force_overlap(state_at(SCALAR, RHAT, 0), origin, Q)
-            return _oracle_label_table.cache_info(), _oracle_label_diagonal.cache_info()
+            return _oracle_label_diagonal.cache_info()
 
-        _oracle_label_table.cache_clear()
         _oracle_label_diagonal.cache_clear()
-        first = round_of_calls()
-        second = round_of_calls()
-        for before, after in zip(first, second):
-            assert after.misses == before.misses
-            assert after.currsize <= after.maxsize == 16
+        before = round_of_calls()
+        after = round_of_calls()
+        assert after.misses == before.misses
+        assert after.currsize <= after.maxsize == 16
 
 
 class TestOverlapSymmetries:
@@ -1300,6 +1294,22 @@ class TestKernelProperties:
         s2 = make_localized_state(family, np.zeros(4), labels[1], a)
         exact = qm_overlap(s1, s2)
         assert dipole_floor_error(brute_force_overlap(s1, s2), exact, r_over_a * a, a, 0.0) <= 1e-13
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_spin_j_kernel_oracle_matches_the_defect(self, data):
+        # the oracle's rounding floor grows with r/a: over 13,800 random draws (spins
+        # 2-10, r/a to 68) the error read at most 1.6e-15 max(4, r/a)^2, 1.3e-13 at
+        # r/a <= 10 and 2.8e-12 at r/a 68
+        j = data.draw(st.integers(2, J_MAX), label="j")
+        helicities = _draw_proper_subset(data, j)
+        a = data.draw(st.floats(0.1, 10.0), label="a")
+        r_over_a = data.draw(st.floats(0.0, 68.0), label="r/a")
+        rvec = r_over_a * a * _draw_unit_vector(data, "direction")
+        K = general_j_defect(j, helicities, rvec, a).entries
+        oracle = brute_force_kernel_matrix(_defect_family(j, helicities), rvec, a).entries
+        error = np.abs(oracle - K).max() / _kernel_scale(K, rvec, a, 0.0)
+        assert error <= 4e-15 * max(4.0, r_over_a) ** 2
 
     @settings(max_examples=40)
     @given(data=st.data())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from photonloc.overlap import general_j_defect
 from photonloc.rotations import (
     J_MAX,
     _fourier_basis,
@@ -18,6 +19,7 @@ from photonloc.rotations import (
     wigner_D,
     wigner_angle,
 )
+from photonloc.states import StateFamily
 
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -284,6 +286,16 @@ class TestWignerD:
             wigner_D(0.5, np.eye(3))
         with pytest.raises(ValueError, match="integer"):
             wigner_D(-1, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spin_gets_the_spin_message(self, bad):
+        # int() of NaN or an infinity raises its own error, which the one spin boundary
+        # replaces at every entry point that validates a spin
+        for call in (lambda: wigner_D(bad, np.eye(3)),
+                     lambda: StateFamily(bad, (0,)),
+                     lambda: general_j_defect(bad, (-1, 1), np.array([0.0, 0.0, 1.0]), 1.0)):
+            with pytest.raises(ValueError, match=f"non-negative integer at most {J_MAX}"):
+                call()
 
     def test_non_rotation_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
