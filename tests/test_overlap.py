@@ -18,6 +18,7 @@ from photonloc.overlap import (
     _helicity_columns,
     _oracle_angular_grid,
     _oracle_gauss_legendre,
+    _oracle_kernel,
     _oracle_label_diagonal,
     _oracle_node_counts,
     _oracle_polar_radial_sum,
@@ -53,7 +54,9 @@ from photonloc.states import (
     SPHERICAL_PHOTON,
     LocalizedState,
     StateFamily,
+    _envelope,
     _label_rows,
+    _unit_rows,
     make_localized_state,
     momentum_amplitude,
     rotate_state,
@@ -608,6 +611,39 @@ class TestBruteForceAgreement:
 
 
 class TestOracleTable:
+    @pytest.mark.parametrize("kind", THREE_LABEL_KINDS)
+    @pytest.mark.parametrize("spec", [QuadratureSpec(4, 4, 4), Q])
+    def test_label_sums_match_node_by_node_rotations(self, kind, spec):
+        # the kernel oracle's label part, conj(X) diag(g) X^T with X the unit labels'
+        # rows at rhat, is the azimuth sum of node-by-node D-matrix products in the
+        # family's label basis on the grid rotated to rhat, on the z-axis and off it;
+        # on one radial shell the oracle's kernel is these sums times the shell's phases
+        nmu, nphi = 4 * spec.n_theta, 4 * spec.n_phi
+        family = StateFamily.of(kind)
+        cartesian = family.label_basis == "cartesian"
+        to_labels = spherical_to_cartesian().conj().T if cartesian else np.eye(3)
+        g = _oracle_label_diagonal(1, family.helicities, nmu)
+        for rhat in (np.array([0.0, 0.0, 1.0]), RHAT):
+            rot = _oracle_rotation(rhat)
+            khat, weights = _oracle_angular_grid(nmu, nphi)
+            khat = khat @ rot.T
+            assert np.abs(np.linalg.norm(khat, axis=1) - 1.0).max() < 1e-15
+            expected = np.zeros((nmu * nphi, 3, 3), dtype=complex)
+            for n, vec in enumerate(khat):
+                D = to_labels @ wigner_D(1, standard_rotation(vec))
+                cols = D[:, [1 - lam for lam in family.helicities]]
+                expected[n] = weights[n] * (cols @ cols.conj().T)
+            expected = expected.reshape(nmu, nphi, 3, 3).sum(axis=1)
+            X = to_labels.conj() @ _unit_rows(1, rot[:, 2])
+            table = np.einsum("is,sm,js->mij", X.conj(), g, X)
+            assert np.abs(table - expected).max() < 1e-14
+            k, wk, a, r = np.array([1.3]), np.array([1.0]), 0.8, 0.7
+            weight = k[0] ** 3 * _envelope(family, a, k)[0] ** 2
+            phases = np.exp(1j * k[0] * r * _oracle_gauss_legendre(nmu)[0])
+            shell = weight * np.einsum("m,mij->ij", phases, expected)
+            kernel = _oracle_kernel(family, a, r, rot[:, 2], nmu, k, wk)
+            assert np.abs(kernel - shell).max() < 1e-14 * weight
+
     @pytest.mark.parametrize("j, helicities", [(0, (0,)), (1, (-1, 1)), (1, (-1, 0, 1)),
                                                (2, (-2, 1)), (10, (-10, -1, 0, 7))])
     def test_spin_j_label_diagonal_matches_node_by_node_rotations(self, j, helicities):
