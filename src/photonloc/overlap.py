@@ -49,10 +49,13 @@ g[sigma, mu] = 2 pi w_mu sum_lam |d^j_{sigma lam}(theta_mu)|^2 on the polar node
 alone (``_oracle_label_diagonal``, the states' rows at phi = 0, cached per spin,
 helicities and polar count), at every spin and in both label bases. The phase is
 summed in one loop, ``_oracle_polar_radial_sum``: S(p) = sum_k w(k) e^{i k p} once per
-polar node p = r cos(theta), then contracted with g; the nodes are mirrored and w is
-real, so S(-p) = conj(S(p)) and only the upper half takes cos and sin. The radial
-weight is w = wk k^3 E(k)^2, E the states' envelope ``states._envelope``: k^2 from
-the volume element, one k from the measure. The aligned diagonal is rotated back by
+polar node p = r cos(theta), then contracted with g. The polar nodes are mirrored and
+w is real, so S(-p) = conj(S(p)): only the upper polar half is summed. The radial nodes
+are mirrored too, k + k' = span, and only the lower radial half takes cos and sin: an
+upper node's phase is e^{i span p} e^{-i k p}, off by ~eps span p, on weights the
+regulator leaves below 1e-6 of their peak. The radial weight is w = wk k^3 E(k)^2,
+E the states' envelope ``states._envelope``: k^2 from the volume element, one k from
+the measure. The aligned diagonal is rotated back by
 the rows of the unit labels at rhat, X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as
 K = conj(X) diag(S) X^T, Cartesian labels through <sigma|i>: helicity rows obey
 C_c(R khat, lam) = e^{i lam w} C_{D(R)^H c}(khat, lam) (Jacob and Wick, Ann. Phys. 7,
@@ -103,18 +106,17 @@ from .states import (
 #: The oracle truncates momentum integrals at k = cutoff / a; exp(-8.5^2) ~ 5e-32.
 RADIAL_CUTOFF = 8.5
 
-#: (k, cos theta) points per block of the oracles' phase sum (whole polar columns).
-#: It bounds the phase buffer. A fresh self-sized scalar overlap at r/a = 1000
-#: (process peak RSS, median of three, 2 vCPUs): 34 MB, 0.46 s, against 34 MB,
-#: 0.55 s at 4k points, 35 MB, 0.65 s at 131k and 49 MB, 0.67 s at 1M. It bounds the
-#: label diagonal's rows per block too.
+#: (k, cos theta) points of the lower radial half per block of the oracles' phase sum
+#: (whole polar columns). It bounds the phase buffer. A fresh self-sized scalar overlap
+#: at r/a = 1000 (process peak RSS, median of three, 2 vCPUs): 33 MB, 0.30 s, against
+#: 33 MB, 0.40 s at 4k points, 34 MB, 0.28 s at 131k and 48 MB, 0.39 s at 1M. It bounds
+#: the label diagonal's rows per block too.
 _ORACLE_BLOCK_POINTS = 16_384
 
 #: Largest r/a of a self-sized oracle grid, 4320 nodes per axis. The work grows as
-#: (r/a)^2: at the bound a spin-1 kernel takes 0.2-0.35 s warm and 0.35-0.55 s in a
-#: fresh process; a spin-10 overlap takes 0.35-0.37 s warm and 0.51-0.53 s fresh with
-#: two helicities, 0.22-0.33 s warm and 0.37-0.54 s fresh with all 21 (three fresh
-#: processes each, 2 vCPUs).
+#: (r/a)^2: at the bound a spin-1 kernel takes 0.13 s warm and 0.27 s in a fresh
+#: process; a spin-10 overlap takes 0.17 s warm and 0.29 s fresh with two helicities,
+#: 0.19 s warm and 0.39 s fresh with all 21 (medians of three fresh processes, 2 vCPUs).
 _ORACLE_MAX_R_OVER_A = 1e3
 
 _TINY = np.finfo(float).tiny
@@ -516,17 +518,24 @@ def _oracle_polar_radial_sum(table: np.ndarray, k: np.ndarray, wrad: np.ndarray,
 
     The one phase loop of both oracles: the phase depends only on the radial
     node and the polar node of the aligned grid. S(p) = sum_n wrad[n] e^{i k[n] p}
-    is summed over k per block of polar nodes, then contracted with the table. The
+    is summed per block of polar nodes, then contracted with the table. The polar
     nodes are mirrored, p[nmu - 1 - mu] = -p[mu] exactly, and wrad is real, so
-    S(-p) = conj(S(p)): cos and sin run on the upper half alone."""
-    half = nmu // 2
+    S(-p) = conj(S(p)): only the upper polar half is summed. The radial nodes obey
+    k[n] + k[-1-n] = k[0] + k[-1] = span, so cos and sin run on the lower half alone:
+    S(p) = e w_lo + e^{i span p} conj(e) w_up, e = e^{i k[n] p}, w_up[n] = wrad[-1-n].
+    The upper nodes, under 1e-6 of the oracles' peak weight, take the rounding, ~eps span p."""
+    half, m, span = nmu // 2, (k.size + 1) // 2, k[0] + k[-1]
     polar = r * _oracle_gauss_legendre(nmu)[0][half:]  # the middle node of an odd rule too
-    S = np.empty(nmu, dtype=complex)
-    block = max(1, _ORACLE_BLOCK_POINTS // k.size)
+    w = np.stack((wrad[:m], wrad[::-1][:m]), axis=1)
+    w[k.size // 2 :, 1] = 0.0  # the middle node of odd nk is a lower node only
+    S, block = np.empty(nmu, dtype=complex), max(1, _ORACLE_BLOCK_POINTS // m)
     for start in range(half, nmu, block):
-        arg = np.outer(polar[start - half : start - half + block], k)
-        S.real[start : start + block] = np.cos(arg) @ wrad
-        S.imag[start : start + block] = np.sin(arg) @ wrad
+        p = polar[start - half : start - half + block]
+        arg = np.outer(p, k[:m])
+        (c_lo, c_up), (s_lo, s_up) = (np.cos(arg) @ w).T, (np.sin(arg) @ w).T
+        cos_span, sin_span = np.cos(span * p), np.sin(span * p)
+        S.real[start : start + block] = c_lo + cos_span * c_up + sin_span * s_up
+        S.imag[start : start + block] = s_lo + sin_span * c_up - cos_span * s_up
     S[:half] = S[::-1][:half].conj()
     return table @ S
 

@@ -6,6 +6,7 @@ import pytest
 import inspect
 
 import photonloc.checks as checks
+import photonloc.overlap as overlap
 import photonloc.polarization as polarization
 import photonloc.states as states
 from photonloc.cli import main
@@ -116,6 +117,31 @@ def test_a_flipped_translation_sign_fails_every_translation_row(monkeypatch, cap
     assert main(["check", "translation", "--format", "json"]) == 1
     table = json.loads(capsys.readouterr().out)
     assert all(row["status"] == "FAIL" and row["residual"] > 0.1 for row in table)
+
+
+def test_a_tripled_alternative_pairing_fails_only_the_rows_that_read_it(monkeypatch, capsys):
+    mutated = _mutated(overlap.alt_overlap, "2.0 * gaussian_delta", "3.0 * gaussian_delta")
+    monkeypatch.setattr(checks, "alt_overlap", mutated)
+    assert main(["check", "alt-product", "--format", "json"]) == 1
+    table = json.loads(capsys.readouterr().out)
+    assert [row["status"] for row in table] == ["FAIL", "FAIL", "PASS"]
+
+
+def test_a_dropped_helicity_fails_the_scan_on_every_nonzero_entry(monkeypatch, capsys):
+    # along z the spherical-photon kernel is diagonal; the off-diagonal zeros stay exact
+    argv = ["kernel-scan", "--family", "spherical-photon", "--format", "json"]
+    assert main(argv) == 0
+    before = json.loads(capsys.readouterr().out)
+    mutated = _mutated(overlap._helicity_columns, "for lam in helicities)",
+                       "for lam in helicities[1:])")
+    monkeypatch.setattr(overlap, "_helicity_columns", mutated)
+    assert main(argv) == 1
+    after = json.loads(capsys.readouterr().out)
+    assert all(row["rel_err"] <= checks.SCAN_REL_TOL for row in before)
+    for old, new in zip(before, after, strict=True):
+        diagonal = old["sigma1"] == old["sigma2"]
+        assert (new["rel_err"] > checks.SCAN_REL_TOL) == diagonal, new
+        assert (old["oracle_re"], old["oracle_im"]) == (new["oracle_re"], new["oracle_im"])
 
 
 @pytest.mark.parametrize("command", [["mmatrix", "--theta", "1"],

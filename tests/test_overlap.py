@@ -751,10 +751,11 @@ class TestAlignedOracle:
     @pytest.mark.parametrize("nmu", [96, 97])
     @pytest.mark.parametrize("r", [0.0, 0.3, 68.0, 999.0])
     def test_mirrored_phase_sum_matches_the_direct_sum(self, monkeypatch, nmu, r):
-        # a self-sized grid's shape, nk = nmu, in blocks of 8 polar columns, the last one
-        # partial at odd nmu. The identity table reads S(p) node by node; a table row's
-        # contraction rounds on the scale of its absolute sum, which sets the bound
-        monkeypatch.setattr(photonloc.overlap, "_ORACLE_BLOCK_POINTS", 8 * nmu)
+        # a self-sized grid's shape, nk = nmu, in blocks of 8 polar columns of the lower
+        # radial half, the last one partial at odd nmu. The identity table reads S(p) node by
+        # node; a table row's contraction rounds on the scale of its absolute sum, which sets
+        # the bound
+        monkeypatch.setattr(photonloc.overlap, "_ORACLE_BLOCK_POINTS", 8 * -(-nmu // 2))
         rng = np.random.default_rng(nmu)
         k, wk = _oracle_radial_grid(nmu, 1.0)
         wrad = wk * k**2 * np.exp(-k * k)
@@ -766,6 +767,40 @@ class TestAlignedOracle:
             mirrored = _oracle_polar_radial_sum(table, k, wrad, r, nmu)
             bound = 1e-15 * np.abs(wrad).sum() * np.abs(table).sum(axis=1).max()
             assert np.abs(mirrored - direct).max() <= bound
+
+    @pytest.mark.parametrize("nmu", [96, 97])
+    @pytest.mark.parametrize("r", [0.3, 3.0, 10.0])
+    @pytest.mark.parametrize("power", [0, 6])
+    def test_radial_mirror_holds_for_weights_heavy_on_the_upper_half(self, monkeypatch, nmu,
+                                                                     r, power):
+        # a flat and a k^6 weight put half and nearly all of the sum on the upper radial
+        # nodes, which take their phases off the mirror, e^{i span p} e^{-i k p}: a wrong
+        # sign or a lost upper column shows at O(1). The phases round by ~eps (1 + span r)
+        # and the sums on the scale of sum |wrad|; the largest error read 0.58 of that
+        monkeypatch.setattr(photonloc.overlap, "_ORACLE_BLOCK_POINTS", 8 * -(-nmu // 2))
+        k, wk = _oracle_radial_grid(nmu, 1.0)
+        wrad = wk * k**power
+        direct = np.exp(1j * np.outer(r * _oracle_gauss_legendre(nmu)[0], k)) @ wrad
+        mirrored = _oracle_polar_radial_sum(np.eye(nmu), k, wrad, r, nmu)
+        bound = 4.0 * np.finfo(float).eps * (1.0 + (k[0] + k[-1]) * r) * np.abs(wrad).sum()
+        assert np.abs(mirrored - direct).max() <= bound
+
+    def test_phase_sum_takes_cos_and_sin_on_the_lower_radial_half(self, monkeypatch):
+        # a count of the arguments, not a timing: the upper polar half of the lower radial
+        # half, plus the span phase once per upper polar node
+        family, rvec = StateFamily.of(SPHERICAL_PHOTON), 10.0 * RHAT
+        nmu, _, nk = _oracle_node_counts(None, 10.0, 1.0)
+        assert (nmu, nk) == (128, 128)
+        brute_force_kernel_matrix(family, rvec, 1.0)  # builds the tables
+        counts = {"cos": 0, "sin": 0}
+        for name in counts:
+            def counted(x, *args, _name=name, _ufunc=getattr(np, name), **kwargs):
+                counts[_name] += np.size(x)
+                return _ufunc(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        brute_force_kernel_matrix(family, rvec, 1.0)
+        upper = -(-nmu // 2)
+        assert counts == {"cos": -(-nk // 2) * upper + upper, "sin": -(-nk // 2) * upper + upper}
 
     def test_rotation_takes_z_to_the_separation(self):
         rng = np.random.default_rng(53)
