@@ -523,7 +523,7 @@ def _oracle_polar_radial_sum(table: np.ndarray, k: np.ndarray, wrad: np.ndarray,
     S(-p) = conj(S(p)): only the upper polar half is summed. The radial nodes obey
     k[n] + k[-1-n] = k[0] + k[-1] = span, so cos and sin run on the lower half alone:
     S(p) = e w_lo + e^{i span p} conj(e) w_up, e = e^{i k[n] p}, w_up[n] = wrad[-1-n].
-    The upper nodes, under 1e-6 of the oracles' peak weight, take the rounding, ~eps span p."""
+    The upper nodes, under 2e-7 of the oracles' total weight, take the rounding, ~eps span p."""
     half, m, span = nmu // 2, (k.size + 1) // 2, k[0] + k[-1]
     polar = r * _oracle_gauss_legendre(nmu)[0][half:]  # the middle node of an odd rule too
     w = np.stack((wrad[:m], wrad[::-1][:m]), axis=1)
