@@ -178,6 +178,8 @@ def gauge(seed: int = 0) -> list:
     spatial = eps[..., 1:]
     energy = omega[:, None]
     strength = np.abs(field_strength(k, shifted) - field_strength(k, eps)).max(axis=(-2, -1))
+    # eps(lam) is the helicity eigenvector: (S.khat) eps = i khat x eps = lam eps
+    eigen = 1j * np.cross(khat[:, None], spatial) - np.array([-1.0, 1.0])[:, None] * spatial
     return [
         _row("lorentz-condition", (np.abs(minkowski_dot(k, eps)) / energy).max(), 1e-12),
         _row("gauge-shift-preserves-lorentz",
@@ -189,6 +191,7 @@ def gauge(seed: int = 0) -> list:
         # |eps(+1) . eps*(-1)| = |eps(-1) . eps*(+1)|: one pair covers both helicities
         _row("helicity-orthogonality",
              np.abs(np.sum(spatial[:, 1] * spatial[:, 0].conj(), axis=-1)).max(), 1e-12),
+        _row("helicity-eigenvalue", np.linalg.norm(eigen, axis=-1).max(), 1e-12),
     ]
 
 

@@ -55,8 +55,8 @@ are mirrored too, k + k' = span, and only the lower radial half takes cos and si
 upper node's phase is e^{i span p} e^{-i k p}, off by ~eps span p, on weights the
 regulator leaves below 1e-6 of their peak. The radial weight is w = wk k^3 E(k)^2,
 E the states' envelope ``states._envelope``: k^2 from the volume element, one k from
-the measure. The aligned diagonal is rotated back by
-the rows of the unit labels at rhat, X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as
+the measure. The aligned diagonal is rotated back by the rows of the unit labels at rhat
+(``states._unit_rows``), X[sigma, sigma'] = C_{e_sigma}(rhat, sigma'), as
 K = conj(X) diag(S) X^T, Cartesian labels through <sigma|i>: helicity rows obey
 C_c(R khat, lam) = e^{i lam w} C_{D(R)^H c}(khat, lam) (Jacob and Wick, Ann. Phys. 7,
 404 (1959)), the Wigner phase e^{i lam w} cancels in sum_lam conj(C_1) C_2, and the
@@ -299,6 +299,12 @@ def _defect_family(j, helicities: tuple) -> StateFamily:
     return StateFamily(j, tuple(lam for lam in range(-j, j + 1) if lam not in present) or present)
 
 
+def _require_positive_frequency(family: StateFamily):
+    if family.frequency_sign != "positive":
+        raise ValueError("negative-frequency states are translation test fixtures and do "
+                         "not enter overlap computations")
+
+
 def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     """Full label-by-label equal-time overlap matrix at spatial separation rvec.
 
@@ -306,6 +312,7 @@ def overlap_kernel_matrix(family: StateFamily, rvec, a: float) -> KernelMatrix:
     delta for the scalar family); photon families lose the longitudinal projector
     term, which survives as a non-local transverse tail.
     """
+    _require_positive_frequency(family)
     a = require_regulator_width(a)
     rvec = _separation(rvec)
     return KernelMatrix(rvec, _family_kernel(family, rvec, a), family.kind, a, family.labels)
@@ -345,11 +352,7 @@ def general_j_defect(j: int, helicities, rvec, a: float) -> KernelMatrix:
 def _require_overlap_compatible(s1: LocalizedState, s2: LocalizedState):
     for s in (s1, s2):
         require_regulator_width(s.regulator_width)
-        if s.family.frequency_sign != "positive":
-            raise ValueError(
-                "negative-frequency states are translation test fixtures and do "
-                "not enter overlap computations"
-            )
+        _require_positive_frequency(s.family)
     if s1.family.kind != s2.family.kind:
         raise ValueError(
             f"overlap requires matching families, got {s1.family.kind!r} and "
@@ -501,11 +504,12 @@ def _oracle_label_diagonal(spin: int, helicities: tuple, nmu: int) -> np.ndarray
     one block). It is 0.7 MB, so the bound of 16 holds at most ~11 MB."""
     mu, wmu = _oracle_gauss_legendre(nmu)
     khat = np.stack((np.sqrt(1.0 - mu**2), np.zeros(nmu), mu), axis=1)
-    family, g = StateFamily(spin, helicities), np.empty((2 * spin + 1, nmu))
+    g = np.empty((2 * spin + 1, nmu))
     block = max(1, _ORACLE_BLOCK_POINTS // ((2 * spin + 1) * len(helicities)))
     for start in range(0, nmu, block):
-        parts = _wigner_rows(family, khat[start : start + block]).view(float)  # real, imaginary
-        g[:, start : start + block] = np.einsum("snl,snl->sn", parts, parts)
+        x = _wigner_rows(spin, helicities, khat[start : start + block])
+        parts = x.view(float).reshape(*x.shape, 2)  # real, imaginary
+        g[:, start : start + block] = np.einsum("slkc,slkc->sk", parts, parts)
     g *= 2.0 * np.pi * wmu
     g.setflags(write=False)
     return g
@@ -569,6 +573,7 @@ def brute_force_kernel_matrix(family: StateFamily, rvec, a: float,
     rows at rhat (``_oracle_kernel``, module docstring). ``q`` None sizes the grid
     from k_max r; the azimuth count does not enter.
     """
+    _require_positive_frequency(family)
     a = require_regulator_width(a)
     rvec = _separation(rvec)
     r = math.hypot(*rvec.tolist())

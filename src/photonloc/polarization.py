@@ -2,8 +2,9 @@
 
 Radiation-gauge polarization vectors are read off the label rows the states
 carry, eps^i(khat, lambda) = conj C_i(khat, lambda) for the Cartesian unit
-label i (:func:`photonloc.states._label_rows`), so the frame these checks
-judge is the frame every state, kernel and oracle uses. Helicity-sum matrices
+label i, all three from one evaluation of the states' Wigner sum
+(:func:`photonloc.states._label_rows`), so the frame these checks judge is the
+frame every state, kernel and oracle uses. Helicity-sum matrices
 measure how much of the spin-j completeness relation survives when the
 helicity spectrum is restricted (the obstruction to building three mutually
 orthogonal localized states for the photon); they rotate the aligned helicity
@@ -57,10 +58,9 @@ def polarization_vectors(khat) -> np.ndarray:
     constructions.
     """
     khat = _unit_directions(khat)
-    family = StateFamily.of(CARTESIAN3)  # helicities (-1, 0, 1): row column lam + 1
     eps = np.zeros((khat.shape[0], 3, 4), dtype=complex)
-    for i, unit in enumerate(np.eye(3)):
-        eps[:, :, 1 + i] = _label_rows(family, unit, khat).conj()
+    # the rows of the Cartesian unit labels, one column each: [:, lam + 1, i] is C_i(khat, lam)
+    eps[:, :, 1:] = _label_rows(StateFamily.of(CARTESIAN3), np.eye(3), khat).conj()
     return eps
 
 

@@ -17,6 +17,9 @@ vectors are read off them. A state is stored as its family, anchor point,
 regulator width, and a complex coefficient vector over the family's labels (a
 unit vector at construction, mixed by rotations).
 
+The label rows are Wigner's factorial sum at every spin, one plan per spin and
+helicity set fed by an array stage for many directions and a scalar stage for one.
+
 Families
 --------
 A family is (spin j <= 10, helicity set, label basis, weight p = 1/2 or 1, frequency
@@ -183,36 +186,49 @@ def _wigner_sum_table(j: int) -> np.ndarray:
     return table
 
 
-def _azimuth_phase(khat: np.ndarray):
-    """(rho, e^{i phi}) at unit directions ``khat`` of shape (M, 3): rho = sin(theta) =
-    |khat_x + i khat_y| and e^{i phi} = 1 on the poles. e^{i phi} is formed by real
-    divisions into its real and imaginary parts: a complex one scales by 1/rho, which
-    overflows for a subnormal rho."""
-    rho = np.hypot(khat[:, 0], khat[:, 1])
-    e = np.ones(len(rho), dtype=complex)
-    off_pole = rho > 0.0
+@lru_cache(maxsize=256)
+def _wigner_plan(j: int, helicities: tuple):
+    """Read-only (T, a, b, n) of Wigner's sum for ``helicities``: T[b, (sigma, lam)] of
+    :func:`_wigner_sum_table` flattened to (2j+1, (2j+1) len(helicities)), the powers
+    a = 2j - b and b = 0..2j as floats, and n[(sigma, lam)], the index of
+    e^{i (sigma - lam) phi} in :func:`_azimuth_powers`; 256 sets hold a benchmark run's."""
+    table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]].reshape(2 * j + 1, -1)
+    b = np.arange(2.0 * j + 1)
+    m = (np.arange(j, -j - 1, -1)[:, None] - np.array(helicities)).ravel()  # sigma - lam
+    plan = (table, b[::-1].copy(), b, np.where(m >= 0, m, 2 * j + 1 - m))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _azimuth_powers(e, b: np.ndarray) -> np.ndarray:
+    """e^{i b phi}, then e^{-i b phi}, b = 0..2j the plan's powers (b[:, None] for an array
+    e = e^{i phi}), on the first axis: numpy's powers, as Python's differ in the last bit,
+    and their conjugates, as a division costs 3x. Both stages of Wigner's sum use it."""
+    p = e ** b
+    return np.concatenate((p, p.conj()))
+
+
+def _wigner_rows(j: int, helicities: tuple, khat: np.ndarray) -> np.ndarray:
+    """x[sigma, lam, k] = d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, shape
+    (2j+1, len(helicities), M), sigma = j..-j, at unit directions ``khat`` of shape (M, 3):
+    x[sigma] is the label rows of the unit spherical label sigma. The array stage of
+    :func:`_wigner_plan`: one product of its table per sigma with the monomials
+    cos(theta/2)^(2j - b) sin(theta/2)^b and a gather of whole rows of phase powers."""
+    table, a, b, n = _wigner_plan(j, helicities)
+    c = khat[:, 2]  # cos(theta)
+    rho = np.hypot(khat[:, 0], khat[:, 1])  # sin(theta)
+    # e^{i phi}, 1 on the poles, by real divisions: a complex one scales by 1/rho, which
+    # overflows for a subnormal rho
+    e, off_pole = np.ones(len(khat), dtype=complex), rho > 0.0
     np.divide(khat[:, 0], rho, out=e.real, where=off_pole)
     np.divide(khat[:, 1], rho, out=e.imag, where=off_pole)
-    return rho, e
-
-
-def _wigner_rows(family: StateFamily, khat: np.ndarray) -> np.ndarray:
-    """x[sigma, n, lam] = d^j_{sigma lam}(theta) e^{i (sigma - lam) phi}, sigma = j..-j,
-    shape (2j+1, M, len(helicities)), at unit directions ``khat`` of shape (M, 3): row
-    sigma is the label rows of the unit spherical label sigma, d from Wigner's sum
-    :func:`_wigner_sum_table`."""
-    j, helicities = family.spin, family.helicities
-    c = khat[:, 2]  # cos(theta)
-    rho, e = _azimuth_phase(khat)
     # cos, sin of theta/2 from the larger of 1 +- c and rho / 2 = cos sin: no cancellation
     big = np.sqrt(0.5 * (1.0 + np.abs(c)))
     cos_half, sin_half = np.where(c >= 0.0, (big, 0.5 * rho / big), (0.5 * rho / big, big))
-    powers = np.arange(2 * j + 1)
-    monomials = cos_half[:, None] ** powers[::-1] * sin_half[:, None] ** powers
-    table = _wigner_sum_table(j)[:, :, [j - lam for lam in helicities]]
-    sigma, lam = np.arange(j, -j - 1, -1), np.array(helicities)
-    x = (e ** sigma[:, None])[:, :, None] * e[:, None] ** -lam
-    x *= monomials @ table.transpose(1, 0, 2)
+    monomials = cos_half ** a[:, None] * sin_half ** b[:, None]
+    x = _azimuth_powers(e, b[:, None])[n].reshape(2 * j + 1, -1, len(khat))
+    x *= table.reshape(len(b), len(b), -1).transpose(1, 2, 0) @ monomials
     return x
 
 
@@ -221,58 +237,31 @@ def _label_rows(family: StateFamily, coefficients: np.ndarray, khat: np.ndarray)
     directions ``khat`` of shape (M, 3): the inverse-frame D-matrix elements
     d^j_{sigma lam}(theta) e^{i (sigma - lam) phi} read off the components of khat,
     cos(theta) = khat_z and sin(theta) e^{i phi} = khat_x + i khat_y, with e^{i phi} = 1
-    on the poles, contracted with the coefficients; Cartesian coefficients enter
-    through their spherical components <sigma|i>. Spin 0 broadcasts its coefficient,
-    spin 1 is a closed form, higher spins contract :func:`_wigner_rows`.
+    on the poles (:func:`_wigner_rows`), contracted with the coefficients; Cartesian
+    coefficients enter through their spherical components <sigma|i>. Coefficient
+    columns, shape (2j+1, L), give the rows of each, shape (M, len(helicities), L).
     """
-    if family.spin == 0:
-        return np.broadcast_to(coefficients, (khat.shape[0], 1))
-    if family.spin > 1:
-        x = _wigner_rows(family, khat)
-        return (coefficients @ x.reshape(len(x), -1)).reshape(khat.shape[0], -1)
-    b = coefficients
     if family.label_basis == "cartesian":
-        b = _SPH_TO_CART @ b
-    c = khat[:, 2]  # cos(theta)
-    e = _azimuth_phase(khat)[1]
-    bp, b0, bm = b
-    up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-    transverse = khat[:, 0] + 1j * khat[:, 1]
-    w = transverse * np.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
-    e2 = e**2  # e^{2 i phi}
-    rows = np.empty((khat.shape[0], len(family.helicities)), dtype=complex)
-    for i, lam in enumerate(family.helicities):
-        if lam == 1:
-            rows[:, i] = up * bp + w.conj() * b0 + (down * bm) * e2.conj()
-        elif lam == 0:
-            rows[:, i] = c * b0 + w.conj() * bm - w * bp
-        else:
-            rows[:, i] = up * bm - w * b0 + (down * bp) * e2
-    return rows
+        coefficients = _SPH_TO_CART @ coefficients
+    return np.tensordot(coefficients, _wigner_rows(family.spin, family.helicities, khat), (0, 0)).T
 
 
 def _unit_rows(spin: int, khat: np.ndarray) -> np.ndarray:
     """X[sigma, sigma'] = C_{e_sigma}(khat, sigma'), sigma and sigma' = j..-j: the label
     rows at the one unit direction ``khat`` of shape (3,) of every unit spherical label
     of the complete spin-j family, so that c @ X is the row of the spherical coefficients
-    c in sigma order. The branches are those of :func:`_label_rows`: spin 0 is 1, spin 1
-    its closed form at unit coefficients on Python scalars (~4 us against ~32 us for
-    :func:`_wigner_rows` at one node, which leaves the oracle overlap's p50 gain short
-    of a quarter), higher spins :func:`_wigner_rows`."""
-    if spin == 0:
-        return np.ones((1, 1), dtype=complex)
-    if spin > 1:
-        complete = StateFamily(spin, tuple(range(-spin, spin + 1)))
-        return _wigner_rows(complete, khat[None])[:, 0, ::-1]
-    x, y, c = khat.tolist()  # c = cos(theta)
-    rho = math.hypot(x, y)
-    e = complex(x / rho, y / rho) if rho > 0.0 else 1.0  # e^{i phi}, as _azimuth_phase
-    up, down = 0.5 * (1.0 + c), 0.5 * (1.0 - c)
-    w = complex(x, y) * math.sqrt(0.5)  # sin(theta) e^{i phi} / sqrt(2)
-    e2 = e * e
-    return np.array([[up, -w, down * e2],
-                     [w.conjugate(), c, -w],
-                     [down * e2.conjugate(), w.conjugate(), up]])
+    c in sigma order. The scalar stage of :func:`_wigner_plan`: the inputs on Python floats
+    as :func:`_wigner_rows` forms them (numpy's hypot: Python's differs in the last bit),
+    one product with the table and one phase gather. Warm: 8 us at spin 1, 12 at 10."""
+    x, y, c = khat.tolist()
+    rho = float(np.hypot(x, y))
+    e = complex(x / rho, y / rho) if rho > 0.0 else 1 + 0j
+    big = math.sqrt(0.5 * (1.0 + abs(c)))
+    cos_half, sin_half = (big, 0.5 * rho / big) if c >= 0.0 else (0.5 * rho / big, big)
+    table, a, b, n = _wigner_plan(spin, tuple(range(spin, -spin - 1, -1)))
+    monomials = cos_half ** a * sin_half ** b
+    rows = monomials.dot(table) * _azimuth_powers(e, b)[n]  # .dot: ~1 us less than @
+    return rows.reshape(2 * spin + 1, -1)
 
 
 def _envelope(family: StateFamily, a: float, k: np.ndarray) -> np.ndarray:
@@ -327,8 +316,10 @@ def momentum_amplitude(state: LocalizedState, k, lam: int) -> np.ndarray:
             raise ValueError("the anchor phase |k| (t - khat.x) overflows: the anchor times "
                              "the momentum leaves the double range")
         amp.real[live], amp.imag[live] = envelope[live] * np.cos(arg), envelope[live] * np.sin(arg)
-        one = replace(state.family, helicities=(lam,))  # the column lam of the family's rows
-        amp *= _label_rows(one, state.coefficients, khat)[:, 0]
+        b = state.coefficients  # the row of lam alone, Cartesian labels through <sigma|i>
+        if state.family.label_basis == "cartesian":
+            b = _SPH_TO_CART @ b
+        amp *= b @ _wigner_rows(state.family.spin, (lam,), khat)[:, 0]
     return amp[0] if k.ndim == 1 else amp.reshape(k.shape[:-1])
 
 

@@ -65,7 +65,8 @@ def test_a_failing_row_makes_check_exit_1(monkeypatch, capsys, residual):
     monkeypatch.setattr(checks, "gauge", failing)
     assert main(["check", "gauge", "--format", "json"]) == 1
     table = json.loads(capsys.readouterr().out)
-    assert [row["status"] for row in table] == ["PASS", "PASS", "FAIL", "PASS", "PASS", "PASS"]
+    assert [row["status"] for row in table] == ["PASS", "PASS", "FAIL", "PASS", "PASS", "PASS",
+                                                "PASS"]
 
 
 def _mutated(function, target, replacement):
@@ -77,9 +78,10 @@ def _mutated(function, target, replacement):
     return namespace[function.__name__]
 
 
-def _label_rows_without_the_e2_conjugate():
-    """``states._label_rows`` with e^{2 i phi} for e^{-2 i phi} in its lam = +1 row."""
-    return _mutated(states._label_rows, "(down * bm) * e2.conj()", "(down * bm) * e2")
+def _azimuth_powers_conjugated():
+    """``states._azimuth_powers`` with e^{-i b phi} for e^{i b phi} and back, so that the
+    label rows carry e^{-i (sigma - lam) phi}."""
+    return _mutated(states._azimuth_powers, "(p, p.conj())", "(p.conj(), p)")
 
 
 def _label_rows_with_a_longitudinal_part(family, coefficients, khat):
@@ -92,17 +94,30 @@ def _label_rows_with_a_longitudinal_part(family, coefficients, khat):
 @pytest.mark.parametrize("corrupted", ["conjugate", "longitudinal"])
 def test_a_corrupted_helicity_frame_fails_both_polarization_suites(monkeypatch, capsys, corrupted):
     # the polarization vectors are read off the states' label rows, so a frame the
-    # states would carry with a wrong lam = +1 row fails the suites that judge it
-    mutated = (_label_rows_without_the_e2_conjugate() if corrupted == "conjugate"
-               else _label_rows_with_a_longitudinal_part)
-    monkeypatch.setattr(polarization, "_label_rows", mutated)
+    # states would carry with a conjugated azimuth phase or a wrong lam = +1 row fails
+    # the suites that judge it
+    if corrupted == "conjugate":
+        monkeypatch.setattr(states, "_azimuth_powers", _azimuth_powers_conjugated())
+    else:
+        monkeypatch.setattr(polarization, "_label_rows", _label_rows_with_a_longitudinal_part)
     failing = {}
     for suite in ("gauge", "alt-product"):
         assert main(["check", suite, "--format", "json"]) == 1
         table = json.loads(capsys.readouterr().out)
         failing[suite] = {row["check"] for row in table if row["status"] == "FAIL"}
-    assert "transversality" in failing["gauge"]
+    assert {"transversality", "helicity-eigenvalue"} <= failing["gauge"]
     assert failing["alt-product"] == {"unsummed-integrand-transverse-projector"}
+
+
+def test_a_one_sided_field_strength_fails_only_the_invariance_row(monkeypatch, capsys):
+    # field-strength-invariance judges field_strength, not the frame: a pure gauge g k
+    # drops out of the antisymmetric form for every eps, and of no other
+    mutated = _mutated(polarization.field_strength, " - eps[..., :, None] * k[..., None, :]", "")
+    monkeypatch.setattr(checks, "field_strength", mutated)
+    assert main(["check", "gauge", "--format", "json"]) == 1
+    table = json.loads(capsys.readouterr().out)
+    failing = {row["check"] for row in table if row["status"] == "FAIL"}
+    assert failing == {"field-strength-invariance"}
 
 
 @pytest.mark.parametrize("module, function, target, replacement", [

@@ -241,6 +241,10 @@ class TestOverlapContracts:
         s = make_localized_state(family, np.zeros(4), 0, 1.0)
         with pytest.raises(ValueError, match="negative-frequency"):
             qm_overlap(s, s)
+        # both kernel entry points, which named such a kernel as the positive family's
+        for kernel in (overlap_kernel_matrix, brute_force_kernel_matrix):
+            with pytest.raises(ValueError, match="negative-frequency"):
+                kernel(StateFamily.of(SPHERICAL3, "negative"), (0.3, 0.1, 0.2), 1.0)
 
     def test_scalar_family_kernel_is_the_delta_on_both_paths(self):
         # the scalar kernel is the 1 x 1 regulated delta, and the kernel oracle serves
@@ -575,6 +579,22 @@ class TestBruteForceAgreement:
                 brute_force_overlap(replace(s1, coefficients=mixed), s2, q)
                 brute_force_kernel_matrix(family, [0.2, -0.4, 0.4], 1.0, q)
         assert _oracle_label_diagonal.cache_info().misses == 10
+
+    def test_warm_spin_1_kernel_oracle_never_calls_wigner_rows(self, monkeypatch):
+        # a warm oracle call evaluates the unit labels' rows at rhat alone, by the
+        # one-direction stage of _unit_rows: the many-direction stage costs ~25 us there
+        rvec = [0.2, -0.4, 0.4]
+        warm = {kind: brute_force_kernel_matrix(StateFamily.of(kind), rvec, 1.0, Q).entries
+                for kind in (SPHERICAL3, CARTESIAN_PHOTON)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm spin-1 oracle call reached _wigner_rows")
+
+        monkeypatch.setattr(photonloc.states, "_wigner_rows", forbidden)
+        monkeypatch.setattr(photonloc.overlap, "_wigner_rows", forbidden)
+        for kind, entries in warm.items():
+            again = brute_force_kernel_matrix(StateFamily.of(kind), rvec, 1.0, Q).entries
+            assert np.array_equal(again, entries)
 
     def test_kernel_matrix_against_oracle(self):
         a = 1.0

@@ -395,17 +395,25 @@ class TestSpinJStates:
         return np.concatenate((random / np.linalg.norm(random, axis=1)[:, None], special))
 
     def test_label_rows_are_the_conjugated_d_matrix_columns(self):
+        # one Wigner sum at every spin, and Cartesian labels at spin 1 through <sigma|i>;
+        # spins 0 and 1 to 1e-15
         khat = self.directions()
-        for j in range(2, 11):
+        for j in range(11):
+            bound = 1e-15 if j <= 1 else 1e-13
             family = StateFamily(j, tuple(range(-j, j + 1)))
-            expected = np.stack([wigner_D(j, standard_rotation(v)).conj() for v in khat])
-            units = _wigner_rows(family, khat)  # the rows of every unit label
-            for i in range(2 * j + 1):
-                unit = np.zeros(2 * j + 1, dtype=complex)
-                unit[i] = 1.0
-                rows = _label_rows(family, unit, khat)  # columns lam = -j..j
-                assert np.abs(rows - expected[:, i, ::-1]).max() <= 1e-13
-                assert np.abs(units[i] - expected[:, i, ::-1]).max() <= 1e-13
+            # columns lam = -j..j of the conjugated D-matrix rows of every unit label
+            expected = np.stack([wigner_D(j, standard_rotation(v)).conj() for v in khat])[..., ::-1]
+            # the rows of every unit label
+            units = _wigner_rows(j, family.helicities, khat).transpose(2, 0, 1)
+            rows = _label_rows(family, np.eye(2 * j + 1), khat)  # one column per unit label
+            assert np.abs(units - expected).max() <= bound
+            assert np.abs(rows - expected.swapaxes(1, 2)).max() <= bound
+            for i, unit in enumerate(np.eye(2 * j + 1)):
+                assert np.abs(_label_rows(family, unit, khat) - expected[:, i]).max() <= bound
+            if j == 1:
+                cartesian = StateFamily(1, (-1, 0, 1), "cartesian")
+                expected = np.einsum("si,ksl->kli", _SPH_TO_CART, expected)
+                assert np.abs(_label_rows(cartesian, np.eye(3), khat) - expected).max() <= bound
 
     @settings(max_examples=120)
     @given(data=st.data())
@@ -434,7 +442,7 @@ class TestSpinJStates:
 
     @pytest.mark.parametrize("basis", ["spherical", "cartesian"])
     def test_unit_rows_give_every_spin_1_row_in_both_label_bases(self, basis):
-        # the spin-1 closed form of _unit_rows off the poles, on a tilt off -z and on the
+        # the spin-1 rows of _unit_rows off the poles, on a tilt off -z and on the
         # -x axis at -0 azimuth, for every unit label and a mixed state
         family = StateFamily(1, (-1, 0, 1), basis)
         directions = [[0.3, -0.5, 0.8], [-0.6, 0.2, -0.7], [0.1, 0.9, 0.05], [-0.4, -0.3, 0.0],
