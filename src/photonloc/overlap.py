@@ -508,8 +508,7 @@ def _oracle_label_diagonal(spin: int, helicities: tuple, nmu: int) -> np.ndarray
     block = max(1, _ORACLE_BLOCK_POINTS // ((2 * spin + 1) * len(helicities)))
     for start in range(0, nmu, block):
         x = _wigner_rows(spin, helicities, khat[start : start + block])
-        parts = x.view(float).reshape(*x.shape, 2)  # real, imaginary
-        g[:, start : start + block] = np.einsum("slkc,slkc->sk", parts, parts)
+        g[:, start : start + block] = (x.real**2 + x.imag**2).sum(axis=1)
     g *= 2.0 * np.pi * wmu
     g.setflags(write=False)
     return g
